@@ -39,7 +39,6 @@ from .errors import (
     EmptyContextError,
     EssenceMapError,
     NoAttributesError,
-    OracleBoundError,
     UnannotatedPairError,
     UnknownReferenceError,
 )
@@ -53,7 +52,7 @@ from .lta import (
     score_pair,
 )
 from .mapper import BestMatch, MapConfig, MappingReport, MappingResult, map_contexts, map_pair
-from .matching import CandidatePair, MatchSet, brute_force_matching, candidate_pairs, max_matching
+from .matching import CandidatePair, MatchSet, candidate_pairs, max_matching
 
 __all__ = [
     "AnnotationTable",
@@ -72,13 +71,11 @@ __all__ = [
     "MatchSet",
     "NoAttributesError",
     "ObjectInstance",
-    "OracleBoundError",
     "SemanticContext",
     "SpoTriple",
     "StatementScorer",
     "UnannotatedPairError",
     "UnknownReferenceError",
-    "brute_force_matching",
     "bundled_path",
     "candidate_pairs",
     "canonicalize_part",

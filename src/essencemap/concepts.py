@@ -25,6 +25,8 @@ if TYPE_CHECKING:
     from .matching import MatchSet
 
 ATTR_ID_PATTERN = re.compile(r"[a-z][a-z0-9]*\Z")
+# ``<ctx>/<Name>``: neither part empty, no whitespace, no '/' in the context
+RELATION_REF_PATTERN = re.compile(r"[^\s/]+/\S+\Z")
 
 
 @dataclass(frozen=True, order=True)
@@ -115,7 +117,7 @@ class Concept:
                 raise ValueError(f"duplicate object id {obj.id!r} in concept {self.name!r}")
             seen.add(obj.id)
         for rel in self.input_relations + self.output_relations:
-            if "/" not in rel or "\n" in rel or "\r" in rel or rel != rel.strip() or not rel:
+            if not RELATION_REF_PATTERN.match(rel):
                 raise ValueError(f"relation reference must look like ctx/Name, got {rel!r}")
 
     def attribute(self, attr_id: str) -> AttributeStatement:

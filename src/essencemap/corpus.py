@@ -30,6 +30,7 @@ from importlib import resources
 
 from .concepts import (
     ATTR_ID_PATTERN,
+    RELATION_REF_PATTERN,
     AttrRef,
     AttributeStatement,
     Concept,
@@ -160,8 +161,9 @@ def parse_concepts(source: TextSource, name: str = "<input>") -> SemanticContext
             if current is None:
                 fail(number, f"'{key}:' line outside a concept block")
             value = value.strip()
-            if not value or "/" not in value:
-                fail(number, f"expected '{key}: <ctx>/<ConceptName>'")
+            if not RELATION_REF_PATTERN.match(value):
+                fail(number, f"expected '{key}: <ctx>/<ConceptName>' with neither part empty "
+                             "and no whitespace")
             current["rel_in" if key == "rel-in" else "rel_out"].append(value)
         else:
             fail(number, "unrecognized line; expected one of context:, concept:, "
@@ -299,21 +301,33 @@ def parse_annotations(
     return AnnotationTable(entries)
 
 
+def _read_utf8(path: Path) -> str:
+    """Text of ``path``; a byte that is not UTF-8 is a syntax error on its line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusSyntaxError(
+            f"invalid UTF-8 byte 0x{data[exc.start]:02X}", source=str(path), line=line
+        ) from None
+
+
 def load_concepts(path: Union[str, Path]) -> SemanticContext:
     path = Path(path)
-    return parse_concepts(path.read_text(encoding="utf-8"), name=str(path))
+    return parse_concepts(_read_utf8(path), name=str(path))
 
 
 def load_lexicon(path: Union[str, Path]) -> Lexicon:
     path = Path(path)
-    return parse_lexicon(path.read_text(encoding="utf-8"), name=str(path))
+    return parse_lexicon(_read_utf8(path), name=str(path))
 
 
 def load_annotations(
     path: Union[str, Path], contexts: Iterable[SemanticContext]
 ) -> AnnotationTable:
     path = Path(path)
-    return parse_annotations(path.read_text(encoding="utf-8"), contexts, name=str(path))
+    return parse_annotations(_read_utf8(path), contexts, name=str(path))
 
 
 def bundled_path(filename: str) -> Path:

@@ -33,7 +33,3 @@ class NoAttributesError(EssenceMapError):
 
 class EmptyContextError(EssenceMapError):
     """Context-level mapping requires at least one concept per side."""
-
-
-class OracleBoundError(EssenceMapError):
-    """The exhaustive matching oracle refuses oversized instances."""

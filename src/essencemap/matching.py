@@ -5,9 +5,13 @@ of attributes whose level reaches the satisfaction threshold.  When one
 attribute is similar to several on the other side, a maximum-cardinality
 matching decides, with fully deterministic tie-breaking: among maximum
 matchings prefer the highest total level, then the lexicographically
-smallest pair list.  Matching runs in a canonical orientation (sides
-ordered by context id and concept name) so swapping the two concepts
-mirrors the result exactly.
+smallest pair list.  The whole rule is folded into the weights of a single
+assignment problem: with ``P`` candidates sorted ascending, the pair of
+rank ``r`` weighs ``bonus + level * 2**P + 2**(P - 1 - r)``, where the
+cardinality ``bonus`` outweighs every level and tie term together and each
+tie term outweighs all later ones (see ``_select``).  Matching runs in a
+canonical orientation (sides ordered by context id and concept name) so
+swapping the two concepts mirrors the result exactly.
 """
 
 from __future__ import annotations
@@ -16,13 +20,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .concepts import AttrRef, Concept
-from .errors import OracleBoundError
 from .lta import StatementScorer
 
 DEFAULT_THRESHOLD = 2
 THRESHOLDS = (1, 2, 3)
-
-ORACLE_SIDE_LIMIT = 10
 
 
 @dataclass(frozen=True, order=True)
@@ -116,15 +117,29 @@ def _canonical_orientation(
     return list(candidates), False
 
 
-def _hungarian_max(profit: list[list[int]]) -> int:
+def _hungarian_max(profit: list[list[int]]) -> list[int]:
     """Maximum-profit perfect assignment on a square integer matrix.
 
     Shortest augmenting paths with vertex potentials; deterministic for a
-    given matrix.  Returns the optimal total profit.
+    given matrix.  Returns ``assignment`` with row ``i`` assigned to column
+    ``assignment[i]``.
+
+    Profits become the costs ``top - profit``, which lie in ``[0, span]``
+    with ``span`` the largest of them.  With non-negative costs every step
+    ``delta`` is non-negative, so row potentials ``u`` only grow and column
+    potentials ``v`` only shrink.  A phase stops at the nearest free
+    column, which is no farther than the root row's direct edge to it (at
+    most ``span``, since that row's and a free column's potentials are
+    still 0), so each of the ``n`` phases moves a potential by at most
+    ``span``.  Every reduced cost ``cost - u - v`` therefore stays at most
+    ``(n + 1) * span``, and ``infinity`` lies above it whatever the size
+    of the profits.
     """
     n = len(profit)
-    infinity = 1 << 60
-    cost = [[-profit[i][j] for j in range(n)] for i in range(n)]
+    top = max(map(max, profit))
+    cost = [[top - value for value in row] for row in profit]
+    span = max(map(max, cost))
+    infinity = (n + 1) * span + 1
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     match = [0] * (n + 1)  # match[j] = row assigned to column j (1-based)
@@ -162,59 +177,40 @@ def _hungarian_max(profit: list[list[int]]) -> int:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    return sum(profit[match[j] - 1][j - 1] for j in range(1, n + 1))
-
-
-def _assignment_value(pairs: Sequence[CandidatePair], bonus: int) -> int:
-    """Best total of (bonus + level) over bijective subsets of ``pairs``."""
-    if not pairs:
-        return 0
-    lefts = sorted({p.left for p in pairs})
-    rights = sorted({p.right for p in pairs})
-    size = max(len(lefts), len(rights))
-    row = {ref: i for i, ref in enumerate(lefts)}
-    col = {ref: i for i, ref in enumerate(rights)}
-    profit = [[0] * size for _ in range(size)]
-    for p in pairs:
-        profit[row[p.left]][col[p.right]] = bonus + p.level
-    return _hungarian_max(profit)
+    assignment = [0] * n
+    for j in range(1, n + 1):
+        assignment[match[j] - 1] = j - 1
+    return assignment
 
 
 def _select(pairs: list[CandidatePair]) -> list[CandidatePair]:
     """Lexicographically smallest matching among the optimal ones.
 
-    A pair is kept exactly when forcing it still allows reaching the
-    optimal (cardinality, total level) value; scanning pairs in ascending
-    (left, right) order therefore yields the lexicographically smallest
-    optimal pair list.
+    One assignment solve.  With the ``P`` pairs sorted ascending, the pair
+    of rank ``r`` earns ``bonus + level * 2**P + 2**(P - 1 - r)``; cells
+    without a pair earn 0.  Summed over a matching, the level and tie
+    terms stay below ``(3P + 1) * 2**P``, which ``bonus`` exceeds, so more
+    pairs always win; the tie terms sum below ``2**P``, so a higher total
+    level wins next.  Between matchings equal in both, the tie term of
+    the lowest rank where they differ outweighs all later ranks together,
+    and the matching holding that rank is the one whose sorted pair list
+    is smaller.  The optimum is thus unique and equals the (cardinality,
+    total level, smallest sorted pair list) rule.
     """
-    bonus = 3 * len(pairs) + 1  # outweighs any possible total level
-    target = _assignment_value(pairs, bonus)
-    cardinality = target // bonus
-    chosen: list[CandidatePair] = []
-    used_left: set[AttrRef] = set()
-    used_right: set[AttrRef] = set()
-    forced_value = 0
-    for pair in sorted(pairs):
-        if len(chosen) == cardinality:
-            break
-        if pair.left in used_left or pair.right in used_right:
-            continue
-        rest = [
-            q
-            for q in pairs
-            if q.left != pair.left
-            and q.right != pair.right
-            and q.left not in used_left
-            and q.right not in used_right
-        ]
-        value = forced_value + bonus + pair.level + _assignment_value(rest, bonus)
-        if value == target:
-            chosen.append(pair)
-            used_left.add(pair.left)
-            used_right.add(pair.right)
-            forced_value += bonus + pair.level
-    return chosen
+    ordered = sorted(pairs)
+    count = len(ordered)
+    bonus = (3 * count + 2) << count
+    row = {ref: i for i, ref in enumerate(sorted({p.left for p in ordered}))}
+    col = {ref: j for j, ref in enumerate(sorted({p.right for p in ordered}))}
+    size = max(len(row), len(col))
+    profit = [[0] * size for _ in range(size)]
+    at: dict[tuple[int, int], CandidatePair] = {}
+    for rank, pair in enumerate(ordered):
+        cell = (row[pair.left], col[pair.right])
+        profit[cell[0]][cell[1]] = bonus + (pair.level << count) + (1 << (count - 1 - rank))
+        at[cell] = pair
+    assignment = _hungarian_max(profit)
+    return [at[i, j] for i, j in enumerate(assignment) if (i, j) in at]
 
 
 def max_matching(
@@ -231,61 +227,4 @@ def max_matching(
     oriented, flipped = _canonical_orientation(pairs)
     sizes = (right_size, left_size) if flipped else (left_size, right_size)
     chosen = MatchSet(tuple(_select(oriented)), *sizes)
-    return chosen.mirror() if flipped else chosen
-
-
-def brute_force_matching(
-    candidates: Iterable[CandidatePair], left_size: int, right_size: int
-) -> MatchSet:
-    """Exhaustive oracle for :func:`max_matching`; test use only.
-
-    Enumerates every bijective subset of the candidates and applies the
-    same selection rule (cardinality, then total level, then smallest pair
-    list).  Refuses instances with more than ten attributes per side.
-    """
-    if left_size > ORACLE_SIDE_LIMIT or right_size > ORACLE_SIDE_LIMIT:
-        raise OracleBoundError(
-            f"oracle bound exceeded: sides {left_size}x{right_size},"
-            f" limit {ORACLE_SIDE_LIMIT}"
-        )
-    pairs = _deduped(candidates)
-    if not pairs:
-        return MatchSet((), left_size, right_size)
-    oriented, flipped = _canonical_orientation(pairs)
-    sizes = (right_size, left_size) if flipped else (left_size, right_size)
-
-    lefts = sorted({p.left for p in oriented})
-    adjacency = {
-        ref: sorted((p for p in oriented if p.left == ref), key=lambda p: p.right)
-        for ref in lefts
-    }
-    best_key: tuple | None = None
-    best: list[CandidatePair] = []
-
-    def visit(index: int, used_rights: set[AttrRef], acc: list[CandidatePair]):
-        nonlocal best_key, best
-        if best_key is not None and len(acc) + (len(lefts) - index) < -best_key[0]:
-            return  # cannot reach the best cardinality any more
-        if index == len(lefts):
-            key = (
-                -len(acc),
-                -sum(p.level for p in acc),
-                tuple(sorted(acc)),
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best = list(acc)
-            return
-        visit(index + 1, used_rights, acc)
-        for pair in adjacency[lefts[index]]:
-            if pair.right in used_rights:
-                continue
-            used_rights.add(pair.right)
-            acc.append(pair)
-            visit(index + 1, used_rights, acc)
-            acc.pop()
-            used_rights.remove(pair.right)
-
-    visit(0, set(), [])
-    chosen = MatchSet(tuple(best), *sizes)
     return chosen.mirror() if flipped else chosen

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from essencemap import (
     AttributeStatement,
@@ -12,6 +13,10 @@ from essencemap import (
     load_concepts,
     load_lexicon,
 )
+
+# Example timings vary on shared hosts; a per-example deadline would flake.
+settings.register_profile("essencemap", deadline=None)
+settings.load_profile("essencemap")
 
 _WORDS = (
     "requirements product backlog managing accepting states items grooming "

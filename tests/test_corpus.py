@@ -4,6 +4,8 @@ import pytest
 
 from essencemap import (
     AttrRef,
+    AttributeStatement,
+    Concept,
     CorpusSyntaxError,
     UnknownReferenceError,
     bundled_path,
@@ -76,6 +78,9 @@ class TestParseConcepts:
             ("context: EF\nconcept: X\nwhatever here\nend\n", 3, "unrecognized line"),
             ("context: EF\nconcept: X\nend\nconcept: X\nend\n", 4, "duplicate concept name"),
             ("context: EF\nconcept: X\nrel-in: NoSlash\nend\n", 3, "rel-in"),
+            ("context: EF\nconcept: X\nrel-in: X/ B c\nend\n", 3, "no whitespace"),
+            ("context: EF\nconcept: X\nrel-out: X/\nend\n", 3, "neither part empty"),
+            ("context: EF\nconcept: X\nrel-out: /B\nend\n", 3, "neither part empty"),
             ("context: EF\nconcept: X\nobj o 1: text\nend\n", 3, "single token"),
         ],
     )
@@ -105,6 +110,16 @@ class TestSerializeConcepts:
         context = parse_concepts("context: EF\nconcept: X\nattr a1: uses #tag inline\nend\n")
         again = parse_concepts(serialize_concepts(context))
         assert again.concept("X").attribute("a1").text == "uses #tag inline"
+
+    def test_roundtrip_relations(self):
+        text = "context: EF\nconcept: X\nattr a1: t\nrel-in: EF/Opportunity\nrel-out: Scrum/Sprint\nend\n"
+        context = parse_concepts(text)
+        assert parse_concepts(serialize_concepts(context)) == context
+        assert "rel-in: EF/Opportunity\n" in serialize_concepts(context)
+
+    def test_malformed_relation_cannot_be_serialized(self):
+        with pytest.raises(ValueError, match="ctx/Name"):
+            Concept("X", (AttributeStatement("a1", "t"),), input_relations=("X/ B c",))
 
     def test_roundtrip_seeded_random_contexts(self):
         rng = random.Random(0xC0FFEE)
