@@ -16,6 +16,7 @@ swapping the two concepts mirrors the result exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -122,24 +123,11 @@ def _hungarian_max(profit: list[list[int]]) -> list[int]:
 
     Shortest augmenting paths with vertex potentials; deterministic for a
     given matrix.  Returns ``assignment`` with row ``i`` assigned to column
-    ``assignment[i]``.
-
-    Profits become the costs ``top - profit``, which lie in ``[0, span]``
-    with ``span`` the largest of them.  With non-negative costs every step
-    ``delta`` is non-negative, so row potentials ``u`` only grow and column
-    potentials ``v`` only shrink.  A phase stops at the nearest free
-    column, which is no farther than the root row's direct edge to it (at
-    most ``span``, since that row's and a free column's potentials are
-    still 0), so each of the ``n`` phases moves a potential by at most
-    ``span``.  Every reduced cost ``cost - u - v`` therefore stays at most
-    ``(n + 1) * span``, and ``infinity`` lies above it whatever the size
-    of the profits.
+    ``assignment[i]``.  The sentinel is ``math.inf`` rather than a large
+    int, so it holds whatever the size of the profits.
     """
     n = len(profit)
-    top = max(map(max, profit))
-    cost = [[top - value for value in row] for row in profit]
-    span = max(map(max, cost))
-    infinity = (n + 1) * span + 1
+    cost = [[-value for value in row] for row in profit]
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     match = [0] * (n + 1)  # match[j] = row assigned to column j (1-based)
@@ -147,12 +135,12 @@ def _hungarian_max(profit: list[list[int]]) -> list[int]:
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        minv = [infinity] * (n + 1)
+        minv = [math.inf] * (n + 1)
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
-            delta = infinity
+            delta = math.inf
             j1 = 0
             for j in range(1, n + 1):
                 if used[j]:

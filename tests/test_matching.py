@@ -1,3 +1,8 @@
+import contextlib
+import random
+import signal
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +28,43 @@ def ref_r(j):
 
 def cand(i, j, level=2):
     return CandidatePair(ref_l(i), ref_r(j), level)
+
+
+def random_instance(rng, max_side=6):
+    n_left = rng.randint(0, max_side)
+    n_right = rng.randint(0, max_side)
+    density = rng.choice([0.15, 0.3, 0.5, 0.7])
+    pairs = [
+        cand(i, j, rng.randint(1, 3))
+        for i in range(1, n_left + 1)
+        for j in range(1, n_right + 1)
+        if rng.random() < density
+    ]
+    return pairs, n_left, n_right
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail after ``seconds``, so a looping solver fails the test instead of
+    stalling the suite (no-op without ``SIGALRM``)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        # the interrupted frame can lack a line number, which pytest cannot
+        # render, so report from here instead
+        raise AssertionError(f"no result within {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite
@@ -133,7 +175,7 @@ class TestMaxMatching:
         "side,levels",
         [
             (8, lambda i, j: 2),  # 64 candidates push the weights past 2**64
-            # past 2**100, where reduced costs outgrow a fixed solver bound of 2**60
+            # past 2**100: a finite solver sentinel of 2**60 loops or errs here
             (10, lambda i, j: 3 if j == 10 else 1),
         ],
         ids=["8x8-flat", "10x10-heavy-column"],
@@ -141,7 +183,8 @@ class TestMaxMatching:
     def test_complete_graph_selects_the_diagonal(self, side, levels):
         # every perfect matching has the same total level: the smallest pair list decides
         candidates = [cand(i, j, levels(i, j)) for i in range(1, side + 1) for j in range(1, side + 1)]
-        selected = max_matching(candidates, side, side)
+        with time_limit(10.0):
+            selected = max_matching(candidates, side, side)
         assert [(p.left.attr, p.right.attr) for p in selected.pairs] == sorted(
             (f"a{i}", f"b{i}") for i in range(1, side + 1)
         )
@@ -193,3 +236,12 @@ class TestBruteForceOracle:
     def test_agrees_with_max_matching(self, instance):
         pairs, n_left, n_right = instance
         assert max_matching(pairs, n_left, n_right) == brute_force_matching(pairs, n_left, n_right)
+
+    def test_agreement_on_200_seeded_instances(self):
+        # a speed guard as well: hypothesis examples run without a deadline
+        rng = random.Random(0x5EED)
+        started = time.perf_counter()
+        for _ in range(200):
+            pairs, n_left, n_right = random_instance(rng)
+            assert max_matching(pairs, n_left, n_right) == brute_force_matching(pairs, n_left, n_right)
+        assert time.perf_counter() - started < 10.0
