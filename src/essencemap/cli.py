@@ -19,28 +19,25 @@ from typing import Optional
 
 from . import __version__
 from .concepts import (
-    AttrRef,
     Concept,
     SemanticContext,
     equivalent,
     independent,
     related,
-    similarity,
     sub_concept,
     super_concept,
 )
-from .corpus import AnnotationTable, load_annotations, load_concepts, load_lexicon
+from .corpus import load_annotations, load_concepts, load_lexicon
 from .errors import (
     CorpusSyntaxError,
     EmptyContextError,
-    EssenceMapError,
     NoAttributesError,
     UnannotatedPairError,
     UnknownReferenceError,
 )
-from .lta import EMPTY_LEXICON, MODES, NO_VERB_MARKER, extract_spo
-from .mapper import MapConfig, MappingReport, map_contexts
-from .matching import candidate_pairs, max_matching
+from .lta import EMPTY_LEXICON, MODES, extract_spo
+from .mapper import MapConfig, MappingReport, map_contexts, map_pair
+from .matching import candidate_pairs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -217,27 +214,19 @@ def cmd_score(left_ref: str, right_ref: str, config: CliConfig) -> str:
     contexts.setdefault(framework.id, framework)
     left_ctx, left_concept = _resolve_concept(left_ref, contexts)
     right_ctx, right_concept = _resolve_concept(right_ref, contexts)
-    if not left_concept.attributes:
-        raise NoAttributesError(f"concept {left_ref} has no attributes")
-    if not right_concept.attributes:
-        raise NoAttributesError(f"concept {right_ref} has no attributes")
+    result = map_pair(left_ctx, left_concept, right_ctx, right_concept, map_config)
 
     scorer = map_config.make_scorer()
     lines = [
-        f"pair: {left_ctx}/{left_concept.name} vs {right_ctx}/{right_concept.name}"
+        f"pair: {result.left} vs {result.right}"
         f"  (mode {map_config.mode}, threshold {map_config.threshold})",
         "",
         "level matrix:",
     ]
-    for attr1 in left_concept.attributes:
-        for attr2 in right_concept.attributes:
-            level = scorer.level(
-                AttrRef(left_ctx, left_concept.name, attr1.id),
-                attr1,
-                AttrRef(right_ctx, right_concept.name, attr2.id),
-                attr2,
-            )
-            lines.append(f"{attr1.id} {attr2.id} {level}")
+    right_rows = scorer.profile(right_ctx, right_concept)
+    for a in scorer.profile(left_ctx, left_concept):
+        for b in right_rows:
+            lines.append(f"{a.ref.attr} {b.ref.attr} {scorer.level(a, b)}")
 
     candidates = candidate_pairs(
         left_ctx, left_concept, right_ctx, right_concept, scorer, map_config.threshold
@@ -249,15 +238,15 @@ def cmd_score(left_ref: str, right_ref: str, config: CliConfig) -> str:
     if not candidates:
         lines.append("(none)")
 
-    match = max_matching(candidates, len(left_concept.attributes), len(right_concept.attributes))
+    match = result.match_set
     rendered = " ".join(f"{p.left.attr}-{p.right.attr}" for p in match.pairs)
     lines.append("")
     lines.append(f"matching: {rendered or '(empty)'}")
 
     k = len(match.pairs)
     union = len(left_concept.attributes) + len(right_concept.attributes) - k
-    pct = similarity(left_concept, right_concept, match)
-    lines.append(f"similarity: {k}/{union} = {format_pct(pct)}%")
+    pct = format_pct(result.similarity_pct)
+    lines.append(f"similarity: {k}/{union} = {pct}%")
 
     lines.append("")
     lines.append("relations:")
@@ -268,18 +257,11 @@ def cmd_score(left_ref: str, right_ref: str, config: CliConfig) -> str:
         ("sub-concept", sub_concept),
         ("super-concept", super_concept),
     )
-    values = {label: fn(left_concept, right_concept, match) for label, fn in predicates}
-    for label, _ in predicates:
-        lines.append(f"{label}: {'yes' if values[label] else 'no'}")
-    headline = next(
-        (label for label in ("equivalent", "sub-concept", "super-concept", "related") if values[label]),
-        "independent",
-    )
+    for label, fn in predicates:
+        lines.append(f"{label}: {'yes' if fn(left_concept, right_concept, match) else 'no'}")
 
     lines.append("")
-    lines.append(
-        f"{left_concept.name} -> {right_concept.name}  {format_pct(pct)}%  {headline}"
-    )
+    lines.append(f"{left_concept.name} -> {right_concept.name}  {pct}%  {result.relation}")
     return "\n".join(lines) + "\n"
 
 

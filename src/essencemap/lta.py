@@ -10,16 +10,20 @@ stopwords, strips inflection suffixes and folds synonym groups.
 Scoring runs in one of three modes: ``heuristic`` (computed from the text
 alone), ``annotated`` (levels read from a curated table, errors on gaps)
 and ``hybrid`` (annotation wins when present, heuristic otherwise).
+
+:class:`StatementScorer` splits and canonicalizes each concept's
+statements once, caching one row of part sets per attribute under
+``(context, concept)``; scoring a pair is then three set-overlap tests.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
-from .concepts import AttrRef, AttributeStatement
+from .concepts import AttrRef, AttributeStatement, Concept
 from .errors import UnannotatedPairError
 
 if TYPE_CHECKING:
@@ -229,12 +233,6 @@ def part_similar(
     return bool(canonicalize_part(part1, lexicon) & canonicalize_part(part2, lexicon))
 
 
-def heuristic_level(spo1: SpoTriple, spo2: SpoTriple, lexicon: Lexicon) -> int:
-    parts1 = (spo1.subject, spo1.predicate, spo1.object_part)
-    parts2 = (spo2.subject, spo2.predicate, spo2.object_part)
-    return sum(part_similar(p1, p2, lexicon) for p1, p2 in zip(parts1, parts2))
-
-
 def score_pair(
     left: AttrRef,
     s1: AttributeStatement,
@@ -246,34 +244,34 @@ def score_pair(
 ) -> int:
     """Level of one statement pair under the given mode.
 
-    Symmetric in its two statements: annotation lookup is unordered and
-    the heuristic compares parts with a symmetric overlap test.
+    A one-off :class:`StatementScorer` scores each statement as the only
+    attribute of its concept, so this is :meth:`StatementScorer.level`
+    itself: symmetric, and 3 for a statement against itself.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown scoring mode {mode!r}")
-    if mode == "annotated":
-        if annotations is None:
-            raise ValueError("annotated mode requires an annotation table")
-        level = annotations.level_for(left, right)
-        if level is None:
-            raise UnannotatedPairError(f"unannotated pair: {left} / {right}")
-        return level
-    if mode == "hybrid" and annotations is not None:
-        level = annotations.level_for(left, right)
-        if level is not None:
-            return level
-    spo1 = extract_spo(s1, left.concept, lexicon)
-    spo2 = extract_spo(s2, right.concept, lexicon)
-    return heuristic_level(spo1, spo2, lexicon)
+    scorer = StatementScorer(lexicon, annotations, mode)
+    (a,) = scorer.profile(left.context, Concept(left.concept, (replace(s1, id=left.attr),)))
+    (b,) = scorer.profile(right.context, Concept(right.concept, (replace(s2, id=right.attr),)))
+    return scorer.level(a, b)
+
+
+class AttrProfile(NamedTuple):
+    """One attribute as the scorer compares it: its canonical part sets."""
+
+    ref: AttrRef
+    subject: frozenset[str]
+    predicate: frozenset[str]
+    object_part: frozenset[str]
+    has_verb: bool
 
 
 class StatementScorer:
     """Scoring front-end bundling lexicon, annotations and mode.
 
-    Caches statement decompositions so that context-level mapping does not
-    re-parse statements for every pair, and remembers which statements had
-    no detectable verb so reports can surface them.  Caching is idempotent,
-    so concurrent scoring of distinct pairs stays order-independent.
+    :meth:`profile` splits and canonicalizes a concept's statements once
+    and caches the rows under ``(context, concept)``, so equal concepts
+    share the same row objects; :meth:`level` compares two rows with no
+    parsing or hashing per pair.  Caching is idempotent, so scores do not
+    depend on the order in which pairs are visited.
     """
 
     def __init__(
@@ -287,45 +285,58 @@ class StatementScorer:
         if mode == "annotated" and annotations is None:
             raise ValueError("annotated mode requires an annotation table")
         self.lexicon = lexicon
-        self.annotations = annotations
         self.mode = mode
-        self._parts: dict[tuple[AttrRef, AttributeStatement], tuple[frozenset[str], ...]] = {}
-        self._verbless: set[AttrRef] = set()
+        self._table = None if mode == "heuristic" else annotations
+        self._profiles: dict[tuple[str, Concept], tuple[AttrProfile, ...]] = {}
+        self._seen: dict[tuple[str, int], tuple[Concept, tuple[AttrProfile, ...]]] = {}
 
-    def parts(self, ref: AttrRef, statement: AttributeStatement):
-        key = (ref, statement)
-        cached = self._parts.get(key)
-        if cached is None:
-            spo = extract_spo(statement, ref.concept, self.lexicon)
-            if not spo.has_verb:
-                self._verbless.add(ref)
-            cached = tuple(
-                canonicalize_part(part, self.lexicon)
-                for part in (spo.subject, spo.predicate, spo.object_part)
-            )
-            self._parts[key] = cached
-        return cached
+    def profile(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
+        """One row per attribute of ``concept``, in attribute order.
 
-    def level(
-        self,
-        left: AttrRef,
-        s1: AttributeStatement,
-        right: AttrRef,
-        s2: AttributeStatement,
-    ) -> int:
-        if self.mode == "annotated":
-            level = self.annotations.level_for(left, right)
-            if level is None:
-                raise UnannotatedPairError(f"unannotated pair: {left} / {right}")
-            return level
-        if self.mode == "hybrid" and self.annotations is not None:
-            level = self.annotations.level_for(left, right)
+        Repeat calls with the same object skip hashing every statement: an
+        entry keyed on its id answers them, and holds the concept alive.
+        """
+        seen = self._seen.get((context, id(concept)))
+        if seen is not None:
+            return seen[1]
+        key = (context, concept)
+        rows = self._profiles.get(key)
+        if rows is None:
+            built = []
+            for attr in concept.attributes:
+                ref = AttrRef(context, concept.name, attr.id)
+                spo = extract_spo(attr, concept.name, self.lexicon)
+                parts = (spo.subject, spo.predicate, spo.object_part)
+                built.append(AttrProfile(
+                    ref, *(canonicalize_part(part, self.lexicon) for part in parts), spo.has_verb
+                ))
+            rows = self._profiles[key] = tuple(built)
+        self._seen[context, id(concept)] = (concept, rows)
+        return rows
+
+    def level(self, a: AttrProfile, b: AttrProfile) -> int:
+        """Level of one attribute pair; symmetric in ``a`` and ``b``.
+
+        A row against itself scores 3.  Otherwise the table, outside
+        heuristic mode, answers first (a gap is an error in annotated mode),
+        then each part whose canonical sets overlap scores one point.
+        """
+        if a is b:
+            return 3
+        if self._table is not None:
+            level = self._table.level_for(a.ref, b.ref)
             if level is not None:
                 return level
-        parts1 = self.parts(left, s1)
-        parts2 = self.parts(right, s2)
-        return sum(bool(p1 & p2) for p1, p2 in zip(parts1, parts2))
+            if self.mode == "annotated":
+                raise UnannotatedPairError(f"unannotated pair: {a.ref} / {b.ref}")
+        return (
+            (not a.subject.isdisjoint(b.subject))
+            + (not a.predicate.isdisjoint(b.predicate))
+            + (not a.object_part.isdisjoint(b.object_part))
+        )
 
     @property
     def verbless_refs(self) -> frozenset[AttrRef]:
-        return frozenset(self._verbless)
+        """Attributes profiled so far whose statement has no detectable verb."""
+        rows = (row for profile in self._profiles.values() for row in profile)
+        return frozenset(row.ref for row in rows if not row.has_verb)

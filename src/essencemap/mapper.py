@@ -5,8 +5,10 @@ matching, compute the similarity percentage and classify the relationship
 under a fixed precedence (equivalent, then sub-concept, then super-concept,
 then related, then independent).  A report over two whole contexts carries
 one result per concept pair plus, for each practice concept, its best
-framework match.  Everything is deterministic: identical inputs and
-configuration produce identical reports.
+framework match: the highest similarity, ties going to the relation that
+comes first in that precedence and then to the smaller name, so a concept
+mapped against itself picks itself.  Everything is deterministic:
+identical inputs and configuration produce identical reports.
 """
 
 from __future__ import annotations
@@ -112,11 +114,13 @@ def _map_pair(
     candidates = candidate_pairs(context1, c1, context2, c2, scorer, config.threshold)
     match = max_matching(candidates, len(c1.attributes), len(c2.attributes))
     pct = similarity(c1, c2, match)
-    own_refs = {str(ref) for ref in scorer.verbless_refs
-                if (ref.context, ref.concept) in ((context1, c1.name), (context2, c2.name))}
-    diagnostics = tuple(
-        f"no verb found in {ref}; predicate similarity disabled" for ref in sorted(own_refs)
-    )
+    diagnostics = ()
+    if scorer.mode != "annotated":
+        rows = scorer.profile(context1, c1) + scorer.profile(context2, c2)
+        verbless = sorted({str(row.ref) for row in rows if not row.has_verb})
+        diagnostics = tuple(
+            f"no verb found in {ref}; predicate similarity disabled" for ref in verbless
+        )
     return MappingResult(
         left=f"{context1}/{c1.name}",
         right=f"{context2}/{c2.name}",
@@ -151,7 +155,10 @@ def map_contexts(
             for f_concept in sorted(framework.concepts, key=lambda c: c.name)
         ]
         results.extend(row)
-        top = min(row, key=lambda r: (-r.similarity_pct, r.right))
+        top = min(
+            row,
+            key=lambda r: (-r.similarity_pct, RELATION_LABELS.index(r.relation), r.right),
+        )
         best_matches.append(
             BestMatch(
                 practice=p_concept.name,

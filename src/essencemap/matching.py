@@ -86,13 +86,13 @@ def candidate_pairs(
     if threshold not in THRESHOLDS:
         raise ValueError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
     found = []
-    for attr1 in c1.attributes:
-        left = AttrRef(context1, c1.name, attr1.id)
-        for attr2 in c2.attributes:
-            right = AttrRef(context2, c2.name, attr2.id)
-            level = scorer.level(left, attr1, right, attr2)
+    score = scorer.level
+    rows2 = scorer.profile(context2, c2)
+    for a in scorer.profile(context1, c1):
+        for b in rows2:
+            level = score(a, b)
             if level >= threshold:
-                found.append(CandidatePair(left, right, level))
+                found.append(CandidatePair(a.ref, b.ref, level))
     found.sort(key=lambda p: (-p.level, p.left, p.right))
     return found
 

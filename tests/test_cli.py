@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from essencemap import bundled_path
@@ -69,3 +71,34 @@ def test_map_report_is_byte_identical_across_runs(scrum, essence, tmp_path):
     assert main(_map_argv(scrum, essence, lexicon, "--out", str(second))) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
     assert "ProductBacklog" in first.read_text(encoding="utf-8")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# ``--mode`` plus the data file each mode reads.
+_MODE_ARGS = {
+    "heuristic": ["--mode", "heuristic", "--lexicon", str(bundled_path("paper.lex"))],
+    "annotated": ["--mode", "annotated", "--annotations", str(bundled_path("paper-table1.ann"))],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_MODE_ARGS))
+def test_score_case_study_matches_golden(mode, scrum, essence, capsys):
+    argv = ["score", "--left", "Scrum/ProductBacklog", "--right", "EF/Requirements",
+            "--practice", str(scrum), "--framework", str(essence), *_MODE_ARGS[mode]]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / f"score-{mode}.txt").read_text(encoding="utf-8")
+    assert err == ""
+
+
+@pytest.mark.parametrize("mode", sorted(_MODE_ARGS))
+@pytest.mark.parametrize("out_format", ["tsv", "jsonl"])
+def test_map_case_study_matches_golden(out_format, mode, scrum, essence, capsys):
+    # The case study reproduces the paper in both modes, so they share one file.
+    argv = ["map", "--practice", str(scrum), "--framework", str(essence),
+            "--format", out_format, *_MODE_ARGS[mode]]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / f"case-study.{out_format}").read_text(encoding="utf-8")
+    assert err == ""

@@ -1,20 +1,27 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from essencemap import (
     AttrRef,
     AttributeStatement,
+    CandidatePair,
+    Concept,
     Lexicon,
     StatementScorer,
     UnannotatedPairError,
+    bundled_path,
+    candidate_pairs,
     canonicalize_part,
     extract_spo,
+    load_lexicon,
     part_similar,
     score_pair,
 )
 from essencemap.corpus import AnnotationTable
-from essencemap.lta import EMPTY_LEXICON, NO_VERB_MARKER, stem, tokenize
+from essencemap.lta import EMPTY_LEXICON, MODES, NO_VERB_MARKER, stem, tokenize
 
 
 class TestTokenize:
@@ -267,7 +274,94 @@ class TestStatementScorer:
     def test_tracks_verbless_statements(self):
         scorer = StatementScorer(EMPTY_LEXICON, mode="heuristic")
         ref = AttrRef("X", "Thing", "a1")
-        other = AttrRef("Y", "Other", "b1")
-        scorer.level(ref, AttributeStatement("a1", "nominal phrase"), other,
-                     AttributeStatement("b1", "is fine"))
+        (a,) = scorer.profile("X", Concept("Thing", (AttributeStatement("a1", "nominal phrase"),)))
+        (b,) = scorer.profile("Y", Concept("Other", (AttributeStatement("b1", "is fine"),)))
+        scorer.level(a, b)
         assert scorer.verbless_refs == {ref}
+
+
+LEXICON = load_lexicon(bundled_path("paper.lex"))
+
+_WORDS = (
+    "requirements product backlog managing items grooming vision states stakeholders "
+    "is are must need progress provides refers the of and to be"
+).split()
+
+_texts = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=7).map(" ".join)
+
+
+@st.composite
+def _concept(draw, name, prefix):
+    texts = draw(st.lists(_texts, min_size=1, max_size=5))
+    return Concept(name, tuple(AttributeStatement(f"{prefix}{i + 1}", t) for i, t in enumerate(texts)))
+
+
+def _attr_refs(context, concept):
+    return [AttrRef(context, concept.name, attr.id) for attr in concept.attributes]
+
+
+@st.composite
+def _scoring_case(draw, mode, complete=True):
+    """(table, (context, concept) x 2) for ``mode``; sometimes a concept against itself.
+
+    Annotated mode gets a level for every distinct pair unless ``complete``
+    is false (then one pair of two distinct concepts is left out), hybrid
+    mode a random subset, heuristic mode no table.
+    """
+    c1 = draw(_concept("Alpha", "a"))
+    self_map = complete and draw(st.booleans())
+    ctx2, c2 = ("X", c1) if self_map else ("Y", draw(_concept("Beta", "b")))
+    keys = {frozenset((r1, r2)): (r1, r2)
+            for r1 in _attr_refs("X", c1) for r2 in _attr_refs(ctx2, c2) if r1 != r2}
+    pairs = [keys[k] for k in sorted(keys, key=sorted)]
+    if mode == "hybrid":
+        pairs = [p for p in pairs if draw(st.booleans())]
+    elif mode == "annotated" and not complete:
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    table = None
+    if mode != "heuristic":
+        table = AnnotationTable((l, r, draw(st.integers(0, 3))) for l, r in pairs)
+    return table, ("X", c1), (ctx2, c2)
+
+
+_any_mode_case = st.sampled_from(MODES).flatmap(lambda mode: st.tuples(st.just(mode), _scoring_case(mode)))
+
+
+class TestScoringProperties:
+    @given(case=_any_mode_case)
+    def test_level_is_symmetric(self, case):
+        mode, (table, side1, side2) = case
+        scorer = StatementScorer(LEXICON, table, mode)
+        for a in scorer.profile(*side1):
+            for b in scorer.profile(*side2):
+                assert scorer.level(a, b) == scorer.level(b, a) in (0, 1, 2, 3)
+
+    @given(text=_texts, mode=st.sampled_from(MODES))
+    def test_statement_scores_3_against_itself(self, text, mode):
+        statement = AttributeStatement("a1", text)
+        scorer = StatementScorer(LEXICON, AnnotationTable(()), mode)
+        (row,) = scorer.profile("X", Concept("Thing", (statement,)))
+        assert scorer.profile("X", Concept("Thing", (AttributeStatement("a1", text),)))[0] is row
+        assert scorer.level(row, row) == 3
+        ref = AttrRef("X", "Thing", "a1")
+        assert score_pair(ref, statement, ref, statement, LEXICON, AnnotationTable(()), mode) == 3
+
+    @given(case=_any_mode_case, threshold=st.integers(1, 3))
+    def test_candidate_pairs_equals_per_pair_scan(self, case, threshold):
+        mode, (table, (ctx1, c1), (ctx2, c2)) = case
+        expected = []
+        for s1, left in zip(c1.attributes, _attr_refs(ctx1, c1)):
+            for s2, right in zip(c2.attributes, _attr_refs(ctx2, c2)):
+                level = score_pair(left, s1, right, s2, LEXICON, table, mode)
+                if level >= threshold:
+                    expected.append(CandidatePair(left, right, level))
+        expected.sort(key=lambda p: (-p.level, p.left, p.right))
+        scorer = StatementScorer(LEXICON, table, mode)
+        assert candidate_pairs(ctx1, c1, ctx2, c2, scorer, threshold) == expected
+
+    @given(case=_scoring_case("annotated", complete=False))
+    def test_unannotated_pair_raises_in_annotated_mode(self, case):
+        table, (ctx1, c1), (ctx2, c2) = case
+        scorer = StatementScorer(LEXICON, table, "annotated")
+        with pytest.raises(UnannotatedPairError, match="unannotated pair"):
+            candidate_pairs(ctx1, c1, ctx2, c2, scorer, 1)

@@ -9,6 +9,7 @@ from essencemap import (
     EmptyContextError,
     MapConfig,
     NoAttributesError,
+    ObjectInstance,
     SemanticContext,
     equivalent,
     independent,
@@ -121,6 +122,23 @@ class TestMapContexts:
             for best in report.best_matches:
                 assert best.framework == best.practice
                 assert best.similarity_pct == 100
+
+    def test_best_match_tie_goes_to_the_higher_relation(self):
+        # Both concepts map onto each other at 100%, but only the self-pair
+        # is equivalent; "Alpha" would win a tie broken by name alone.
+        attrs = simple_concept("Any", ["team is small", "product is fast"]).attributes
+        alpha = Concept("Alpha", attrs, (ObjectInstance("o1", "one"),))
+        beta = Concept("Beta", attrs, (ObjectInstance("o1", "two"),))
+        context = SemanticContext("X", (alpha, beta))
+        report = map_contexts(context, context, MapConfig(mode="heuristic"))
+        assert {r.right: r.relation for r in report.results if r.left == "X/Beta"} == {
+            "X/Alpha": "related",
+            "X/Beta": "equivalent",
+        }
+        assert [(b.practice, b.framework) for b in report.best_matches] == [
+            ("Alpha", "Alpha"),
+            ("Beta", "Beta"),
+        ]
 
     def test_empty_context_rejected(self):
         empty = SemanticContext("E")
