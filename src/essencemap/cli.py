@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .lta import EMPTY_LEXICON, MODES, extract_spo
 from .mapper import MapConfig, MappingReport, map_contexts, map_pair
-from .matching import candidate_pairs
+from .matching import DEFAULT_THRESHOLD, THRESHOLDS, candidate_pairs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,38 +135,24 @@ def render_jsonl(report: MappingReport) -> str:
 _RENDERERS = {"table": render_table, "tsv": render_tsv, "jsonl": render_jsonl}
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved options for the ``map`` command."""
-
-    practice: Path
-    framework: Path
-    lexicon: Optional[Path] = None
-    annotations: Optional[Path] = None
-    mode: str = "hybrid"
-    threshold: int = 2
-    out_format: str = "table"
-    out: Optional[Path] = None
-
-
-def _load_map_config(config: CliConfig) -> tuple[SemanticContext, SemanticContext, MapConfig]:
-    if config.mode == "annotated" and config.annotations is None:
+def _load_map_config(args: argparse.Namespace) -> tuple[SemanticContext, SemanticContext, MapConfig]:
+    if args.mode == "annotated" and args.annotations is None:
         raise UsageError("--mode annotated requires --annotations")
-    practice = load_concepts(config.practice)
-    framework = load_concepts(config.framework)
-    lexicon = load_lexicon(config.lexicon) if config.lexicon else EMPTY_LEXICON
+    practice = load_concepts(args.practice)
+    framework = load_concepts(args.framework or args.practice)
+    lexicon = load_lexicon(args.lexicon) if args.lexicon else EMPTY_LEXICON
     annotations = None
-    if config.annotations:
-        annotations = load_annotations(config.annotations, (practice, framework))
-    return practice, framework, MapConfig(lexicon, annotations, config.mode, config.threshold)
+    if args.annotations:
+        annotations = load_annotations(args.annotations, (practice, framework))
+    return practice, framework, MapConfig(lexicon, annotations, args.mode, args.threshold)
 
 
-def cmd_map(config: CliConfig) -> tuple[str, list[str]]:
+def cmd_map(args: argparse.Namespace) -> tuple[str, list[str]]:
     """Run the full pipeline; returns (rendered report, diagnostics)."""
-    practice, framework, map_config = _load_map_config(config)
+    practice, framework, map_config = _load_map_config(args)
     report = map_contexts(practice, framework, map_config)
     diagnostics = sorted({note for result in report.results for note in result.diagnostics})
-    return _RENDERERS[config.out_format](report), diagnostics
+    return _RENDERERS[args.out_format](report), diagnostics
 
 
 def cmd_parse(path: Path, show_spo: bool = False, lexicon_path: Optional[Path] = None) -> str:
@@ -207,13 +192,13 @@ def _resolve_concept(reference: str, contexts: dict[str, SemanticContext]) -> tu
         raise UnknownReferenceError(f"unknown concept {name!r} in {reference!r}") from None
 
 
-def cmd_score(left_ref: str, right_ref: str, config: CliConfig) -> str:
+def cmd_score(args: argparse.Namespace) -> str:
     """Detail view for one concept pair: matrix, matching, predicates."""
-    practice, framework, map_config = _load_map_config(config)
+    practice, framework, map_config = _load_map_config(args)
     contexts = {practice.id: practice}
     contexts.setdefault(framework.id, framework)
-    left_ctx, left_concept = _resolve_concept(left_ref, contexts)
-    right_ctx, right_concept = _resolve_concept(right_ref, contexts)
+    left_ctx, left_concept = _resolve_concept(args.left, contexts)
+    right_ctx, right_concept = _resolve_concept(args.right, contexts)
     result = map_pair(left_ctx, left_concept, right_ctx, right_concept, map_config)
 
     scorer = map_config.make_scorer()
@@ -280,8 +265,8 @@ def _add_corpus_options(parser: argparse.ArgumentParser, *, framework_required: 
     )
     parser.add_argument("--lexicon", type=Path, help="lexicon file (syn:/stop:/verb: lines)")
     parser.add_argument("--annotations", type=Path, help="annotation table file")
-    parser.add_argument("--mode", choices=MODES, default="hybrid")
-    parser.add_argument("--threshold", type=int, choices=(1, 2, 3), default=2)
+    parser.add_argument("--mode", choices=MODES, default=MapConfig.mode)
+    parser.add_argument("--threshold", type=int, choices=THRESHOLDS, default=DEFAULT_THRESHOLD)
 
 
 def build_parser() -> _Parser:
@@ -307,19 +292,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        practice=args.practice,
-        framework=args.framework if args.framework else args.practice,
-        lexicon=args.lexicon,
-        annotations=args.annotations,
-        mode=args.mode,
-        threshold=args.threshold,
-        out_format=getattr(args, "out_format", "table"),
-        out=getattr(args, "out", None),
-    )
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -333,14 +305,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.write(cmd_parse(args.path, args.show_spo, args.lexicon))
             return EXIT_OK
         if args.command == "score":
-            sys.stdout.write(cmd_score(args.left, args.right, _config_from_args(args)))
+            sys.stdout.write(cmd_score(args))
             return EXIT_OK
-        config = _config_from_args(args)
-        rendered, diagnostics = cmd_map(config)
+        rendered, diagnostics = cmd_map(args)
         for note in diagnostics:
             print(note, file=sys.stderr)
-        if config.out is not None:
-            config.out.write_text(rendered, encoding="utf-8")
+        if args.out is not None:
+            args.out.write_text(rendered, encoding="utf-8")
         else:
             sys.stdout.write(rendered)
         return EXIT_OK

@@ -2,9 +2,10 @@
 
 A semantic context is a named knowledge domain holding concepts; a concept
 carries attribute statements (its intension), object instances (its
-extension) and opaque references to related concepts.  Internal relations
-are the full cross product of objects and attributes, so they are derived
-on demand rather than stored.
+extension) and opaque references to related concepts.  The constructors
+hold every value rule (ids, single-line texts, relation references,
+duplicates within one concept or context) and raise ``ValueError``; the
+corpus parsers rely on them rather than repeating the rules.
 
 The relational predicates (:func:`related`, :func:`similarity`, ...) never
 look at raw attribute text: two attributes count as shared only when they
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import NoAttributesError
 
@@ -45,17 +46,34 @@ class AttrRef:
         head, sep, attr = text.rpartition(".")
         context, sep2, concept = head.partition("/")
         if not sep or not sep2 or not context or not concept or not attr:
-            raise ValueError(f"malformed attribute reference: {text!r}")
+            raise ValueError(f"expected '<ctx>/<Concept>.<attrId>', got {text!r}")
         return cls(context, concept, attr)
 
 
 def _clean_line_text(value: str, what: str) -> str:
+    """``value`` stripped; non-empty and one line by ``str.splitlines``, as the parsers split."""
     value = value.strip()
     if not value:
-        raise ValueError(f"{what} must not be empty")
-    if "\n" in value or "\r" in value:
-        raise ValueError(f"{what} must be a single line")
+        raise ValueError(f"empty text in {what}")
+    if len(value.splitlines()) > 1:
+        raise ValueError(f"text of {what} must be a single line")
     return value
+
+
+def _check_unique(ids: Iterable[str], what: str, owner: str) -> None:
+    seen: set[str] = set()
+    for ident in ids:
+        if ident in seen:
+            raise ValueError(f"duplicate {what} {ident!r} in {owner}")
+        seen.add(ident)
+
+
+def relation_ref(key: str, ref: str) -> str:
+    """``ref`` when it reads ``ctx/Name``; ``key`` names its list in the error."""
+    if not RELATION_REF_PATTERN.match(ref):
+        raise ValueError(f"expected '{key}: ctx/Name' with neither part empty "
+                         f"and no whitespace, got {ref!r}")
+    return ref
 
 
 @dataclass(frozen=True)
@@ -67,7 +85,7 @@ class AttributeStatement:
 
     def __post_init__(self):
         object.__setattr__(self, "id", self.id.strip())
-        object.__setattr__(self, "text", _clean_line_text(self.text, "attribute text"))
+        object.__setattr__(self, "text", _clean_line_text(self.text, f"attribute {self.id!r}"))
         if not ATTR_ID_PATTERN.match(self.id):
             raise ValueError(f"attribute id must match [a-z][a-z0-9]*, got {self.id!r}")
 
@@ -81,9 +99,10 @@ class ObjectInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "id", self.id.strip())
-        object.__setattr__(self, "text", _clean_line_text(self.text, "object text"))
-        if not self.id or any(c.isspace() for c in self.id):
-            raise ValueError(f"object id must be a non-empty token, got {self.id!r}")
+        object.__setattr__(self, "text", _clean_line_text(self.text, f"object {self.id!r}"))
+        # ':' ends the id in ``obj <id>: <text>`` lines, so it cannot be part of one.
+        if not self.id or ":" in self.id or any(c.isspace() for c in self.id):
+            raise ValueError(f"object id must be a single token with no ':', got {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -106,29 +125,18 @@ class Concept:
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "input_relations", tuple(self.input_relations))
         object.__setattr__(self, "output_relations", tuple(self.output_relations))
-        seen = set()
-        for attr in self.attributes:
-            if attr.id in seen:
-                raise ValueError(f"duplicate attribute id {attr.id!r} in concept {self.name!r}")
-            seen.add(attr.id)
-        seen.clear()
-        for obj in self.objects:
-            if obj.id in seen:
-                raise ValueError(f"duplicate object id {obj.id!r} in concept {self.name!r}")
-            seen.add(obj.id)
-        for rel in self.input_relations + self.output_relations:
-            if not RELATION_REF_PATTERN.match(rel):
-                raise ValueError(f"relation reference must look like ctx/Name, got {rel!r}")
+        _check_unique((a.id for a in self.attributes), "attribute id", f"concept {self.name!r}")
+        _check_unique((o.id for o in self.objects), "object id", f"concept {self.name!r}")
+        for rel in self.input_relations:
+            relation_ref("rel-in", rel)
+        for rel in self.output_relations:
+            relation_ref("rel-out", rel)
 
     def attribute(self, attr_id: str) -> AttributeStatement:
         for attr in self.attributes:
             if attr.id == attr_id:
                 return attr
         raise KeyError(attr_id)
-
-    def internal_relations(self) -> tuple[tuple[ObjectInstance, AttributeStatement], ...]:
-        """Object x attribute cross product, derived rather than stored."""
-        return tuple((o, a) for o in self.objects for a in self.attributes)
 
 
 @dataclass(frozen=True)
@@ -142,10 +150,7 @@ class SemanticContext:
         object.__setattr__(self, "concepts", tuple(self.concepts))
         if not self.id or "/" in self.id or any(c.isspace() for c in self.id):
             raise ValueError(f"context id must be non-empty with no whitespace or '/', got {self.id!r}")
-        names = [c.name for c in self.concepts]
-        if len(names) != len(set(names)):
-            dup = next(n for n in names if names.count(n) > 1)
-            raise ValueError(f"duplicate concept name {dup!r} in context {self.id!r}")
+        _check_unique((c.name for c in self.concepts), "concept name", f"context {self.id!r}")
 
     def concept(self, name: str) -> Concept:
         for c in self.concepts:
@@ -212,4 +217,5 @@ def sub_concept(c1: Concept, c2: Concept, m: "MatchSet") -> bool:
 
 def super_concept(c1: Concept, c2: Concept, m: "MatchSet") -> bool:
     """Mirror of :func:`sub_concept`: c2's intension strictly contains c1's."""
-    return sub_concept(c2, c1, m.mirror())
+    k = len(m.pairs)
+    return k == len(c1.attributes) and len(c2.attributes) > len(c1.attributes)

@@ -19,42 +19,60 @@ Concept files::
 Lexicon files hold ``syn:``, ``stop:`` and ``verb:`` lines with
 comma-separated tokens; annotation files hold lines of the form
 ``pair: EF/Requirements.a3 Scrum/ProductBacklog.b3 = 2``.
+
+The parsers own line shape (keywords, separators, token lists, integer
+levels) and block structure (one header, blocks opened before use and
+closed once), plus the duplicate checks across lines, since only they know
+the line of the second occurrence.  Every value rule lives in the model:
+each line builds its model object (:class:`SemanticContext`,
+:class:`Concept`, :class:`AttributeStatement`, :class:`ObjectInstance`,
+:func:`relation_ref`, :func:`~essencemap.lta.add_synonym_group`,
+:meth:`AnnotationTable.add`) and a ``ValueError`` it raises becomes a
+:class:`CorpusSyntaxError` at that line.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Union
+from typing import IO, Callable, Iterable, Mapping, Optional, TypeVar, Union
 
 from importlib import resources
 
 from .concepts import (
-    ATTR_ID_PATTERN,
-    RELATION_REF_PATTERN,
     AttrRef,
     AttributeStatement,
     Concept,
     ObjectInstance,
     SemanticContext,
+    relation_ref,
 )
 from .errors import CorpusSyntaxError, UnknownReferenceError
-from .lta import LEVEL_RANGE, Lexicon, stem
+from .lta import LEVEL_RANGE, Lexicon, add_synonym_group
 
 TextSource = Union[str, IO[str]]
+T = TypeVar("T")
 
 
 class AnnotationTable:
-    """Curated levels keyed by unordered attribute-reference pairs."""
+    """Curated levels keyed by unordered pairs of distinct attribute references."""
 
     def __init__(self, entries: Iterable[tuple[AttrRef, AttrRef, int]] = ()):
         self._levels: dict[frozenset[AttrRef], int] = {}
         for left, right, level in entries:
-            if level not in LEVEL_RANGE:
-                raise ValueError(f"level must be 0..3, got {level!r} for {left} / {right}")
-            key = frozenset((left, right))
-            if key in self._levels:
-                raise ValueError(f"duplicate annotation for pair {left} / {right}")
-            self._levels[key] = level
+            self.add(left, right, level)
+
+    def add(self, left: AttrRef, right: AttrRef, level: int) -> None:
+        """Record one level; raises ValueError for a bad level or pair."""
+        if level not in LEVEL_RANGE:
+            raise ValueError(f"level must be between 0 and 3 (0..3), got {level!r} for {left} / {right}")
+        if left == right:
+            # A row against itself always scores 3, so such a level is never read.
+            raise ValueError(f"cannot annotate {left} against itself")
+        key = frozenset((left, right))
+        if key in self._levels:
+            raise ValueError(f"duplicate annotation for pair {left} / {right}")
+        self._levels[key] = level
 
     def level_for(self, left: AttrRef, right: AttrRef) -> Optional[int]:
         return self._levels.get(frozenset((left, right)))
@@ -66,8 +84,7 @@ class AnnotationTable:
         """Entries as (left, right, level), deterministically ordered."""
         out = []
         for key, level in self._levels.items():
-            refs = sorted(key)
-            left, right = (refs[0], refs[-1]) if len(refs) > 1 else (refs[0], refs[0])
+            left, right = sorted(key)
             out.append((left, right, level))
         out.sort()
         return out
@@ -88,92 +105,80 @@ def _logical_lines(text: str):
         yield number, line
 
 
+def _build(source: str, line: int, make: Callable[..., T], *args) -> T:
+    """``make(*args)``, with a ``ValueError`` from the model reported at ``source:line``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise CorpusSyntaxError(str(exc), source=source, line=line) from None
+
+
+# Line keyword inside a concept block -> the Concept field it adds to.
+_BLOCK_FIELDS = {"attr": "attributes", "obj": "objects",
+                 "rel-in": "input_relations", "rel-out": "output_relations"}
+
+
 def parse_concepts(source: TextSource, name: str = "<input>") -> SemanticContext:
     """Parse a concept file into a validated context."""
     text = _read(source)
-    context_id: Optional[str] = None
+    header: Optional[SemanticContext] = None
     concepts: list[Concept] = []
     concept_names: set[str] = set()
-    current: Optional[dict] = None
+    current: Optional[Concept] = None  # the open block, holding only its name
+    opened_at = 0
+    parts: dict[str, list] = {}
 
     def fail(line: int, message: str):
         raise CorpusSyntaxError(message, source=name, line=line)
 
     for number, line in _logical_lines(text):
         if line.startswith("context:"):
-            value = line[len("context:"):].strip()
-            if context_id is not None:
+            if header is not None:
                 fail(number, "duplicate 'context:' header")
-            if not value or "/" in value or any(c.isspace() for c in value):
-                fail(number, "expected 'context: <id>' with no whitespace or '/' in the id")
-            context_id = value
+            header = _build(name, number, SemanticContext, line[len("context:"):].strip())
         elif line.startswith("concept:"):
-            if context_id is None:
+            if header is None:
                 fail(number, "missing context header before first concept")
             if current is not None:
-                fail(number, f"concept block opened at line {current['line']} is still open")
-            value = line[len("concept:"):].strip()
-            if not value:
-                fail(number, "expected 'concept: <Name>'")
-            if value in concept_names:
-                fail(number, f"duplicate concept name {value!r}")
-            current = {"name": value, "line": number, "attrs": [], "objs": [],
-                       "rel_in": [], "rel_out": []}
+                fail(number, f"concept block opened at line {opened_at} is still open")
+            current = _build(name, number, Concept, line[len("concept:"):])
+            if current.name in concept_names:
+                fail(number, f"duplicate concept name {current.name!r}")
+            opened_at, parts = number, {field: [] for field in _BLOCK_FIELDS.values()}
         elif line == "end":
             if current is None:
                 fail(number, "'end' without an open concept block")
-            concepts.append(
-                Concept(
-                    current["name"],
-                    tuple(current["attrs"]),
-                    tuple(current["objs"]),
-                    tuple(current["rel_in"]),
-                    tuple(current["rel_out"]),
-                )
-            )
-            concept_names.add(current["name"])
+            concepts.append(replace(current, **parts))
+            concept_names.add(current.name)
             current = None
         elif line.startswith("attr ") or line.startswith("obj "):
             kind, rest = line.split(" ", 1)
             if current is None:
                 fail(number, f"'{kind}' line outside a concept block")
-            ident, sep, body = rest.partition(":")
-            ident = ident.strip()
-            body = body.strip()
+            # The id ends at the first ': ', so a ':' inside it is reported, not read as text.
+            ident, sep, body = rest.partition(": " if ": " in rest else ":")
             if not sep:
                 fail(number, f"expected '{kind} <id>: <text>'")
-            if not body:
-                fail(number, f"empty text in '{kind} {ident}:' line")
-            if kind == "attr":
-                if not ATTR_ID_PATTERN.match(ident):
-                    fail(number, f"attribute id must match [a-z][a-z0-9]*, got {ident!r}")
-                if any(a.id == ident for a in current["attrs"]):
-                    fail(number, f"duplicate attribute id {ident!r}")
-                current["attrs"].append(AttributeStatement(ident, body))
-            else:
-                if not ident or any(c.isspace() for c in ident):
-                    fail(number, f"object id must be a single token, got {ident!r}")
-                if any(o.id == ident for o in current["objs"]):
-                    fail(number, f"duplicate object id {ident!r}")
-                current["objs"].append(ObjectInstance(ident, body))
+            make, what = (AttributeStatement, "attribute") if kind == "attr" else (ObjectInstance, "object")
+            item = _build(name, number, make, ident, body)
+            siblings = parts[_BLOCK_FIELDS[kind]]
+            if any(other.id == item.id for other in siblings):
+                fail(number, f"duplicate {what} id {item.id!r}")
+            siblings.append(item)
         elif line.startswith("rel-in:") or line.startswith("rel-out:"):
             key, _, value = line.partition(":")
             if current is None:
                 fail(number, f"'{key}:' line outside a concept block")
-            value = value.strip()
-            if not RELATION_REF_PATTERN.match(value):
-                fail(number, f"expected '{key}: <ctx>/<ConceptName>' with neither part empty "
-                             "and no whitespace")
-            current["rel_in" if key == "rel-in" else "rel_out"].append(value)
+            parts[_BLOCK_FIELDS[key]].append(_build(name, number, relation_ref, key, value.strip()))
         else:
             fail(number, "unrecognized line; expected one of context:, concept:, "
                          "attr, obj, rel-in:, rel-out:, end")
 
     if current is not None:
-        fail(current["line"], f"concept block {current['name']!r} is never closed with 'end'")
-    if context_id is None:
+        fail(opened_at, f"concept block {current.name!r} is never closed with 'end'")
+    if header is None:
         fail(1, "missing context header")
-    return SemanticContext(context_id, tuple(concepts))
+    return replace(header, concepts=concepts)
 
 
 def serialize_concepts(context: SemanticContext) -> str:
@@ -197,15 +202,14 @@ def serialize_concepts(context: SemanticContext) -> str:
 def parse_lexicon(source: TextSource, name: str = "<input>") -> Lexicon:
     """Parse ``syn:``/``stop:``/``verb:`` lines into a lexicon.
 
-    Tokens are lowercased.  Synonym groups must stay disjoint, also after
-    stemming, since group lookup happens on stemmed forms.
+    Tokens are lowercased.  Each ``syn:`` line is checked against the
+    groups before it with :func:`~essencemap.lta.add_synonym_group`.
     """
     text = _read(source)
     groups: list[tuple[str, ...]] = []
     stopwords: set[str] = set()
     verbs: set[str] = set()
-    member_owner: dict[str, int] = {}
-    stem_owner: dict[str, int] = {}
+    synonyms: dict[str, str] = {}
 
     def fail(line: int, message: str):
         raise CorpusSyntaxError(message, source=name, line=line)
@@ -215,30 +219,16 @@ def parse_lexicon(source: TextSource, name: str = "<input>") -> Lexicon:
         key = key.strip()
         if not sep or key not in ("syn", "stop", "verb"):
             fail(number, "expected 'syn:', 'stop:' or 'verb:' line")
-        tokens = [t.strip().lower() for t in rest.split(",")]
+        tokens = tuple(t.strip().lower() for t in rest.split(","))
         if any(not t for t in tokens):
             fail(number, "empty token in list")
         if key == "stop":
             stopwords.update(tokens)
-            continue
-        if key == "verb":
+        elif key == "verb":
             verbs.update(tokens)
-            continue
-        if len(set(tokens)) != len(tokens):
-            duplicate = next(t for t in tokens if tokens.count(t) > 1)
-            fail(number, f"duplicate token {duplicate!r} within the group")
-        group_index = len(groups)
-        for token in tokens:
-            if token in member_owner:
-                fail(number, f"token {token!r} already belongs to another synonym group")
-            stemmed = stem(token)
-            if stem_owner.get(stemmed, group_index) != group_index:
-                fail(number, f"token {token!r} collides with another synonym group "
-                             f"via stemmed form {stemmed!r}")
-        for token in tokens:
-            member_owner[token] = group_index
-            stem_owner[stem(token)] = group_index
-        groups.append(tuple(tokens))
+        else:
+            _build(name, number, add_synonym_group, synonyms, tokens)
+            groups.append(tokens)
 
     return Lexicon(tuple(groups), frozenset(stopwords), frozenset(verbs))
 
@@ -251,17 +241,13 @@ def parse_annotations(
     """Parse ``pair:`` lines, resolving every reference against ``contexts``."""
     text = _read(source)
     by_id: Mapping[str, SemanticContext] = {ctx.id: ctx for ctx in contexts}
-    entries: list[tuple[AttrRef, AttrRef, int]] = []
-    seen: set[frozenset[AttrRef]] = set()
+    table = AnnotationTable()
 
     def fail(line: int, message: str):
         raise CorpusSyntaxError(message, source=name, line=line)
 
     def resolve(line: int, ref_text: str) -> AttrRef:
-        try:
-            ref = AttrRef.parse(ref_text)
-        except ValueError:
-            fail(line, f"expected '<ctx>/<Concept>.<attrId>', got {ref_text!r}")
+        ref = _build(name, line, AttrRef.parse, ref_text)
         context = by_id.get(ref.context)
         if context is None:
             raise UnknownReferenceError(f"{name}:{line}: unknown context in reference {ref}")
@@ -288,17 +274,11 @@ def parse_annotations(
             level = int(level_text.strip())
         except ValueError:
             fail(number, f"level must be an integer, got {level_text.strip()!r}")
-        if level not in LEVEL_RANGE:
-            fail(number, f"level must be between 0 and 3, got {level}")
         left = resolve(number, ref_texts[0])
         right = resolve(number, ref_texts[1])
-        key = frozenset((left, right))
-        if key in seen:
-            fail(number, f"duplicate annotation for pair {left} / {right}")
-        seen.add(key)
-        entries.append((left, right, level))
+        _build(name, number, table.add, left, right, level)
 
-    return AnnotationTable(entries)
+    return table
 
 
 def _read_utf8(path: Path) -> str:

@@ -111,33 +111,14 @@ class Lexicon:
         )
         object.__setattr__(self, "extra_stopwords", frozenset(self.extra_stopwords))
         object.__setattr__(self, "extra_verbs", frozenset(self.extra_verbs))
-        seen: set[str] = set()
-        for group in self.synonym_groups:
-            if not group:
-                raise ValueError("empty synonym group")
-            for token in group:
-                if token in seen:
-                    raise ValueError(f"token {token!r} appears in two synonym groups")
-            duplicates = len(group) - len(set(group))
-            if duplicates:
-                raise ValueError(f"duplicate token within synonym group {group!r}")
-            seen.update(group)
-        self.synonym_map  # force stem-collision validation at construction
+        self.synonym_map  # validate the groups at construction
 
     @cached_property
     def synonym_map(self) -> dict[str, str]:
         """Stemmed member form -> canonical form (the group's first member)."""
         table: dict[str, str] = {}
         for group in self.synonym_groups:
-            canonical = group[0]
-            for member in group:
-                key = stem(member)
-                if table.get(key, canonical) != canonical:
-                    raise ValueError(
-                        f"token {member!r} collides with another synonym group"
-                        f" via stemmed form {key!r}"
-                    )
-                table[key] = canonical
+            add_synonym_group(table, group)
         return table
 
     @cached_property
@@ -163,6 +144,29 @@ class Lexicon:
 EMPTY_LEXICON = Lexicon()
 
 
+def add_synonym_group(table: dict[str, str], group: Sequence[str]) -> None:
+    """Add ``group`` to ``table``, mapping each member's stemmed form to ``group[0]``.
+
+    Raises ``ValueError``, leaving ``table`` as it was, when the group is
+    empty, lists a token twice, or holds a stemmed form that an earlier
+    group already maps; the last rule also covers a token listed in two
+    groups, and keeps lookup by stemmed form unambiguous.
+    """
+    if not group:
+        raise ValueError("empty synonym group")
+    if len(set(group)) != len(group):
+        duplicate = next(t for t in group if group.count(t) > 1)
+        raise ValueError(f"duplicate token {duplicate!r} within synonym group {tuple(group)!r}")
+    keys = [stem(member) for member in group]
+    for member, key in zip(group, keys):
+        if key in table:
+            raise ValueError(
+                f"token {member!r} collides with another synonym group via stemmed form"
+                f" {key!r}; no two synonym groups may share a stemmed form"
+            )
+    table.update(dict.fromkeys(keys, group[0]))
+
+
 @dataclass(frozen=True)
 class SpoTriple:
     """Subject/predicate/object token runs of one statement."""
@@ -170,7 +174,6 @@ class SpoTriple:
     subject: tuple[str, ...]
     predicate: tuple[str, ...]
     object_part: tuple[str, ...]
-    owner: str
 
     @property
     def has_verb(self) -> bool:
@@ -197,12 +200,12 @@ def extract_spo(
     owner_tokens = tuple(tokenize(owner))
     start = next((i for i, t in enumerate(tokens) if lexicon.is_verb(t)), None)
     if start is None:
-        return SpoTriple(owner_tokens, (NO_VERB_MARKER,), tuple(tokens + trailing), owner)
+        return SpoTriple(owner_tokens, (NO_VERB_MARKER,), tuple(tokens + trailing))
     end = start
     while end < len(tokens) and lexicon.is_verb(tokens[end]):
         end += 1
     subject = tuple(tokens[:start]) or owner_tokens
-    return SpoTriple(subject, tuple(tokens[start:end]), tuple(tokens[end:] + trailing), owner)
+    return SpoTriple(subject, tuple(tokens[start:end]), tuple(tokens[end:] + trailing))
 
 
 def canonicalize_part(

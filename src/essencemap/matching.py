@@ -64,10 +64,6 @@ class MatchSet:
             tuple(p.mirrored() for p in self.pairs), self.right_size, self.left_size
         )
 
-    @property
-    def total_level(self) -> int:
-        return sum(p.level for p in self.pairs)
-
 
 def candidate_pairs(
     context1: str,
@@ -213,6 +209,7 @@ def max_matching(
     if not pairs:
         return MatchSet((), left_size, right_size)
     oriented, flipped = _canonical_orientation(pairs)
-    sizes = (right_size, left_size) if flipped else (left_size, right_size)
-    chosen = MatchSet(tuple(_select(oriented)), *sizes)
-    return chosen.mirror() if flipped else chosen
+    chosen = _select(oriented)
+    if flipped:
+        chosen = [p.mirrored() for p in chosen]
+    return MatchSet(tuple(chosen), left_size, right_size)

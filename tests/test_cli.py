@@ -52,6 +52,36 @@ def test_malformed_relation_exits_2_with_its_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"essencemap: {path}:4: expected 'rel-in:")
 
 
+_PAIR_B1_A1 = "pair: Scrum/ProductBacklog.b1 EF/Requirements.a1"
+
+
+@pytest.mark.parametrize(
+    "option,content,line,message",
+    [
+        ("--practice", "context: Scrum\nconcept: X\nattr a1: t\nobj o:1: v\nend\n", 4,
+         "object id must be a single token with no ':', got 'o:1'"),
+        ("--lexicon", "syn: cat, dog\nsyn: cats, bird\n", 2,
+         "token 'cats' collides with another synonym group via stemmed form 'cat'"),
+        ("--annotations", f"{_PAIR_B1_A1} = 1\n\n{_PAIR_B1_A1} = 9\n", 3,
+         "level must be between 0 and 3"),
+        ("--annotations", "pair: EF/Requirements.a1 EF/Requirements.a1 = 1\n", 1,
+         "cannot annotate EF/Requirements.a1 against itself"),
+    ],
+)
+def test_value_the_model_rejects_exits_2_with_its_line(
+    option, content, line, message, scrum, essence, tmp_path, capsys
+):
+    path = tmp_path / "bad.input"
+    path.write_text(content, encoding="utf-8")
+    files = {"--practice": scrum, "--framework": essence, "--lexicon": bundled_path("paper.lex"),
+             option: path}
+    argv = ["map"]
+    for flag, value in files.items():
+        argv += [flag, str(value)]
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"essencemap: {path}:{line}: {message}")
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["parse", str(tmp_path / "absent.concepts")]) == EXIT_PARSE
     assert "absent.concepts" in capsys.readouterr().err

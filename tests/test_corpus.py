@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from essencemap import (
     AttrRef,
     AttributeStatement,
     Concept,
     CorpusSyntaxError,
+    ObjectInstance,
+    SemanticContext,
     UnknownReferenceError,
     bundled_path,
     load_concepts,
@@ -95,7 +99,45 @@ class TestParseConcepts:
         assert parse_concepts(text).concept("X").attribute("a1").text == "t"
 
 
+# Characters on the edge of a rule: line breaks that ``str.splitlines`` splits
+# on, the id/text separator ':', the reference separators '/' and '.'.
+_texts = st.text(st.one_of(st.sampled_from("a1 :/.#\x85\u2028\x0b\n\t"), st.characters()),
+                 min_size=1, max_size=6)
+_ids = st.one_of(_texts, st.from_regex(r"[a-z][a-z0-9:]{0,2}", fullmatch=True))
+_refs = st.one_of(_texts, st.from_regex(r"[a-z]{1,2}/[A-Za-z:./]{1,3}", fullmatch=True))
+
+
+def _accepted(make, *values):
+    """``make(*values)``, or None when the model rejects the values."""
+    try:
+        return make(*values)
+    except ValueError:
+        return None
+
+
+@st.composite
+def _accepted_contexts(draw):
+    """Contexts built from edge-case values, keeping what the constructors accept."""
+    concepts = {}
+    for _ in range(draw(st.integers(0, 4))):
+        attrs = {a.id: a for a in (_accepted(AttributeStatement, *draw(st.tuples(_ids, _texts)))
+                                   for _ in range(draw(st.integers(0, 4)))) if a}
+        objs = {o.id: o for o in (_accepted(ObjectInstance, *draw(st.tuples(_ids, _texts)))
+                                  for _ in range(draw(st.integers(0, 3)))) if o}
+        rels = [draw(st.lists(_refs, max_size=2)) for _ in range(2)]
+        concept = _accepted(Concept, draw(_texts), attrs.values(), objs.values(), *rels)
+        if concept is not None:
+            concepts.setdefault(concept.name, concept)
+    return _accepted(SemanticContext, draw(_ids), concepts.values()) or SemanticContext(
+        "ctx", concepts.values()
+    )
+
+
 class TestSerializeConcepts:
+    @given(context=_accepted_contexts())
+    def test_roundtrip_any_accepted_context(self, context):
+        assert parse_concepts(serialize_concepts(context)) == context
+
     def test_roundtrip_bundled(self, essence_context, scrum_context):
         for context in (essence_context, scrum_context):
             assert parse_concepts(serialize_concepts(context)) == context
@@ -219,6 +261,12 @@ class TestParseAnnotations:
         with pytest.raises(CorpusSyntaxError, match=message):
             parse_annotations(line + "\n", (essence_context, scrum_context))
 
+    def test_self_pair_rejected_at_its_line(self, essence_context, scrum_context):
+        text = "# a1 with itself\npair: EF/Requirements.a1 EF/Requirements.a1 = 1\n"
+        with pytest.raises(CorpusSyntaxError, match="against itself") as info:
+            parse_annotations(text, (essence_context, scrum_context), name="self.ann")
+        assert (info.value.source, info.value.line) == ("self.ann", 2)
+
     def test_table_items_are_sorted(self, table1_annotations):
         items = table1_annotations.items()
         assert items == sorted(items)
@@ -237,6 +285,11 @@ class TestAnnotationTable:
         right = AttrRef("Y", "B", "b1")
         with pytest.raises(ValueError, match="0..3"):
             AnnotationTable(((left, right, 4),))
+
+    def test_self_pair_rejected(self):
+        ref = AttrRef("X", "A", "a1")
+        with pytest.raises(ValueError, match="against itself"):
+            AnnotationTable(((ref, ref, 3),))
 
     def test_missing_pair_is_none(self):
         table = AnnotationTable(())
