@@ -48,7 +48,6 @@ from .lta import (
     StatementScorer,
     canonicalize_part,
     extract_spo,
-    part_similar,
     score_pair,
 )
 from .mapper import BestMatch, MapConfig, MappingReport, MappingResult, map_contexts, map_pair
@@ -91,7 +90,6 @@ __all__ = [
     "parse_annotations",
     "parse_concepts",
     "parse_lexicon",
-    "part_similar",
     "related",
     "score_pair",
     "serialize_concepts",

@@ -3,9 +3,9 @@
 A semantic context is a named knowledge domain holding concepts; a concept
 carries attribute statements (its intension), object instances (its
 extension) and opaque references to related concepts.  The constructors
-hold every value rule (ids, single-line texts, relation references,
-duplicates within one concept or context) and raise ``ValueError``; the
-corpus parsers rely on them rather than repeating the rules.
+hold every value rule (ids, one-token names, single-line texts, relation
+references, duplicates in a concept or context) and raise ``ValueError``;
+the corpus parsers rely on them rather than repeating the rules.
 
 The relational predicates (:func:`related`, :func:`similarity`, ...) never
 look at raw attribute text: two attributes count as shared only when they
@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import NoAttributesError
 
@@ -30,8 +30,7 @@ ATTR_ID_PATTERN = re.compile(r"[a-z][a-z0-9]*\Z")
 RELATION_REF_PATTERN = re.compile(r"[^\s/]+/\S+\Z")
 
 
-@dataclass(frozen=True, order=True)
-class AttrRef:
+class AttrRef(NamedTuple):
     """Fully qualified attribute reference: ``context/Concept.attrId``."""
 
     context: str
@@ -121,6 +120,9 @@ class Concept:
 
     def __post_init__(self):
         object.__setattr__(self, "name", _clean_line_text(self.name, "concept name"))
+        # References split on whitespace (``pair:`` lines, ``ctx/Name``), so a name is one token.
+        if any(c.isspace() for c in self.name):
+            raise ValueError(f"concept name must be a single token with no whitespace, got {self.name!r}")
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "input_relations", tuple(self.input_relations))

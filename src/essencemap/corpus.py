@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, Optional, TypeVar, Union
+from typing import Callable, Iterable, Mapping, Optional, TypeVar, Union
 
 from importlib import resources
 
@@ -50,7 +50,6 @@ from .concepts import (
 from .errors import CorpusSyntaxError, UnknownReferenceError
 from .lta import LEVEL_RANGE, Lexicon, add_synonym_group
 
-TextSource = Union[str, IO[str]]
 T = TypeVar("T")
 
 
@@ -90,12 +89,6 @@ class AnnotationTable:
         return out
 
 
-def _read(source: TextSource) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    return source
-
-
 def _logical_lines(text: str):
     """Yield (line_number, trimmed_line) skipping blanks and comments."""
     for number, raw in enumerate(text.splitlines(), 1):
@@ -118,9 +111,8 @@ _BLOCK_FIELDS = {"attr": "attributes", "obj": "objects",
                  "rel-in": "input_relations", "rel-out": "output_relations"}
 
 
-def parse_concepts(source: TextSource, name: str = "<input>") -> SemanticContext:
-    """Parse a concept file into a validated context."""
-    text = _read(source)
+def parse_concepts(text: str, name: str = "<input>") -> SemanticContext:
+    """Parse the text of a concept file into a validated context."""
     header: Optional[SemanticContext] = None
     concepts: list[Concept] = []
     concept_names: set[str] = set()
@@ -199,13 +191,12 @@ def serialize_concepts(context: SemanticContext) -> str:
     return "\n".join(lines)
 
 
-def parse_lexicon(source: TextSource, name: str = "<input>") -> Lexicon:
+def parse_lexicon(text: str, name: str = "<input>") -> Lexicon:
     """Parse ``syn:``/``stop:``/``verb:`` lines into a lexicon.
 
     Tokens are lowercased.  Each ``syn:`` line is checked against the
     groups before it with :func:`~essencemap.lta.add_synonym_group`.
     """
-    text = _read(source)
     groups: list[tuple[str, ...]] = []
     stopwords: set[str] = set()
     verbs: set[str] = set()
@@ -234,12 +225,11 @@ def parse_lexicon(source: TextSource, name: str = "<input>") -> Lexicon:
 
 
 def parse_annotations(
-    source: TextSource,
+    text: str,
     contexts: Iterable[SemanticContext],
     name: str = "<input>",
 ) -> AnnotationTable:
     """Parse ``pair:`` lines, resolving every reference against ``contexts``."""
-    text = _read(source)
     by_id: Mapping[str, SemanticContext] = {ctx.id: ctx for ctx in contexts}
     table = AnnotationTable()
 

@@ -229,13 +229,6 @@ def canonicalize_part(
     return frozenset(out)
 
 
-def part_similar(
-    part1: Sequence[str], part2: Sequence[str], lexicon: Lexicon = EMPTY_LEXICON
-) -> bool:
-    """True when the canonical token sets overlap; two empty sets do not."""
-    return bool(canonicalize_part(part1, lexicon) & canonicalize_part(part2, lexicon))
-
-
 def score_pair(
     left: AttrRef,
     s1: AttributeStatement,

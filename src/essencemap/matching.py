@@ -9,16 +9,21 @@ smallest pair list.  The whole rule is folded into the weights of a single
 assignment problem: with ``P`` candidates sorted ascending, the pair of
 rank ``r`` weighs ``bonus + level * 2**P + 2**(P - 1 - r)``, where the
 cardinality ``bonus`` outweighs every level and tie term together and each
-tie term outweighs all later ones (see ``_select``).  Matching runs in a
-canonical orientation (sides ordered by context id and concept name) so
-swapping the two concepts mirrors the result exactly.
+tie term outweighs all later ones (see ``_select``).
+
+``max_matching`` normalises its input in one pass: one dict keeps the
+highest level per ``(left, right)``, the orientation is decided once so
+the side with the smaller ``(context, concept)`` is on the left, and the
+oriented pairs are sorted once for ``_select``.  The chosen pairs are
+mirrored back once, so swapping the two concepts mirrors the result
+exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 from .concepts import AttrRef, Concept
 from .lta import StatementScorer
@@ -27,8 +32,7 @@ DEFAULT_THRESHOLD = 2
 THRESHOLDS = (1, 2, 3)
 
 
-@dataclass(frozen=True, order=True)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     """One attribute pair at or above the satisfaction threshold."""
 
     left: AttrRef
@@ -48,7 +52,7 @@ class MatchSet:
     right_size: int
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.pairs, key=lambda p: (p.left, p.right)))
+        ordered = tuple(sorted(self.pairs))
         object.__setattr__(self, "pairs", ordered)
         if self.left_size < 0 or self.right_size < 0:
             raise ValueError("attribute set sizes must be non-negative")
@@ -91,27 +95,6 @@ def candidate_pairs(
                 found.append(CandidatePair(a.ref, b.ref, level))
     found.sort(key=lambda p: (-p.level, p.left, p.right))
     return found
-
-
-def _deduped(candidates: Iterable[CandidatePair]) -> list[CandidatePair]:
-    best: dict[tuple[AttrRef, AttrRef], CandidatePair] = {}
-    for pair in candidates:
-        key = (pair.left, pair.right)
-        kept = best.get(key)
-        if kept is None or pair.level > kept.level:
-            best[key] = pair
-    return sorted(best.values())
-
-
-def _canonical_orientation(
-    candidates: Sequence[CandidatePair],
-) -> tuple[list[CandidatePair], bool]:
-    """Flip sides so the lexicographically smaller (context, concept) is left."""
-    left_key = min((p.left.context, p.left.concept) for p in candidates)
-    right_key = min((p.right.context, p.right.concept) for p in candidates)
-    if right_key < left_key:
-        return [p.mirrored() for p in candidates], True
-    return list(candidates), False
 
 
 def _hungarian_max(profit: list[list[int]]) -> list[int]:
@@ -170,26 +153,30 @@ def _hungarian_max(profit: list[list[int]]) -> list[int]:
 def _select(pairs: list[CandidatePair]) -> list[CandidatePair]:
     """Lexicographically smallest matching among the optimal ones.
 
-    One assignment solve.  With the ``P`` pairs sorted ascending, the pair
-    of rank ``r`` earns ``bonus + level * 2**P + 2**(P - 1 - r)``; cells
-    without a pair earn 0.  Summed over a matching, the level and tie
-    terms stay below ``(3P + 1) * 2**P``, which ``bonus`` exceeds, so more
-    pairs always win; the tie terms sum below ``2**P``, so a higher total
-    level wins next.  Between matchings equal in both, the tie term of
-    the lowest rank where they differ outweighs all later ranks together,
-    and the matching holding that rank is the one whose sorted pair list
-    is smaller.  The optimum is thus unique and equals the (cardinality,
-    total level, smallest sorted pair list) rule.
+    ``pairs`` holds distinct ``(left, right)`` cells, sorted ascending.
+    One assignment solve: with ``P`` pairs, the pair of rank ``r`` earns
+    ``bonus + level * 2**P + 2**(P - 1 - r)``; cells without a pair earn
+    0.  Summed over a matching, the level and tie terms stay below
+    ``(3P + 1) * 2**P``, which ``bonus`` exceeds, so more pairs always
+    win; the tie terms sum below ``2**P``, so a higher total level wins
+    next.  Between matchings equal in both, the tie term of the lowest
+    rank where they differ outweighs all later ranks together, and the
+    matching holding that rank is the one whose sorted pair list is
+    smaller.  The optimum is thus unique, whatever the order of the rows
+    and columns, and equals the (cardinality, total level, smallest
+    sorted pair list) rule.
     """
-    ordered = sorted(pairs)
-    count = len(ordered)
+    count = len(pairs)
     bonus = (3 * count + 2) << count
-    row = {ref: i for i, ref in enumerate(sorted({p.left for p in ordered}))}
-    col = {ref: j for j, ref in enumerate(sorted({p.right for p in ordered}))}
+    row: dict[AttrRef, int] = {}
+    col: dict[AttrRef, int] = {}
+    for pair in pairs:
+        row.setdefault(pair.left, len(row))
+        col.setdefault(pair.right, len(col))
     size = max(len(row), len(col))
     profit = [[0] * size for _ in range(size)]
     at: dict[tuple[int, int], CandidatePair] = {}
-    for rank, pair in enumerate(ordered):
+    for rank, pair in enumerate(pairs):
         cell = (row[pair.left], col[pair.right])
         profit[cell[0]][cell[1]] = bonus + (pair.level << count) + (1 << (count - 1 - rank))
         at[cell] = pair
@@ -205,11 +192,17 @@ def max_matching(
     Invariant under permutation of the candidate list, and symmetric under
     swapping the two sides (the mirrored input yields the mirrored output).
     """
-    pairs = _deduped(candidates)
-    if not pairs:
+    best: dict[tuple[AttrRef, AttrRef], int] = {}
+    for left, right, level in candidates:
+        if best.get((left, right), level) <= level:
+            best[left, right] = level
+    if not best:
         return MatchSet((), left_size, right_size)
-    oriented, flipped = _canonical_orientation(pairs)
-    chosen = _select(oriented)
+    # Orient so the side with the smaller (context, concept) is on the left.
+    flipped = (min((r.context, r.concept) for _, r in best)
+               < min((l.context, l.concept) for l, _ in best))
+    chosen = _select(sorted(CandidatePair(r, l, level) if flipped else CandidatePair(l, r, level)
+                            for (l, r), level in best.items()))
     if flipped:
         chosen = [p.mirrored() for p in chosen]
     return MatchSet(tuple(chosen), left_size, right_size)

@@ -1,11 +1,16 @@
-"""Exhaustive oracle for ``essencemap.matching.max_matching``; test use only."""
+"""Exhaustive oracle for ``essencemap.matching.max_matching``; test use only.
+
+Written from the documented rule, sharing no code with the matcher: keep the
+highest level per attribute pair, put the side with the smaller
+``(context, concept)`` on the left, search every bijective subset, and
+mirror the choice back.
+"""
 
 from __future__ import annotations
 
 from typing import Iterable
 
 from essencemap import AttrRef, CandidatePair, EssenceMapError, MatchSet
-from essencemap.matching import _canonical_orientation, _deduped
 
 ORACLE_SIDE_LIMIT = 10
 
@@ -28,10 +33,19 @@ def brute_force_matching(
             f"oracle bound exceeded: sides {left_size}x{right_size},"
             f" limit {ORACLE_SIDE_LIMIT}"
         )
-    pairs = _deduped(candidates)
-    if not pairs:
+    levels: dict[tuple[AttrRef, AttrRef], int] = {}
+    for pair in candidates:
+        key = (pair.left, pair.right)
+        levels[key] = max(pair.level, levels.get(key, pair.level))
+    if not levels:
         return MatchSet((), left_size, right_size)
-    oriented, flipped = _canonical_orientation(pairs)
+    left_key = min((left.context, left.concept) for left, _ in levels)
+    right_key = min((right.context, right.concept) for _, right in levels)
+    flipped = right_key < left_key
+    oriented = [
+        CandidatePair(right, left, level) if flipped else CandidatePair(left, right, level)
+        for (left, right), level in levels.items()
+    ]
     sizes = (right_size, left_size) if flipped else (left_size, right_size)
 
     lefts = sorted({p.left for p in oriented})

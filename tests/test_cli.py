@@ -52,6 +52,15 @@ def test_malformed_relation_exits_2_with_its_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"essencemap: {path}:4: expected 'rel-in:")
 
 
+def test_concept_name_with_whitespace_exits_2_with_its_line(tmp_path, capsys):
+    path = tmp_path / "spaced.concepts"
+    path.write_text("context: Scrum\nconcept: Product Backlog\nattr a1: t\nend\n", encoding="utf-8")
+    assert main(["parse", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(
+        f"essencemap: {path}:2: concept name must be a single token with no whitespace"
+    )
+
+
 _PAIR_B1_A1 = "pair: Scrum/ProductBacklog.b1 EF/Requirements.a1"
 
 

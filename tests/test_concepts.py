@@ -78,6 +78,14 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             AttributeStatement("a1", "   ")
 
+    def test_concept_name_is_one_token(self):
+        # ``pair:`` lines and ``ctx/Name`` references split on whitespace
+        with pytest.raises(ValueError, match="single token with no whitespace"):
+            Concept("Product Backlog")
+        with pytest.raises(ValueError, match="single token with no whitespace"):
+            Concept("Product\tBacklog")
+        assert Concept("  ProductBacklog ").name == "ProductBacklog"
+
     def test_duplicate_attribute_ids(self):
         attrs = (AttributeStatement("a1", "x"), AttributeStatement("a1", "y"))
         with pytest.raises(ValueError, match="duplicate attribute id"):

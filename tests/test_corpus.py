@@ -86,6 +86,8 @@ class TestParseConcepts:
             ("context: EF\nconcept: X\nrel-out: X/\nend\n", 3, "neither part empty"),
             ("context: EF\nconcept: X\nrel-out: /B\nend\n", 3, "neither part empty"),
             ("context: EF\nconcept: X\nobj o 1: text\nend\n", 3, "single token"),
+            ("context: EF\nconcept: Product Backlog\nattr a1: t\nend\n", 2,
+             "concept name must be a single token with no whitespace"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, message):

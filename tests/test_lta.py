@@ -17,7 +17,6 @@ from essencemap import (
     canonicalize_part,
     extract_spo,
     load_lexicon,
-    part_similar,
     score_pair,
 )
 from essencemap.corpus import AnnotationTable
@@ -145,25 +144,6 @@ class TestCanonicalizePart:
             assert once == again
 
 
-class TestPartSimilar:
-    def test_shared_canonical_tokens(self):
-        left = tokenize("managing requirements")
-        right = tokenize("determining and managing requirements")
-        assert part_similar(left, right) is True
-
-    def test_empty_side_is_never_similar(self):
-        assert part_similar([], ["anything"]) is False
-        assert part_similar(["the"], ["the"]) is False  # both canonicalize empty
-
-    def test_symmetry_seeded(self):
-        rng = random.Random(23)
-        pool = ["manage", "items", "the", "grooming", "states", "vision", "refining"]
-        for _ in range(200):
-            a = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
-            b = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
-            assert part_similar(a, b) == part_similar(b, a)
-
-
 def _refs(aid, bid):
     return (
         AttrRef("EF", "Requirements", aid),
@@ -176,6 +156,14 @@ class TestScorePair:
         left = AttrRef("X", "Thing", "a1")
         statement = AttributeStatement("a1", "team is building the product")
         assert score_pair(left, statement, left, statement) == 3
+
+    def test_subjects_that_canonicalize_empty_earn_no_point(self):
+        left = AttrRef("X", "Thing", "a1")
+        right = AttrRef("Y", "Other", "b1")
+        s1 = AttributeStatement("a1", "the is alpha")
+        # subject "the" canonicalizes to the empty set, so only predicate and object score
+        assert score_pair(left, s1, right, AttributeStatement("b1", "the is alpha")) == 2
+        assert score_pair(left, s1, right, AttributeStatement("b1", "the is beta")) == 1
 
     def test_annotated_mode_reads_table(self, essence_context, scrum_context, table1_annotations):
         a3 = essence_context.concept("Requirements").attribute("a3")

@@ -171,6 +171,21 @@ class TestMaxMatching:
             ("a2", "b2"),
         ]
 
+    @pytest.mark.parametrize("left_context,expected", [
+        ("L", [(1, 2), (2, 3), (3, 1)]),  # "L" < "R": the tie-break reads the a-side
+        ("S", [(1, 3), (2, 1), (3, 2)]),  # "R" < "S": it reads the b-side
+    ])
+    def test_tie_break_reads_the_side_with_the_smaller_context(self, left_context, expected):
+        # Two perfect matchings of equal level; sorted by a-side they prefer
+        # {a1-b2, a2-b3, a3-b1}, sorted by b-side {a1-b3, a2-b1, a3-b2}.
+        cells = [(1, 2), (2, 3), (3, 1), (1, 3), (2, 1), (3, 2)]
+        pairs = [CandidatePair(AttrRef(left_context, "Left", f"a{i}"), ref_r(j), 2) for i, j in cells]
+        for matcher in (max_matching, brute_force_matching):
+            selected = matcher(pairs, 3, 3)
+            assert [(p.left.attr, p.right.attr) for p in selected.pairs] == [
+                (f"a{i}", f"b{j}") for i, j in expected
+            ]
+
     @pytest.mark.parametrize(
         "side,levels",
         [
