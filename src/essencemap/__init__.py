@@ -48,7 +48,6 @@ from .lta import (
     StatementScorer,
     canonicalize_part,
     extract_spo,
-    score_pair,
 )
 from .mapper import BestMatch, MapConfig, MappingReport, MappingResult, map_contexts, map_pair
 from .matching import CandidatePair, MatchSet, candidate_pairs, max_matching
@@ -91,7 +90,6 @@ __all__ = [
     "parse_concepts",
     "parse_lexicon",
     "related",
-    "score_pair",
     "serialize_concepts",
     "similarity",
     "sub_concept",

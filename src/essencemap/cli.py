@@ -47,6 +47,9 @@ OUTPUT_FORMATS = ("table", "tsv", "jsonl")
 
 TSV_HEADER = "left\tright\tsimilarity_pct\trelation\tmatches"
 
+#: What ``parse --show-spo`` prints for the empty predicate of a verbless statement.
+NO_VERB_MARKER = "‹none›"
+
 
 class UsageError(Exception):
     """Bad invocation; maps to exit code 1."""
@@ -140,6 +143,10 @@ def _load_map_config(args: argparse.Namespace) -> tuple[SemanticContext, Semanti
         raise UsageError("--mode annotated requires --annotations")
     practice = load_concepts(args.practice)
     framework = load_concepts(args.framework or args.practice)
+    if practice.id == framework.id and practice != framework:
+        raise UnknownReferenceError(
+            f"practice and framework both define context {practice.id!r} with different concepts"
+        )
     lexicon = load_lexicon(args.lexicon) if args.lexicon else EMPTY_LEXICON
     annotations = None
     if args.annotations:
@@ -147,12 +154,11 @@ def _load_map_config(args: argparse.Namespace) -> tuple[SemanticContext, Semanti
     return practice, framework, MapConfig(lexicon, annotations, args.mode, args.threshold)
 
 
-def cmd_map(args: argparse.Namespace) -> tuple[str, list[str]]:
+def cmd_map(args: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
     """Run the full pipeline; returns (rendered report, diagnostics)."""
     practice, framework, map_config = _load_map_config(args)
     report = map_contexts(practice, framework, map_config)
-    diagnostics = sorted({note for result in report.results for note in result.diagnostics})
-    return _RENDERERS[args.out_format](report), diagnostics
+    return _RENDERERS[args.out_format](report), report.diagnostics
 
 
 def cmd_parse(path: Path, show_spo: bool = False, lexicon_path: Optional[Path] = None) -> str:
@@ -170,7 +176,7 @@ def cmd_parse(path: Path, show_spo: bool = False, lexicon_path: Optional[Path] =
             lines.append(f"concept {concept.name}")
             for attr in concept.attributes:
                 spo = extract_spo(attr, concept.name, lexicon)
-                predicate = " ".join(spo.predicate)
+                predicate = " ".join(spo.predicate) or NO_VERB_MARKER
                 lines.append(
                     f"  {attr.id}: subject={' '.join(spo.subject)}"
                     f" | predicate={predicate}"
@@ -195,13 +201,12 @@ def _resolve_concept(reference: str, contexts: dict[str, SemanticContext]) -> tu
 def cmd_score(args: argparse.Namespace) -> str:
     """Detail view for one concept pair: matrix, matching, predicates."""
     practice, framework, map_config = _load_map_config(args)
-    contexts = {practice.id: practice}
-    contexts.setdefault(framework.id, framework)
+    contexts = {practice.id: practice, framework.id: framework}
     left_ctx, left_concept = _resolve_concept(args.left, contexts)
     right_ctx, right_concept = _resolve_concept(args.right, contexts)
-    result = map_pair(left_ctx, left_concept, right_ctx, right_concept, map_config)
-
     scorer = map_config.make_scorer()
+    result = map_pair(left_ctx, left_concept, right_ctx, right_concept, map_config, scorer)
+
     lines = [
         f"pair: {result.left} vs {result.right}"
         f"  (mode {map_config.mode}, threshold {map_config.threshold})",

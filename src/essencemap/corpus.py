@@ -79,15 +79,6 @@ class AnnotationTable:
     def __len__(self) -> int:
         return len(self._levels)
 
-    def items(self) -> list[tuple[AttrRef, AttrRef, int]]:
-        """Entries as (left, right, level), deterministically ordered."""
-        out = []
-        for key, level in self._levels.items():
-            left, right = sorted(key)
-            out.append((left, right, level))
-        out.sort()
-        return out
-
 
 def _logical_lines(text: str):
     """Yield (line_number, trimmed_line) skipping blanks and comments."""

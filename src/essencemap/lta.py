@@ -5,7 +5,8 @@ a predicate and an object part.  Two statements are compared part by part
 and score one point per similar part, so levels range from 0 (nothing in
 common) to 3 (all three parts similar).  A part is similar when the
 canonical token sets of the two sides overlap; canonicalization removes
-stopwords, strips inflection suffixes and folds synonym groups.
+stopwords, strips inflection suffixes and folds synonym groups.  A
+statement with no verb gets an empty predicate, which overlaps nothing.
 
 Scoring runs in one of three modes: ``heuristic`` (computed from the text
 alone), ``annotated`` (levels read from a curated table, errors on gaps)
@@ -19,7 +20,7 @@ statements once, caching one row of part sets per attribute under
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
@@ -32,10 +33,6 @@ if TYPE_CHECKING:
 MODES = ("heuristic", "annotated", "hybrid")
 
 LEVEL_RANGE = (0, 1, 2, 3)
-
-#: Placeholder predicate for statements in which no verb could be found.
-#: It never matches anything, including itself.
-NO_VERB_MARKER = "‹none›"
 
 BUILTIN_STOPWORDS = frozenset(
     """
@@ -177,7 +174,7 @@ class SpoTriple:
 
     @property
     def has_verb(self) -> bool:
-        return self.predicate != (NO_VERB_MARKER,)
+        return bool(self.predicate)
 
 
 def extract_spo(
@@ -190,9 +187,9 @@ def extract_spo(
     the owning concept's name when the statement opens with its verb
     ("are the definition of ..." reads as "<owner> are ...").  Everything
     after the predicate, plus any text beyond the first period, forms the
-    object part.  When no verb is found the predicate becomes a marker
-    token that never matches, the subject falls back to the owner and all
-    tokens join the object part; scoring proceeds, it is not an error.
+    object part.  When no verb is found the predicate is empty, so it
+    matches nothing, the subject falls back to the owner and all tokens
+    join the object part; scoring proceeds, it is not an error.
     """
     head, _, tail = statement.text.partition(".")
     tokens = tokenize(head)
@@ -200,7 +197,7 @@ def extract_spo(
     owner_tokens = tuple(tokenize(owner))
     start = next((i for i, t in enumerate(tokens) if lexicon.is_verb(t)), None)
     if start is None:
-        return SpoTriple(owner_tokens, (NO_VERB_MARKER,), tuple(tokens + trailing))
+        return SpoTriple(owner_tokens, (), tuple(tokens + trailing))
     end = start
     while end < len(tokens) and lexicon.is_verb(tokens[end]):
         end += 1
@@ -220,34 +217,13 @@ def canonicalize_part(
     stop = lexicon.stopwords
     out: set[str] = set()
     for token in tokens:
-        if token == NO_VERB_MARKER or token in stop:
+        if token in stop:
             continue
         canonical = lexicon.canonical(stem(token))
         if canonical in stop:
             continue
         out.add(canonical)
     return frozenset(out)
-
-
-def score_pair(
-    left: AttrRef,
-    s1: AttributeStatement,
-    right: AttrRef,
-    s2: AttributeStatement,
-    lexicon: Lexicon = EMPTY_LEXICON,
-    annotations: Optional["AnnotationTable"] = None,
-    mode: str = "heuristic",
-) -> int:
-    """Level of one statement pair under the given mode.
-
-    A one-off :class:`StatementScorer` scores each statement as the only
-    attribute of its concept, so this is :meth:`StatementScorer.level`
-    itself: symmetric, and 3 for a statement against itself.
-    """
-    scorer = StatementScorer(lexicon, annotations, mode)
-    (a,) = scorer.profile(left.context, Concept(left.concept, (replace(s1, id=left.attr),)))
-    (b,) = scorer.profile(right.context, Concept(right.concept, (replace(s2, id=right.attr),)))
-    return scorer.level(a, b)
 
 
 class AttrProfile(NamedTuple):
@@ -330,9 +306,3 @@ class StatementScorer:
             + (not a.predicate.isdisjoint(b.predicate))
             + (not a.object_part.isdisjoint(b.object_part))
         )
-
-    @property
-    def verbless_refs(self) -> frozenset[AttrRef]:
-        """Attributes profiled so far whose statement has no detectable verb."""
-        rows = (row for profile in self._profiles.values() for row in profile)
-        return frozenset(row.ref for row in rows if not row.has_verb)

@@ -7,8 +7,11 @@ then related, then independent).  A report over two whole contexts carries
 one result per concept pair plus, for each practice concept, its best
 framework match: the highest similarity, ties going to the relation that
 comes first in that precedence and then to the smaller name, so a concept
-mapped against itself picks itself.  Everything is deterministic:
-identical inputs and configuration produce identical reports.
+mapped against itself picks itself.  The report also carries, once per
+run, a sorted note for each statement of either context in which no verb
+was found (none in annotated mode, where the text is never scored).
+Everything is deterministic: identical inputs and configuration produce
+identical reports.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ class MappingResult:
     match_set: MatchSet
     similarity_pct: Fraction
     relation: str
-    diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.relation not in RELATION_LABELS:
@@ -84,6 +86,7 @@ class MappingReport:
     threshold: int
     results: tuple[MappingResult, ...] = ()
     best_matches: tuple[BestMatch, ...] = field(default_factory=tuple)
+    diagnostics: tuple[str, ...] = ()
 
 
 def classify(c1: Concept, c2: Concept, match: MatchSet) -> str:
@@ -99,43 +102,33 @@ def classify(c1: Concept, c2: Concept, match: MatchSet) -> str:
     return "independent"
 
 
-def _map_pair(
+def map_pair(
     context1: str,
     c1: Concept,
     context2: str,
     c2: Concept,
     config: MapConfig,
-    scorer: StatementScorer,
+    scorer: Optional[StatementScorer] = None,
 ) -> MappingResult:
+    """Score, match and classify a single concept pair.
+
+    ``scorer`` defaults to ``config.make_scorer()``; a caller mapping many
+    pairs passes the one it made, so each concept is profiled once.
+    """
     if not c1.attributes:
         raise NoAttributesError(f"concept {context1}/{c1.name} has no attributes")
     if not c2.attributes:
         raise NoAttributesError(f"concept {context2}/{c2.name} has no attributes")
+    scorer = scorer if scorer is not None else config.make_scorer()
     candidates = candidate_pairs(context1, c1, context2, c2, scorer, config.threshold)
     match = max_matching(candidates, len(c1.attributes), len(c2.attributes))
-    pct = similarity(c1, c2, match)
-    diagnostics = ()
-    if scorer.mode != "annotated":
-        rows = scorer.profile(context1, c1) + scorer.profile(context2, c2)
-        verbless = sorted({str(row.ref) for row in rows if not row.has_verb})
-        diagnostics = tuple(
-            f"no verb found in {ref}; predicate similarity disabled" for ref in verbless
-        )
     return MappingResult(
         left=f"{context1}/{c1.name}",
         right=f"{context2}/{c2.name}",
         match_set=match,
-        similarity_pct=pct,
+        similarity_pct=similarity(c1, c2, match),
         relation=classify(c1, c2, match),
-        diagnostics=diagnostics,
     )
-
-
-def map_pair(
-    context1: str, c1: Concept, context2: str, c2: Concept, config: MapConfig
-) -> MappingResult:
-    """Score, match and classify a single concept pair."""
-    return _map_pair(context1, c1, context2, c2, config, config.make_scorer())
 
 
 def map_contexts(
@@ -151,7 +144,7 @@ def map_contexts(
     best_matches = []
     for p_concept in sorted(practice.concepts, key=lambda c: c.name):
         row = [
-            _map_pair(practice.id, p_concept, framework.id, f_concept, config, scorer)
+            map_pair(practice.id, p_concept, framework.id, f_concept, config, scorer)
             for f_concept in sorted(framework.concepts, key=lambda c: c.name)
         ]
         results.extend(row)
@@ -166,6 +159,12 @@ def map_contexts(
                 similarity_pct=top.similarity_pct,
             )
         )
+    verbless = set()
+    if config.mode != "annotated":
+        for context in (practice, framework):
+            for concept in context.concepts:
+                rows = scorer.profile(context.id, concept)
+                verbless.update(str(row.ref) for row in rows if not row.has_verb)
     return MappingReport(
         practice_context=practice.id,
         framework_context=framework.id,
@@ -173,4 +172,7 @@ def map_contexts(
         threshold=config.threshold,
         results=tuple(results),
         best_matches=tuple(best_matches),
+        diagnostics=tuple(
+            f"no verb found in {ref}; predicate similarity disabled" for ref in sorted(verbless)
+        ),
     )

@@ -63,11 +63,6 @@ class MatchSet:
         if len(ordered) > min(self.left_size, self.right_size):
             raise ValueError("match set exceeds the smaller attribute set")
 
-    def mirror(self) -> "MatchSet":
-        return MatchSet(
-            tuple(p.mirrored() for p in self.pairs), self.right_size, self.left_size
-        )
-
 
 def candidate_pairs(
     context1: str,

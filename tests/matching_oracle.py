@@ -1,4 +1,4 @@
-"""Exhaustive oracle for ``essencemap.matching.max_matching``; test use only.
+"""Exhaustive oracle for ``essencemap.matching.max_matching``, plus :func:`mirror`; test use only.
 
 Written from the documented rule, sharing no code with the matcher: keep the
 highest level per attribute pair, put the side with the smaller
@@ -17,6 +17,11 @@ ORACLE_SIDE_LIMIT = 10
 
 class OracleBoundError(EssenceMapError):
     """The exhaustive matching oracle refuses oversized instances."""
+
+
+def mirror(match: MatchSet) -> MatchSet:
+    """``match`` seen from the other side: every pair and the two sizes swapped."""
+    return MatchSet(tuple(p.mirrored() for p in match.pairs), match.right_size, match.left_size)
 
 
 def brute_force_matching(
@@ -82,4 +87,4 @@ def brute_force_matching(
 
     visit(0, set(), [])
     chosen = MatchSet(tuple(best), *sizes)
-    return chosen.mirror() if flipped else chosen
+    return mirror(chosen) if flipped else chosen

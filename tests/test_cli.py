@@ -141,3 +141,63 @@ def test_map_case_study_matches_golden(out_format, mode, scrum, essence, capsys)
     out, err = capsys.readouterr()
     assert out == (GOLDEN / f"case-study.{out_format}").read_text(encoding="utf-8")
     assert err == ""
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def clashing_files(tmp_path):
+    """Two different concept files that both say ``context: S``."""
+    alpha = _write(tmp_path / "a.concepts", "context: S\nconcept: Alpha\nattr a1: is small\nend\n")
+    beta = _write(tmp_path / "b.concepts", "context: S\nconcept: Beta\nattr b1: is fast\nend\n")
+    annotations = _write(tmp_path / "s.ann", "pair: S/Alpha.a1 S/Beta.b1 = 2\n")
+    return alpha, beta, annotations
+
+
+@pytest.mark.parametrize("command", ["map", "map-annotated", "score"])
+def test_two_files_with_one_context_id_exit_3(command, clashing_files, capsys):
+    alpha, beta, annotations = clashing_files
+    argv = ["--practice", str(alpha), "--framework", str(beta), "--mode", "heuristic"]
+    if command == "score":
+        argv = ["score", "--left", "S/Alpha", "--right", "S/Beta", *argv]
+    else:
+        argv = ["map", *argv]
+    if command == "map-annotated":
+        argv += ["--annotations", str(annotations)]
+    assert main(argv) == EXIT_REFERENCE
+    assert capsys.readouterr().err == (
+        "essencemap: practice and framework both define context 'S' with different concepts\n"
+    )
+
+
+def test_one_file_as_both_sides_maps(clashing_files, capsys):
+    alpha = clashing_files[0]
+    assert main(["map", "--practice", str(alpha), "--framework", str(alpha)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("mapping S -> S")
+
+
+_VERBLESS = (
+    "context: V\nconcept: Thing\nattr a1: purely nominal phrase\nattr a2: team is small\nend\n"
+    "concept: Other\nattr b1: team is fast\nend\n"
+)
+
+
+def test_verbless_note_printed_once_and_kept_out_of_the_report(tmp_path, capsys):
+    path = _write(tmp_path / "verbless.concepts", _VERBLESS)
+    out = tmp_path / "report.txt"
+    argv = ["map", "--practice", str(path), "--framework", str(path), "--mode", "hybrid",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == "no verb found in V/Thing.a1; predicate similarity disabled\n"
+    assert b"no verb" not in out.read_bytes()
+
+
+def test_show_spo_marks_a_missing_verb(tmp_path, capsys):
+    path = _write(tmp_path / "verbless.concepts", _VERBLESS)
+    assert main(["parse", "--show-spo", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "  a1: subject=thing | predicate=‹none› | object=purely nominal phrase\n" in out
+    assert "  a2: subject=team | predicate=is | object=small\n" in out

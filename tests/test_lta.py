@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -17,10 +18,22 @@ from essencemap import (
     canonicalize_part,
     extract_spo,
     load_lexicon,
-    score_pair,
 )
 from essencemap.corpus import AnnotationTable
-from essencemap.lta import EMPTY_LEXICON, MODES, NO_VERB_MARKER, stem, tokenize
+from essencemap.lta import EMPTY_LEXICON, MODES, stem, tokenize
+
+
+def score_pair(left, s1, right, s2, lexicon=EMPTY_LEXICON, annotations=None, mode="heuristic"):
+    """Level of one statement pair under ``mode``.
+
+    A one-off :class:`StatementScorer` scores each statement as the only
+    attribute of its concept, so this is :meth:`StatementScorer.level`
+    itself: symmetric, and 3 for a statement against itself.
+    """
+    scorer = StatementScorer(lexicon, annotations, mode)
+    (a,) = scorer.profile(left.context, Concept(left.concept, (replace(s1, id=left.attr),)))
+    (b,) = scorer.profile(right.context, Concept(right.concept, (replace(s2, id=right.attr),)))
+    return scorer.level(a, b)
 
 
 class TestTokenize:
@@ -104,7 +117,7 @@ class TestExtractSpo:
     def test_verbless_statement_degrades(self):
         spo = extract_spo(AttributeStatement("x1", "purely nominal phrase"), "Thing")
         assert not spo.has_verb
-        assert spo.predicate == (NO_VERB_MARKER,)
+        assert spo.predicate == ()
         assert spo.subject == ("thing",)
         assert spo.object_part == ("purely", "nominal", "phrase")
 
@@ -120,9 +133,6 @@ class TestCanonicalizePart:
         assert canonicalize_part(["managing", "requirements"]) == {"manag", "requirement"}
         assert canonicalize_part(["the", "of", "and"]) == frozenset()
         assert canonicalize_part(["requirement"]) == {"requirement"}
-
-    def test_marker_never_survives(self):
-        assert canonicalize_part([NO_VERB_MARKER]) == frozenset()
 
     def test_synonym_groups_fold_after_stemming(self):
         lexicon = Lexicon(synonym_groups=(("manage", "managing", "determining"),))
@@ -258,14 +268,6 @@ class TestStatementScorer:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown scoring mode"):
             StatementScorer(mode="magic")
-
-    def test_tracks_verbless_statements(self):
-        scorer = StatementScorer(EMPTY_LEXICON, mode="heuristic")
-        ref = AttrRef("X", "Thing", "a1")
-        (a,) = scorer.profile("X", Concept("Thing", (AttributeStatement("a1", "nominal phrase"),)))
-        (b,) = scorer.profile("Y", Concept("Other", (AttributeStatement("b1", "is fine"),)))
-        scorer.level(a, b)
-        assert scorer.verbless_refs == {ref}
 
 
 LEXICON = load_lexicon(bundled_path("paper.lex"))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from essencemap import (
+    AnnotationTable,
     AttributeStatement,
     Concept,
     EmptyContextError,
@@ -12,6 +13,7 @@ from essencemap import (
     ObjectInstance,
     SemanticContext,
     equivalent,
+    extract_spo,
     independent,
     map_contexts,
     map_pair,
@@ -22,6 +24,18 @@ from essencemap import (
 from essencemap.mapper import classify
 
 from conftest import make_random_context
+
+
+def verbless_notes(contexts, lexicon):
+    """The expected diagnostics, from ``extract_spo`` alone: sorted, each once."""
+    refs = {
+        f"{context.id}/{concept.name}.{attr.id}"
+        for context in contexts
+        for concept in context.concepts
+        for attr in concept.attributes
+        if not extract_spo(attr, concept.name, lexicon).has_verb
+    }
+    return tuple(f"no verb found in {ref}; predicate similarity disabled" for ref in sorted(refs))
 
 
 def simple_concept(name, texts, prefix="a"):
@@ -78,10 +92,12 @@ class TestMapPair:
         assert mirrored.relation == "super-concept"
 
     def test_verbless_statements_reported(self):
-        left = simple_concept("A", ["nominal phrase alpha product"])
-        right = simple_concept("B", ["product is nominal phrase alpha"], prefix="b")
-        result = map_pair("X", left, "Y", right, MapConfig(mode="heuristic"))
-        assert result.diagnostics == ("no verb found in X/A.a1; predicate similarity disabled",)
+        left = SemanticContext("X", (simple_concept("A", ["nominal phrase alpha product"]),))
+        right = SemanticContext(
+            "Y", (simple_concept("B", ["product is nominal phrase alpha"], prefix="b"),)
+        )
+        report = map_contexts(left, right, MapConfig(mode="heuristic"))
+        assert report.diagnostics == ("no verb found in X/A.a1; predicate similarity disabled",)
 
 
 class TestMapContexts:
@@ -185,6 +201,26 @@ class TestMapContexts:
                     assert not equivalent(left, right, result.match_set)
                     assert not sub_concept(left, right, result.match_set)
                     assert not super_concept(left, right, result.match_set)
+
+    @pytest.mark.parametrize("mode", ["heuristic", "hybrid"])
+    def test_diagnostics_name_each_verbless_statement_once(self, mode, tuned_lexicon):
+        rng = random.Random(0x5E1F)
+        table = AnnotationTable(()) if mode == "hybrid" else None
+        noted = 0
+        for index in range(60):
+            practice = make_random_context(rng, index)
+            # every third case maps a context against itself
+            framework = practice if index % 3 == 0 else make_random_context(rng, index + 100)
+            report = map_contexts(practice, framework, MapConfig(tuned_lexicon, table, mode))
+            assert report.diagnostics == verbless_notes((practice, framework), tuned_lexicon)
+            noted += len(report.diagnostics)
+        assert noted > 0
+
+    def test_annotated_mode_has_no_diagnostics(self):
+        context = SemanticContext("X", (simple_concept("A", ["nominal phrase alpha"]),))
+        annotated = MapConfig(annotations=AnnotationTable(()), mode="annotated")
+        assert map_contexts(context, context, annotated).diagnostics == ()
+        assert len(map_contexts(context, context, MapConfig(mode="heuristic")).diagnostics) == 1
 
     def test_report_is_deterministic(self, essence_context, scrum_context, tuned_lexicon):
         config = MapConfig(tuned_lexicon, mode="heuristic")
