@@ -57,8 +57,8 @@ class UsageError(Exception):
 
 def format_pct(value: Fraction) -> str:
     """Render a percentage to one decimal, rounding halves up."""
-    tenths = value * 10 + Fraction(1, 2)
-    scaled = tenths.numerator // tenths.denominator
+    n, d = value.numerator, value.denominator
+    scaled = (20 * n + d) // (2 * d)  # floor(10 * value + 1/2)
     return f"{scaled // 10}.{scaled % 10}"
 
 
@@ -141,12 +141,13 @@ _RENDERERS = {"table": render_table, "tsv": render_tsv, "jsonl": render_jsonl}
 def _load_map_config(args: argparse.Namespace) -> tuple[SemanticContext, SemanticContext, MapConfig]:
     if args.mode == "annotated" and args.annotations is None:
         raise UsageError("--mode annotated requires --annotations")
-    practice = load_concepts(args.practice)
-    framework = load_concepts(args.framework or args.practice)
-    if practice.id == framework.id and practice != framework:
-        raise UnknownReferenceError(
-            f"practice and framework both define context {practice.id!r} with different concepts"
-        )
+    practice = framework = load_concepts(args.practice)
+    if args.framework not in (None, args.practice):
+        framework = load_concepts(args.framework)
+        if practice.id == framework.id and practice != framework:
+            raise UnknownReferenceError(
+                f"practice and framework both define context {practice.id!r} with different concepts"
+            )
     lexicon = load_lexicon(args.lexicon) if args.lexicon else EMPTY_LEXICON
     annotations = None
     if args.annotations:

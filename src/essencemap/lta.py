@@ -15,6 +15,10 @@ and ``hybrid`` (annotation wins when present, heuristic otherwise).
 :class:`StatementScorer` splits and canonicalizes each concept's
 statements once, caching one row of part sets per attribute under
 ``(context, concept)``; scoring a pair is then three set-overlap tests.
+When no annotation table is in use it also keeps, per part, a map from
+canonical token to the bitmask of the rows holding it, so a caller can
+find the cells that can reach a threshold without scoring the others (see
+:func:`~essencemap.matching.candidate_pairs`).
 """
 
 from __future__ import annotations
@@ -145,15 +149,21 @@ def add_synonym_group(table: dict[str, str], group: Sequence[str]) -> None:
     """Add ``group`` to ``table``, mapping each member's stemmed form to ``group[0]``.
 
     Raises ``ValueError``, leaving ``table`` as it was, when the group is
-    empty, lists a token twice, or holds a stemmed form that an earlier
-    group already maps; the last rule also covers a token listed in two
-    groups, and keeps lookup by stemmed form unambiguous.
+    empty, lists a token twice, holds a member that :func:`tokenize` would
+    not produce as one token (so it could never match), or holds a stemmed
+    form that an earlier group already maps; the last rule also covers a
+    token listed in two groups, and keeps lookup by stemmed form
+    unambiguous.
     """
     if not group:
         raise ValueError("empty synonym group")
     if len(set(group)) != len(group):
         duplicate = next(t for t in group if group.count(t) > 1)
         raise ValueError(f"duplicate token {duplicate!r} within synonym group {tuple(group)!r}")
+    for member in group:
+        tokens = tokenize(member)
+        if tokens != [member]:
+            raise ValueError(f"synonym {member!r} can never match: text tokenizes to {tokens!r}")
     keys = [stem(member) for member in group]
     for member, key in zip(group, keys):
         if key in table:
@@ -236,6 +246,11 @@ class AttrProfile(NamedTuple):
     has_verb: bool
 
 
+#: A profile's rows and, with no table in use, one dict per part (subject,
+#: predicate, object) from canonical token to the bitmask of the rows holding it.
+_Entry = tuple[tuple[AttrProfile, ...], Optional[tuple[dict[str, int], ...]]]
+
+
 class StatementScorer:
     """Scoring front-end bundling lexicon, annotations and mode.
 
@@ -244,6 +259,17 @@ class StatementScorer:
     share the same row objects; :meth:`level` compares two rows with no
     parsing or hashing per pair.  Caching is idempotent, so scores do not
     depend on the order in which pairs are visited.
+
+    Next to each profile, :meth:`indexed_profile` keeps one dict per part
+    (subject, predicate, object) mapping a canonical token to the bitmask of
+    the rows that hold it.  ORing the masks of one row's tokens per part
+    gives, bit by bit, the rows whose part overlaps it, so the three results
+    add up to the heuristic level of every cell of the row; a caller can
+    thus pick out the cells that can reach a threshold before scoring them.
+    The masks do not show the diagonal (a row scores 3 against itself even
+    with no content words), which the caller adds.  They know nothing of the
+    table either, so when one is in use (annotated mode, and hybrid mode
+    with a table) there are none and every cell must be scored.
     """
 
     def __init__(
@@ -259,11 +285,15 @@ class StatementScorer:
         self.lexicon = lexicon
         self.mode = mode
         self._table = None if mode == "heuristic" else annotations
-        self._profiles: dict[tuple[str, Concept], tuple[AttrProfile, ...]] = {}
-        self._seen: dict[tuple[str, int], tuple[Concept, tuple[AttrProfile, ...]]] = {}
+        self._profiles: dict[tuple[str, Concept], _Entry] = {}
+        self._seen: dict[tuple[str, int], tuple[Concept, _Entry]] = {}
 
     def profile(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
-        """One row per attribute of ``concept``, in attribute order.
+        """One row per attribute of ``concept``, in attribute order."""
+        return self.indexed_profile(context, concept)[0]
+
+    def indexed_profile(self, context: str, concept: Concept) -> _Entry:
+        """The rows of :meth:`profile` and, with no table in use, their part masks.
 
         Repeat calls with the same object skip hashing every statement: an
         entry keyed on its id answers them, and holds the concept alive.
@@ -272,8 +302,8 @@ class StatementScorer:
         if seen is not None:
             return seen[1]
         key = (context, concept)
-        rows = self._profiles.get(key)
-        if rows is None:
+        entry = self._profiles.get(key)
+        if entry is None:
             built = []
             for attr in concept.attributes:
                 ref = AttrRef(context, concept.name, attr.id)
@@ -282,9 +312,16 @@ class StatementScorer:
                 built.append(AttrProfile(
                     ref, *(canonicalize_part(part, self.lexicon) for part in parts), spo.has_verb
                 ))
-            rows = self._profiles[key] = tuple(built)
-        self._seen[context, id(concept)] = (concept, rows)
-        return rows
+            masks = None
+            if self._table is None:
+                masks = ({}, {}, {})
+                for index, row in enumerate(built):
+                    for part, by_token in zip((row.subject, row.predicate, row.object_part), masks):
+                        for token in part:
+                            by_token[token] = by_token.get(token, 0) | 1 << index
+            entry = self._profiles[key] = (tuple(built), masks)
+        self._seen[context, id(concept)] = (concept, entry)
+        return entry
 
     def level(self, a: AttrProfile, b: AttrProfile) -> int:
         """Level of one attribute pair; symmetric in ``a`` and ``b``.

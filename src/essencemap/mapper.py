@@ -1,9 +1,10 @@
 """Context-to-context mapping pipeline.
 
-For every concept pair: score all attribute pairs, select the bijective
-matching, compute the similarity percentage and classify the relationship
-under a fixed precedence (equivalent, then sub-concept, then super-concept,
-then related, then independent).  A report over two whole contexts carries
+For every concept pair: score the attribute pairs that can reach the
+threshold, select the bijective matching, compute the similarity
+percentage and classify the relationship under a fixed precedence
+(equivalent, then sub-concept, then super-concept, then related, then
+independent).  A report over two whole contexts carries
 one result per concept pair plus, for each practice concept, its best
 framework match: the highest similarity, ties going to the relation that
 comes first in that precedence and then to the smaller name, so a concept

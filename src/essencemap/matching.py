@@ -16,7 +16,13 @@ highest level per ``(left, right)``, the orientation is decided once so
 the side with the smaller ``(context, concept)`` is on the left, and the
 oriented pairs are sorted once for ``_select``.  The chosen pairs are
 mirrored back once, so swapping the two concepts mirrors the result
-exactly.
+exactly.  A conflict-free candidate set, where no attribute appears twice,
+is its own unique optimum and skips the solve.
+
+``candidate_pairs`` scores only the cells that can reach the threshold:
+without an annotation table, the per-part token masks of
+:class:`~essencemap.lta.StatementScorer` pick them out, plus the diagonal
+of a concept mapped against itself; with a table every cell is scored.
 """
 
 from __future__ import annotations
@@ -72,19 +78,53 @@ def candidate_pairs(
     scorer: StatementScorer,
     threshold: int = DEFAULT_THRESHOLD,
 ) -> list[CandidatePair]:
-    """Score all attribute pairs, keep those at or above the threshold.
+    """Score the attribute pairs that can qualify, keep those at or above the threshold.
 
     Sorted by level descending, then left and right reference ascending.
     Scoring errors (for instance an unannotated pair in annotated mode)
     propagate.
+
+    With no annotation table in use, a row ``a`` of ``c1`` ORs, per part,
+    the masks of its tokens in ``c2``'s profile (see
+    :class:`~essencemap.lta.StatementScorer`) into ``m0``, ``m1`` and
+    ``m2``; the cells that can reach the threshold are those set in at
+    least ``threshold`` of them.  When both sides are one profile, ``a``'s
+    own cell is added too, since a row scores 3 against itself whatever its
+    parts.  With a table every cell is scored: a table level can lift a
+    cell the masks skip, and in annotated mode a gap must still raise.
+    Each cell picked is scored by ``scorer.level``, the one statement of
+    the rule, so the result equals a scan of every cell.
     """
     if threshold not in THRESHOLDS:
         raise ValueError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
     found = []
     score = scorer.level
-    rows2 = scorer.profile(context2, c2)
-    for a in scorer.profile(context1, c1):
-        for b in rows2:
+    rows1 = scorer.profile(context1, c1)
+    rows2, masks = scorer.indexed_profile(context2, c2)
+    every_row = (1 << len(rows2)) - 1
+    for i, a in enumerate(rows1):
+        if masks is None:
+            hits = every_row
+        else:
+            m0 = m1 = m2 = 0
+            for token in a.subject:
+                m0 |= masks[0].get(token, 0)
+            for token in a.predicate:
+                m1 |= masks[1].get(token, 0)
+            for token in a.object_part:
+                m2 |= masks[2].get(token, 0)
+            if threshold == 1:
+                hits = m0 | m1 | m2
+            elif threshold == 2:
+                hits = (m0 & m1) | (m0 & m2) | (m1 & m2)
+            else:
+                hits = m0 & m1 & m2
+            if rows1 is rows2:
+                hits |= 1 << i
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            b = rows2[low.bit_length() - 1]
             level = score(a, b)
             if level >= threshold:
                 found.append(CandidatePair(a.ref, b.ref, level))
@@ -186,13 +226,17 @@ def max_matching(
 
     Invariant under permutation of the candidate list, and symmetric under
     swapping the two sides (the mirrored input yields the mirrored output).
+    When no attribute appears in two of the distinct cells, all of them
+    together form the unique optimum, so they are returned without an
+    assignment solve.
     """
     best: dict[tuple[AttrRef, AttrRef], int] = {}
     for left, right, level in candidates:
         if best.get((left, right), level) <= level:
             best[left, right] = level
-    if not best:
-        return MatchSet((), left_size, right_size)
+    if len({l for l, _ in best}) == len(best) == len({r for _, r in best}):
+        pairs = tuple(CandidatePair(l, r, level) for (l, r), level in best.items())
+        return MatchSet(pairs, left_size, right_size)
     # Orient so the side with the smaller (context, concept) is on the left.
     flipped = (min((r.context, r.concept) for _, r in best)
                < min((l.context, l.concept) for l, _ in best))

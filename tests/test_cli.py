@@ -1,9 +1,12 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from essencemap import bundled_path
-from essencemap.cli import EXIT_OK, EXIT_PARSE, EXIT_REFERENCE, EXIT_USAGE, main
+from essencemap import bundled_path, cli, load_concepts
+from essencemap.cli import EXIT_OK, EXIT_PARSE, EXIT_REFERENCE, EXIT_USAGE, format_pct, main
 
 
 def _map_argv(practice, framework, lexicon, *extra):
@@ -71,6 +74,8 @@ _PAIR_B1_A1 = "pair: Scrum/ProductBacklog.b1 EF/Requirements.a1"
          "object id must be a single token with no ':', got 'o:1'"),
         ("--lexicon", "syn: cat, dog\nsyn: cats, bird\n", 2,
          "token 'cats' collides with another synonym group via stemmed form 'cat'"),
+        ("--lexicon", "stop: noise\nsyn: pbis, backlog-item\n", 2,
+         "synonym 'backlog-item' can never match: text tokenizes to ['backlog', 'item']"),
         ("--annotations", f"{_PAIR_B1_A1} = 1\n\n{_PAIR_B1_A1} = 9\n", 3,
          "level must be between 0 and 3"),
         ("--annotations", "pair: EF/Requirements.a1 EF/Requirements.a1 = 1\n", 1,
@@ -173,6 +178,24 @@ def test_two_files_with_one_context_id_exit_3(command, clashing_files, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["map", "score"])
+def test_one_concept_file_is_loaded_once(command, essence, monkeypatch):
+    loaded = []
+
+    def counting_load(path):
+        loaded.append(path)
+        return load_concepts(path)
+
+    monkeypatch.setattr(cli, "load_concepts", counting_load)
+    if command == "map":  # --framework names the --practice file
+        argv = ["map", "--practice", str(essence), "--framework", str(essence)]
+    else:  # --framework omitted
+        argv = ["score", "--left", "EF/Requirements", "--right", "EF/Requirements",
+                "--practice", str(essence)]
+    assert main(argv) == EXIT_OK
+    assert loaded == [essence]
+
+
 def test_one_file_as_both_sides_maps(clashing_files, capsys):
     alpha = clashing_files[0]
     assert main(["map", "--practice", str(alpha), "--framework", str(alpha)]) == EXIT_OK
@@ -201,3 +224,15 @@ def test_show_spo_marks_a_missing_verb(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "  a1: subject=thing | predicate=‹none› | object=purely nominal phrase\n" in out
     assert "  a2: subject=team | predicate=is | object=small\n" in out
+
+
+_percentages = st.integers(1, 400).flatmap(
+    lambda u: st.builds(Fraction, st.integers(0, u).map(lambda k: 100 * k), st.just(u))
+)
+
+
+@given(value=_percentages)
+def test_format_pct_rounds_like_exact_fractions(value):
+    tenths = value * 10 + Fraction(1, 2)
+    scaled = tenths.numerator // tenths.denominator
+    assert format_pct(value) == f"{scaled // 10}.{scaled % 10}"

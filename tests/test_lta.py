@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from essencemap import (
@@ -20,7 +20,7 @@ from essencemap import (
     load_lexicon,
 )
 from essencemap.corpus import AnnotationTable
-from essencemap.lta import EMPTY_LEXICON, MODES, stem, tokenize
+from essencemap.lta import EMPTY_LEXICON, MODES, add_synonym_group, stem, tokenize
 
 
 def score_pair(left, s1, right, s2, lexicon=EMPTY_LEXICON, annotations=None, mode="heuristic"):
@@ -141,7 +141,7 @@ class TestCanonicalizePart:
 
     def test_idempotent_on_seeded_random_tokens(self):
         lexicon = Lexicon(
-            synonym_groups=(("manage", "managing"), ("the-one", "houses")),
+            synonym_groups=(("manage", "managing"), ("dwelling", "houses")),
             extra_stopwords=frozenset({"noise"}),
         )
         rng = random.Random(11)
@@ -259,6 +259,13 @@ class TestLexiconValidation:
         with pytest.raises(ValueError, match="stemmed form"):
             Lexicon(synonym_groups=(("cat", "dog"), ("cats", "bird")))
 
+    @pytest.mark.parametrize("member", ["backlog-item", "Pbis", "owner's", "two words"])
+    def test_member_that_is_not_one_token(self, member):
+        table = {"pbi": "pbis"}
+        with pytest.raises(ValueError, match=f"synonym {member!r} can never match"):
+            add_synonym_group(table, ("items", member))
+        assert table == {"pbi": "pbis"}
+
 
 class TestStatementScorer:
     def test_requires_table_for_annotated_mode(self):
@@ -292,15 +299,20 @@ def _attr_refs(context, concept):
 
 @st.composite
 def _scoring_case(draw, mode, complete=True):
-    """(table, (context, concept) x 2) for ``mode``; sometimes a concept against itself.
+    """(table, (context, concept) x 2) for ``mode``.
 
-    Annotated mode gets a level for every distinct pair unless ``complete``
-    is false (then one pair of two distinct concepts is left out), hybrid
-    mode a random subset, heuristic mode no table.
+    The second side is sometimes the first concept itself, or an equal but
+    distinct copy of it, which the scorer's profile cache must treat the
+    same way.  Annotated mode gets a level for every distinct pair unless
+    ``complete`` is false (then one pair of two distinct concepts is left
+    out), hybrid mode a random subset, heuristic mode no table.
     """
     c1 = draw(_concept("Alpha", "a"))
-    self_map = complete and draw(st.booleans())
-    ctx2, c2 = ("X", c1) if self_map else ("Y", draw(_concept("Beta", "b")))
+    side2 = draw(st.sampled_from(("other", "same", "equal"))) if complete else "other"
+    if side2 == "other":
+        ctx2, c2 = "Y", draw(_concept("Beta", "b"))
+    else:
+        ctx2, c2 = "X", c1 if side2 == "same" else replace(c1)
     keys = {frozenset((r1, r2)): (r1, r2)
             for r1 in _attr_refs("X", c1) for r2 in _attr_refs(ctx2, c2) if r1 != r2}
     pairs = [keys[k] for k in sorted(keys, key=sorted)]
@@ -312,6 +324,18 @@ def _scoring_case(draw, mode, complete=True):
     if mode != "heuristic":
         table = AnnotationTable((l, r, draw(st.integers(0, 3))) for l, r in pairs)
     return table, ("X", c1), (ctx2, c2)
+
+
+_VERBLESS = Concept("Alpha", (AttributeStatement("a1", "product backlog"),
+                             AttributeStatement("a2", "backlog is the vision")))
+
+
+class _CountingScorer(StatementScorer):
+    calls = 0
+
+    def level(self, a, b):
+        self.calls += 1
+        return super().level(a, b)
 
 
 _any_mode_case = st.sampled_from(MODES).flatmap(lambda mode: st.tuples(st.just(mode), _scoring_case(mode)))
@@ -337,6 +361,9 @@ class TestScoringProperties:
         assert score_pair(ref, statement, ref, statement, LEXICON, AnnotationTable(()), mode) == 3
 
     @given(case=_any_mode_case, threshold=st.integers(1, 3))
+    # A verbless row reaches 3 only against itself, which no part mask shows.
+    @example(case=("heuristic", (None, ("X", _VERBLESS), ("X", _VERBLESS))), threshold=3)
+    @example(case=("heuristic", (None, ("X", _VERBLESS), ("X", replace(_VERBLESS)))), threshold=3)
     def test_candidate_pairs_equals_per_pair_scan(self, case, threshold):
         mode, (table, (ctx1, c1), (ctx2, c2)) = case
         expected = []
@@ -348,6 +375,24 @@ class TestScoringProperties:
         expected.sort(key=lambda p: (-p.level, p.left, p.right))
         scorer = StatementScorer(LEXICON, table, mode)
         assert candidate_pairs(ctx1, c1, ctx2, c2, scorer, threshold) == expected
+
+    def test_prefilter_scores_only_qualifying_cells(self, scrum_context, essence_context):
+        scorer = _CountingScorer(LEXICON)
+        cells = 0
+        for c1 in scrum_context.concepts:
+            for c2 in essence_context.concepts:
+                full = [CandidatePair(a.ref, b.ref, level)
+                        for a in scorer.profile(scrum_context.id, c1)
+                        for b in scorer.profile(essence_context.id, c2)
+                        if (level := StatementScorer.level(scorer, a, b)) >= 2]  # uncounted
+                full.sort(key=lambda p: (-p.level, p.left, p.right))
+                before = scorer.calls
+                found = candidate_pairs(scrum_context.id, c1, essence_context.id, c2, scorer, 2)
+                assert found == full
+                # The masks give the heuristic level exactly, so every scored cell qualifies.
+                assert scorer.calls - before == len(found)
+                cells += len(c1.attributes) * len(c2.attributes)
+        assert 0 < scorer.calls < cells
 
     @given(case=_scoring_case("annotated", complete=False))
     def test_unannotated_pair_raises_in_annotated_mode(self, case):

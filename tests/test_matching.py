@@ -13,6 +13,7 @@ from essencemap import (
     MatchSet,
     StatementScorer,
     candidate_pairs,
+    matching,
     max_matching,
 )
 from matching_oracle import OracleBoundError, brute_force_matching, mirror
@@ -223,6 +224,29 @@ class TestMaxMatching:
         pairs, n_left, n_right = instance
         selected = max_matching(pairs, n_left, n_right)
         assert len(selected.pairs) <= min(n_left, n_right)
+
+
+class TestConflictFreeShortcut:
+    class SolverCalled(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_solver(self, monkeypatch):
+        def solve(profit):
+            raise self.SolverCalled
+
+        monkeypatch.setattr(matching, "_hungarian_max", solve)
+
+    def test_conflict_free_candidates_are_all_matched_without_a_solve(self):
+        # A repeated cell keeps its highest level and is not a conflict.
+        candidates = [cand(3, 3, 1), cand(1, 2, 3), cand(2, 1, 1), cand(3, 3, 2)]
+        match = max_matching(candidates, 3, 4)
+        assert match.pairs == (cand(1, 2, 3), cand(2, 1, 1), cand(3, 3, 2))
+
+    @pytest.mark.parametrize("candidates", [[cand(1, 1), cand(1, 2)], [cand(1, 1), cand(2, 1)]])
+    def test_conflicting_candidates_reach_the_solver(self, candidates):
+        with pytest.raises(self.SolverCalled):
+            max_matching(candidates, 2, 2)
 
 
 class TestBruteForceOracle:
