@@ -63,7 +63,7 @@ class AnnotationTable:
 
     def add(self, left: AttrRef, right: AttrRef, level: int) -> None:
         """Record one level; raises ValueError for a bad level or pair."""
-        if level not in LEVEL_RANGE:
+        if type(level) is not int or level not in LEVEL_RANGE:
             raise ValueError(f"level must be between 0 and 3 (0..3), got {level!r} for {left} / {right}")
         if left == right:
             # A row against itself always scores 3, so such a level is never read.
@@ -220,14 +220,30 @@ def parse_annotations(
     contexts: Iterable[SemanticContext],
     name: str = "<input>",
 ) -> AnnotationTable:
-    """Parse ``pair:`` lines, resolving every reference against ``contexts``."""
+    """Parse ``pair:`` lines, resolving every reference against ``contexts``.
+
+    When two contexts share an id, the last one wins.  A reference resolves
+    with one lookup in a map from ``str(ref)`` to ``ref`` over every attribute
+    of those contexts; since ``AttrRef.parse(str(ref)) == ref`` for every ref
+    the model accepts, a hit is what the checked path would return.  A miss
+    falls back to that path, which names the part that does not resolve.
+    """
     by_id: Mapping[str, SemanticContext] = {ctx.id: ctx for ctx in contexts}
+    known: dict[str, AttrRef] = {}
+    for context in by_id.values():
+        for concept in context.concepts:
+            for attr in concept.attributes:
+                ref = AttrRef(context.id, concept.name, attr.id)
+                known[str(ref)] = ref
     table = AnnotationTable()
 
     def fail(line: int, message: str):
         raise CorpusSyntaxError(message, source=name, line=line)
 
     def resolve(line: int, ref_text: str) -> AttrRef:
+        ref = known.get(ref_text)
+        if ref is not None:
+            return ref
         ref = _build(name, line, AttrRef.parse, ref_text)
         context = by_id.get(ref.context)
         if context is None:

@@ -272,6 +272,50 @@ class TestParseAnnotations:
     def test_table_holds_36_pairs(self, table1_annotations):
         assert len(table1_annotations) == 36
 
+    def test_shared_context_id_resolves_against_the_last(self):
+        def context(concept_name, attr_id):
+            attr = AttributeStatement(attr_id, "the team refines the backlog")
+            return SemanticContext("X", (Concept(concept_name, (attr,)),))
+
+        y = SemanticContext("Y", (Concept("B", (AttributeStatement("b1", "the owner orders items"),)),))
+        contexts = (context("A", "a1"), context("C", "c1"), y)
+        with pytest.raises(UnknownReferenceError, match="unknown concept"):
+            parse_annotations("pair: X/A.a1 Y/B.b1 = 2\n", contexts)
+        assert len(parse_annotations("pair: X/C.c1 Y/B.b1 = 2\n", contexts)) == 1
+
+    def test_contexts_may_be_a_generator(self, essence_context, scrum_context):
+        text = bundled_path("paper-table1.ann").read_text(encoding="utf-8")
+        table = parse_annotations(text, (ctx for ctx in (essence_context, scrum_context)))
+        assert len(table) == 36
+        left = AttrRef("EF", "Requirements", "a3")
+        right = AttrRef("Scrum", "ProductBacklog", "b3")
+        assert table.level_for(left, right) == 2
+        # A miss still reaches the contexts themselves, not an emptied iterator.
+        with pytest.raises(UnknownReferenceError, match="unknown attribute"):
+            parse_annotations("pair: EF/Requirements.a9 Scrum/ProductBacklog.b1 = 2\n",
+                              (ctx for ctx in (essence_context, scrum_context)))
+
+    @pytest.mark.parametrize(
+        "ref,error,message",
+        [
+            ("EF/Requirements.A1", UnknownReferenceError, "unknown attribute in reference EF/Requirements.A1"),
+            ("EF/Requirements.a01", UnknownReferenceError, "unknown attribute in reference EF/Requirements.a01"),
+            ("ef/Requirements.a1", UnknownReferenceError, "unknown context in reference ef/Requirements.a1"),
+            ("EF/requirements.a1", UnknownReferenceError, "unknown concept in reference EF/requirements.a1"),
+            ("EF//Requirements.a1", UnknownReferenceError, "unknown concept in reference EF//Requirements.a1"),
+            ("EF/Requirements..a1", UnknownReferenceError, "unknown concept in reference EF/Requirements..a1"),
+            ("EF/Requirements.a1.", CorpusSyntaxError,
+             "expected '<ctx>/<Concept>.<attrId>', got 'EF/Requirements.a1.'"),
+            ("/Requirements.a1", CorpusSyntaxError, "expected '<ctx>/<Concept>.<attrId>', got '/Requirements.a1'"),
+        ],
+    )
+    def test_near_miss_references(self, ref, error, message, essence_context, scrum_context):
+        text = f"pair: {ref} Scrum/ProductBacklog.b1 = 1\n"
+        with pytest.raises(error) as info:
+            parse_annotations(text, (essence_context, scrum_context), name="t.ann")
+        assert type(info.value) is error
+        assert str(info.value) == f"t.ann:1: {message}"
+
 
 class TestAnnotationTable:
     def test_duplicate_entry_rejected(self):
@@ -285,6 +329,13 @@ class TestAnnotationTable:
         right = AttrRef("Y", "B", "b1")
         with pytest.raises(ValueError, match="0..3"):
             AnnotationTable(((left, right, 4),))
+
+    @pytest.mark.parametrize("level", [True, 2.0, "2"])
+    def test_level_must_be_an_int(self, level):
+        left = AttrRef("X", "A", "a1")
+        right = AttrRef("Y", "B", "b1")
+        with pytest.raises(ValueError, match=r"between 0 and 3 \(0\.\.3\)"):
+            AnnotationTable(((left, right, level),))
 
     def test_self_pair_rejected(self):
         ref = AttrRef("X", "A", "a1")
