@@ -109,7 +109,8 @@ class Concept:
     """A named cognitive unit: attributes, objects and relation references.
 
     ``input_relations`` / ``output_relations`` hold ``context/Name`` strings
-    verbatim; they are reported but never influence any score.
+    verbatim; they are parsed, validated and round-tripped, but nothing else
+    reads them.
     """
 
     name: str

@@ -27,7 +27,8 @@ the line of the second occurrence.  Every value rule lives in the model:
 each line builds its model object (:class:`SemanticContext`,
 :class:`Concept`, :class:`AttributeStatement`, :class:`ObjectInstance`,
 :func:`relation_ref`, :func:`~essencemap.lta.add_synonym_group`,
-:meth:`AnnotationTable.add`) and a ``ValueError`` it raises becomes a
+:meth:`AnnotationTable.add`, ...), which raises ``ValueError`` as the shape
+checks do; one handler per parser loop turns that error into a
 :class:`CorpusSyntaxError` at that line.
 """
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, TypeVar, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from importlib import resources
 
@@ -48,9 +49,7 @@ from .concepts import (
     relation_ref,
 )
 from .errors import CorpusSyntaxError, UnknownReferenceError
-from .lta import LEVEL_RANGE, Lexicon, add_synonym_group
-
-T = TypeVar("T")
+from .lta import LEVEL_RANGE, Lexicon, add_synonym_group, check_one_token
 
 
 class AnnotationTable:
@@ -89,14 +88,6 @@ def _logical_lines(text: str):
         yield number, line
 
 
-def _build(source: str, line: int, make: Callable[..., T], *args) -> T:
-    """``make(*args)``, with a ``ValueError`` from the model reported at ``source:line``."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise CorpusSyntaxError(str(exc), source=source, line=line) from None
-
-
 # Line keyword inside a concept block -> the Concept field it adds to.
 _BLOCK_FIELDS = {"attr": "attributes", "obj": "objects",
                  "rel-in": "input_relations", "rel-out": "output_relations"}
@@ -111,56 +102,57 @@ def parse_concepts(text: str, name: str = "<input>") -> SemanticContext:
     opened_at = 0
     parts: dict[str, list] = {}
 
-    def fail(line: int, message: str):
-        raise CorpusSyntaxError(message, source=name, line=line)
-
     for number, line in _logical_lines(text):
-        if line.startswith("context:"):
-            if header is not None:
-                fail(number, "duplicate 'context:' header")
-            header = _build(name, number, SemanticContext, line[len("context:"):].strip())
-        elif line.startswith("concept:"):
-            if header is None:
-                fail(number, "missing context header before first concept")
-            if current is not None:
-                fail(number, f"concept block opened at line {opened_at} is still open")
-            current = _build(name, number, Concept, line[len("concept:"):])
-            if current.name in concept_names:
-                fail(number, f"duplicate concept name {current.name!r}")
-            opened_at, parts = number, {field: [] for field in _BLOCK_FIELDS.values()}
-        elif line == "end":
-            if current is None:
-                fail(number, "'end' without an open concept block")
-            concepts.append(replace(current, **parts))
-            concept_names.add(current.name)
-            current = None
-        elif line.startswith("attr ") or line.startswith("obj "):
-            kind, rest = line.split(" ", 1)
-            if current is None:
-                fail(number, f"'{kind}' line outside a concept block")
-            # The id ends at the first ': ', so a ':' inside it is reported, not read as text.
-            ident, sep, body = rest.partition(": " if ": " in rest else ":")
-            if not sep:
-                fail(number, f"expected '{kind} <id>: <text>'")
-            make, what = (AttributeStatement, "attribute") if kind == "attr" else (ObjectInstance, "object")
-            item = _build(name, number, make, ident, body)
-            siblings = parts[_BLOCK_FIELDS[kind]]
-            if any(other.id == item.id for other in siblings):
-                fail(number, f"duplicate {what} id {item.id!r}")
-            siblings.append(item)
-        elif line.startswith("rel-in:") or line.startswith("rel-out:"):
-            key, _, value = line.partition(":")
-            if current is None:
-                fail(number, f"'{key}:' line outside a concept block")
-            parts[_BLOCK_FIELDS[key]].append(_build(name, number, relation_ref, key, value.strip()))
-        else:
-            fail(number, "unrecognized line; expected one of context:, concept:, "
-                         "attr, obj, rel-in:, rel-out:, end")
+        try:
+            if line.startswith("context:"):
+                if header is not None:
+                    raise ValueError("duplicate 'context:' header")
+                header = SemanticContext(line[len("context:"):].strip())
+            elif line.startswith("concept:"):
+                if header is None:
+                    raise ValueError("missing context header before first concept")
+                if current is not None:
+                    raise ValueError(f"concept block opened at line {opened_at} is still open")
+                current = Concept(line[len("concept:"):])
+                if current.name in concept_names:
+                    raise ValueError(f"duplicate concept name {current.name!r}")
+                opened_at, parts = number, {field: [] for field in _BLOCK_FIELDS.values()}
+            elif line == "end":
+                if current is None:
+                    raise ValueError("'end' without an open concept block")
+                concepts.append(replace(current, **parts))
+                concept_names.add(current.name)
+                current = None
+            elif line.startswith("attr ") or line.startswith("obj "):
+                kind, rest = line.split(" ", 1)
+                if current is None:
+                    raise ValueError(f"'{kind}' line outside a concept block")
+                # The id ends at the first ': ', so a ':' inside it is reported, not read as text.
+                ident, sep, body = rest.partition(": " if ": " in rest else ":")
+                if not sep:
+                    raise ValueError(f"expected '{kind} <id>: <text>'")
+                make, what = (AttributeStatement, "attribute") if kind == "attr" else (ObjectInstance, "object")
+                item = make(ident, body)
+                siblings = parts[_BLOCK_FIELDS[kind]]
+                if any(other.id == item.id for other in siblings):
+                    raise ValueError(f"duplicate {what} id {item.id!r}")
+                siblings.append(item)
+            elif line.startswith("rel-in:") or line.startswith("rel-out:"):
+                key, _, value = line.partition(":")
+                if current is None:
+                    raise ValueError(f"'{key}:' line outside a concept block")
+                parts[_BLOCK_FIELDS[key]].append(relation_ref(key, value.strip()))
+            else:
+                raise ValueError("unrecognized line; expected one of context:, concept:, "
+                                 "attr, obj, rel-in:, rel-out:, end")
+        except ValueError as exc:
+            raise CorpusSyntaxError(str(exc), source=name, line=number) from None
 
     if current is not None:
-        fail(opened_at, f"concept block {current.name!r} is never closed with 'end'")
+        raise CorpusSyntaxError(f"concept block {current.name!r} is never closed with 'end'",
+                                source=name, line=opened_at)
     if header is None:
-        fail(1, "missing context header")
+        raise CorpusSyntaxError("missing context header", source=name, line=1)
     return replace(header, concepts=concepts)
 
 
@@ -186,31 +178,33 @@ def parse_lexicon(text: str, name: str = "<input>") -> Lexicon:
     """Parse ``syn:``/``stop:``/``verb:`` lines into a lexicon.
 
     Tokens are lowercased.  Each ``syn:`` line is checked against the
-    groups before it with :func:`~essencemap.lta.add_synonym_group`.
+    groups before it with :func:`~essencemap.lta.add_synonym_group`, and
+    each ``stop:``/``verb:`` token with :func:`~essencemap.lta.check_one_token`.
     """
     groups: list[tuple[str, ...]] = []
     stopwords: set[str] = set()
     verbs: set[str] = set()
     synonyms: dict[str, str] = {}
 
-    def fail(line: int, message: str):
-        raise CorpusSyntaxError(message, source=name, line=line)
-
     for number, line in _logical_lines(text):
-        key, sep, rest = line.partition(":")
-        key = key.strip()
-        if not sep or key not in ("syn", "stop", "verb"):
-            fail(number, "expected 'syn:', 'stop:' or 'verb:' line")
-        tokens = tuple(t.strip().lower() for t in rest.split(","))
-        if any(not t for t in tokens):
-            fail(number, "empty token in list")
-        if key == "stop":
-            stopwords.update(tokens)
-        elif key == "verb":
-            verbs.update(tokens)
-        else:
-            _build(name, number, add_synonym_group, synonyms, tokens)
-            groups.append(tokens)
+        try:
+            key, sep, rest = line.partition(":")
+            key = key.strip()
+            if not sep or key not in ("syn", "stop", "verb"):
+                raise ValueError("expected 'syn:', 'stop:' or 'verb:' line")
+            tokens = tuple(t.strip().lower() for t in rest.split(","))
+            if any(not t for t in tokens):
+                raise ValueError("empty token in list")
+            if key == "syn":
+                add_synonym_group(synonyms, tokens)
+                groups.append(tokens)
+            else:
+                what, bucket = ("stopword", stopwords) if key == "stop" else ("verb", verbs)
+                for token in tokens:
+                    check_one_token(token, what)
+                bucket.update(tokens)
+        except ValueError as exc:
+            raise CorpusSyntaxError(str(exc), source=name, line=number) from None
 
     return Lexicon(tuple(groups), frozenset(stopwords), frozenset(verbs))
 
@@ -226,7 +220,8 @@ def parse_annotations(
     with one lookup in a map from ``str(ref)`` to ``ref`` over every attribute
     of those contexts; since ``AttrRef.parse(str(ref)) == ref`` for every ref
     the model accepts, a hit is what the checked path would return.  A miss
-    falls back to that path, which names the part that does not resolve.
+    names the part that does not resolve: as ``str(AttrRef.parse(t)) == t``,
+    the attribute when the context and concept resolve.
     """
     by_id: Mapping[str, SemanticContext] = {ctx.id: ctx for ctx in contexts}
     known: dict[str, AttrRef] = {}
@@ -237,43 +232,37 @@ def parse_annotations(
                 known[str(ref)] = ref
     table = AnnotationTable()
 
-    def fail(line: int, message: str):
-        raise CorpusSyntaxError(message, source=name, line=line)
-
     def resolve(line: int, ref_text: str) -> AttrRef:
         ref = known.get(ref_text)
         if ref is not None:
             return ref
-        ref = _build(name, line, AttrRef.parse, ref_text)
+        ref = AttrRef.parse(ref_text)
         context = by_id.get(ref.context)
         if context is None:
             raise UnknownReferenceError(f"{name}:{line}: unknown context in reference {ref}")
         try:
-            concept = context.concept(ref.concept)
+            context.concept(ref.concept)
         except KeyError:
             raise UnknownReferenceError(f"{name}:{line}: unknown concept in reference {ref}") from None
-        try:
-            concept.attribute(ref.attr)
-        except KeyError:
-            raise UnknownReferenceError(f"{name}:{line}: unknown attribute in reference {ref}") from None
-        return ref
+        raise UnknownReferenceError(f"{name}:{line}: unknown attribute in reference {ref}")
 
     for number, line in _logical_lines(text):
-        if not line.startswith("pair:"):
-            fail(number, "expected 'pair: <ref> <ref> = <level>'")
-        body, sep, level_text = line[len("pair:"):].rpartition("=")
-        if not sep:
-            fail(number, "expected '= <level>' at end of pair line")
-        ref_texts = body.split()
-        if len(ref_texts) != 2:
-            fail(number, f"expected exactly two references, got {len(ref_texts)}")
         try:
-            level = int(level_text.strip())
-        except ValueError:
-            fail(number, f"level must be an integer, got {level_text.strip()!r}")
-        left = resolve(number, ref_texts[0])
-        right = resolve(number, ref_texts[1])
-        _build(name, number, table.add, left, right, level)
+            if not line.startswith("pair:"):
+                raise ValueError("expected 'pair: <ref> <ref> = <level>'")
+            body, sep, level_text = line[len("pair:"):].rpartition("=")
+            if not sep:
+                raise ValueError("expected '= <level>' at end of pair line")
+            ref_texts = body.split()
+            if len(ref_texts) != 2:
+                raise ValueError(f"expected exactly two references, got {len(ref_texts)}")
+            try:
+                level = int(level_text.strip())
+            except ValueError:
+                raise ValueError(f"level must be an integer, got {level_text.strip()!r}") from None
+            table.add(resolve(number, ref_texts[0]), resolve(number, ref_texts[1]), level)
+        except ValueError as exc:
+            raise CorpusSyntaxError(str(exc), source=name, line=number) from None
 
     return table
 

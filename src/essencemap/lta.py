@@ -99,7 +99,8 @@ class Lexicon:
 
     Each synonym group canonicalizes to its first member.  Lookup keys are
     the stemmed forms of all members, so inflected corpus tokens reach
-    their group without every inflection being listed.
+    their group without every inflection being listed.  Every stopword,
+    verb and group member must pass :func:`check_one_token`.
     """
 
     synonym_groups: tuple[tuple[str, ...], ...] = ()
@@ -112,6 +113,9 @@ class Lexicon:
         )
         object.__setattr__(self, "extra_stopwords", frozenset(self.extra_stopwords))
         object.__setattr__(self, "extra_verbs", frozenset(self.extra_verbs))
+        for what, tokens in (("stopword", self.extra_stopwords), ("verb", self.extra_verbs)):
+            for token in sorted(tokens):
+                check_one_token(token, what)
         self.synonym_map  # validate the groups at construction
 
     @cached_property
@@ -142,6 +146,13 @@ class Lexicon:
         return token in self._verbs or stem(token) in self._verb_stems
 
 
+def check_one_token(token: str, what: str) -> None:
+    """Raise ``ValueError`` unless ``tokenize(token) == [token]``; ``what`` names the entry's kind."""
+    tokens = tokenize(token)
+    if tokens != [token]:
+        raise ValueError(f"{what} {token!r} can never match: text tokenizes to {tokens!r}")
+
+
 EMPTY_LEXICON = Lexicon()
 
 
@@ -149,11 +160,10 @@ def add_synonym_group(table: dict[str, str], group: Sequence[str]) -> None:
     """Add ``group`` to ``table``, mapping each member's stemmed form to ``group[0]``.
 
     Raises ``ValueError``, leaving ``table`` as it was, when the group is
-    empty, lists a token twice, holds a member that :func:`tokenize` would
-    not produce as one token (so it could never match), or holds a stemmed
-    form that an earlier group already maps; the last rule also covers a
-    token listed in two groups, and keeps lookup by stemmed form
-    unambiguous.
+    empty, lists a token twice, holds a member that fails
+    :func:`check_one_token`, or holds a stemmed form that an earlier group
+    already maps; the last rule also covers a token listed in two groups,
+    and keeps lookup by stemmed form unambiguous.
     """
     if not group:
         raise ValueError("empty synonym group")
@@ -161,9 +171,7 @@ def add_synonym_group(table: dict[str, str], group: Sequence[str]) -> None:
         duplicate = next(t for t in group if group.count(t) > 1)
         raise ValueError(f"duplicate token {duplicate!r} within synonym group {tuple(group)!r}")
     for member in group:
-        tokens = tokenize(member)
-        if tokens != [member]:
-            raise ValueError(f"synonym {member!r} can never match: text tokenizes to {tokens!r}")
+        check_one_token(member, "synonym")
     keys = [stem(member) for member in group]
     for member, key in zip(group, keys):
         if key in table:

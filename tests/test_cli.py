@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,6 +79,10 @@ _PAIR_B1_A1 = "pair: Scrum/ProductBacklog.b1 EF/Requirements.a1"
          "token 'cats' collides with another synonym group via stemmed form 'cat'"),
         ("--lexicon", "stop: noise\nsyn: pbis, backlog-item\n", 2,
          "synonym 'backlog-item' can never match: text tokenizes to ['backlog', 'item']"),
+        ("--lexicon", "syn: pbis, backlog\nverb: set-up\n", 2,
+         "verb 'set-up' can never match: text tokenizes to ['set', 'up']"),
+        ("--lexicon", "stop: noise\n\nstop: don't, Foo-Bar\n", 3,
+         "stopword \"don't\" can never match: text tokenizes to ['dont']"),
         ("--annotations", f"{_PAIR_B1_A1} = 1\n\n{_PAIR_B1_A1} = 9\n", 3,
          "level must be between 0 and 3"),
         ("--annotations", "pair: EF/Requirements.a1 EF/Requirements.a1 = 1\n", 1,
@@ -137,15 +144,35 @@ def test_score_case_study_matches_golden(mode, scrum, essence, capsys):
 
 
 @pytest.mark.parametrize("mode", sorted(_MODE_ARGS))
-@pytest.mark.parametrize("out_format", ["tsv", "jsonl"])
+@pytest.mark.parametrize("out_format", ["tsv", "jsonl", "table"])
 def test_map_case_study_matches_golden(out_format, mode, scrum, essence, capsys):
-    # The case study reproduces the paper in both modes, so they share one file.
+    # The case study reproduces the paper in both modes, so they share one file,
+    # except for the table, whose header names the mode.
+    golden = f"case-study-{mode}.table" if out_format == "table" else f"case-study.{out_format}"
     argv = ["map", "--practice", str(scrum), "--framework", str(essence),
             "--format", out_format, *_MODE_ARGS[mode]]
     assert main(argv) == EXIT_OK
     out, err = capsys.readouterr()
-    assert out == (GOLDEN / f"case-study.{out_format}").read_text(encoding="utf-8")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
     assert err == ""
+
+
+def _run_module(*argv):
+    src = Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "essencemap", *argv],
+                          capture_output=True, env=env, check=False)
+
+
+def test_module_runs_as_a_process(scrum, essence, tmp_path):
+    done = _run_module("map", "--practice", str(scrum), "--framework", str(essence),
+                       "--format", "tsv", *_MODE_ARGS["heuristic"])
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, (GOLDEN / "case-study.tsv").read_bytes(), b"")
+    bad = tmp_path / "bad.concepts"
+    bad.write_text("context: EF\nconcept: X\nattr A1: t\nend\n", encoding="utf-8")
+    done = _run_module("parse", str(bad))
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr.decode().startswith(f"essencemap: {bad}:3: attribute id must match")
 
 
 def _write(path, text):

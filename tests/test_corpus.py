@@ -347,6 +347,77 @@ class TestAnnotationTable:
         assert table.level_for(AttrRef("X", "A", "a1"), AttrRef("Y", "B", "b1")) is None
 
 
+_B1 = "Scrum/ProductBacklog.b1"
+
+
+# One input per raise site of each parser, with the full message it gives.
+@pytest.mark.parametrize(
+    "parser,text,line,message",
+    [
+        ("concepts", "context: EF\ncontext: EF2\n", 2, "duplicate 'context:' header"),
+        ("concepts", "context: E/F\n", 1,
+         "context id must be non-empty with no whitespace or '/', got 'E/F'"),
+        ("concepts", "concept: X\nend\n", 1, "missing context header before first concept"),
+        ("concepts", "context: EF\nconcept: X\nconcept: Y\n", 3,
+         "concept block opened at line 2 is still open"),
+        ("concepts", "context: EF\nconcept: X Y\n", 2,
+         "concept name must be a single token with no whitespace, got 'X Y'"),
+        ("concepts", "context: EF\nconcept: X\nend\nconcept: X\nend\n", 4, "duplicate concept name 'X'"),
+        ("concepts", "context: EF\nend\n", 2, "'end' without an open concept block"),
+        ("concepts", "context: EF\nobj o1: x\n", 2, "'obj' line outside a concept block"),
+        ("concepts", "context: EF\nconcept: X\nattr a1 text\nend\n", 3, "expected 'attr <id>: <text>'"),
+        ("concepts", "context: EF\nconcept: X\nattr A1: x\nend\n", 3,
+         "attribute id must match [a-z][a-z0-9]*, got 'A1'"),
+        ("concepts", "context: EF\nconcept: X\nobj o1:   \nend\n", 3, "empty text in object 'o1'"),
+        ("concepts", "context: EF\nconcept: X\nattr a1: x\nattr a1: y\nend\n", 4,
+         "duplicate attribute id 'a1'"),
+        ("concepts", "context: EF\nconcept: X\nobj o1: x\nobj o1: y\nend\n", 4,
+         "duplicate object id 'o1'"),
+        ("concepts", "context: EF\nrel-out: EF/X\n", 2, "'rel-out:' line outside a concept block"),
+        ("concepts", "context: EF\nconcept: X\nrel-in: NoSlash\nend\n", 3,
+         "expected 'rel-in: ctx/Name' with neither part empty and no whitespace, got 'NoSlash'"),
+        ("concepts", "context: EF\nconcept: X\nwhatever here\nend\n", 3,
+         "unrecognized line; expected one of context:, concept:, attr, obj, rel-in:, rel-out:, end"),
+        ("concepts", "context: EF\n\nconcept: X\nattr a1: t\n", 3, "concept block 'X' is never closed with 'end'"),
+        ("concepts", "# only a comment\n", 1, "missing context header"),
+        ("lexicon", "nouns: a, b\n", 1, "expected 'syn:', 'stop:' or 'verb:' line"),
+        ("lexicon", "stop: a,,b\n", 1, "empty token in list"),
+        ("lexicon", "syn: ax, bx, ax\n", 1, "duplicate token 'ax' within synonym group ('ax', 'bx', 'ax')"),
+        ("lexicon", "syn: set-up, setup\n", 1, "synonym 'set-up' can never match: text tokenizes to ['set', 'up']"),
+        ("lexicon", "syn: ax, bx\nsyn: bx, cx\n", 2,
+         "token 'bx' collides with another synonym group via stemmed form 'bx'; "
+         "no two synonym groups may share a stemmed form"),
+        ("lexicon", "verb: set-up\n", 1, "verb 'set-up' can never match: text tokenizes to ['set', 'up']"),
+        ("lexicon", "stop: the\nstop: don't, Foo-Bar\n", 2,
+         "stopword \"don't\" can never match: text tokenizes to ['dont']"),
+        ("annotations", "level: 3\n", 1, "expected 'pair: <ref> <ref> = <level>'"),
+        ("annotations", f"pair: EF/Requirements.a1 {_B1}\n", 1, "expected '= <level>' at end of pair line"),
+        ("annotations", "pair: EF/Requirements.a1 = 1\n", 1, "expected exactly two references, got 1"),
+        ("annotations", f"pair: EF/Requirements.a1 {_B1} = x\n", 1, "level must be an integer, got 'x'"),
+        ("annotations", f"pair: Requirements.a1 {_B1} = 1\n", 1,
+         "expected '<ctx>/<Concept>.<attrId>', got 'Requirements.a1'"),
+        ("annotations", f"pair: EF/Requirements.a1 {_B1} = 4\n", 1,
+         "level must be between 0 and 3 (0..3), got 4 for EF/Requirements.a1 / Scrum/ProductBacklog.b1"),
+        ("annotations", f"pair: {_B1} {_B1} = 1\n", 1, "cannot annotate Scrum/ProductBacklog.b1 against itself"),
+        ("annotations", f"pair: EF/Requirements.a1 {_B1} = 1\npair: {_B1} EF/Requirements.a1 = 2\n", 2,
+         "duplicate annotation for pair Scrum/ProductBacklog.b1 / EF/Requirements.a1"),
+    ],
+)
+def test_every_parser_message_is_pinned(parser, text, line, message, essence_context, scrum_context):
+    parse = {
+        "concepts": parse_concepts,
+        "lexicon": parse_lexicon,
+        "annotations": lambda text, name: parse_annotations(text, (essence_context, scrum_context), name),
+    }[parser]
+    with pytest.raises(CorpusSyntaxError) as info:
+        parse(text, name="in.txt")
+    exc = info.value
+    assert str(exc) == f"in.txt:{line}: {message}"
+    assert (exc.reason, exc.line, exc.source) == (message, line, "in.txt")
+    # No chained traceback: nothing in flight, or suppressed.
+    assert exc.__cause__ is None and (exc.__suppress_context__ or exc.__context__ is None)
+
+
 class TestBundledPath:
     def test_known_files(self):
         for name in ("essence.concepts", "scrum.concepts", "paper-table1.ann", "paper.lex"):

@@ -266,6 +266,14 @@ class TestLexiconValidation:
             add_synonym_group(table, ("items", member))
         assert table == {"pbi": "pbis"}
 
+    @pytest.mark.parametrize("field,what", [("extra_stopwords", "stopword"), ("extra_verbs", "verb")])
+    @pytest.mark.parametrize("token,tokens", [("set-up", "['set', 'up']"), ("don't", "['dont']"),
+                                              ("Foo", "['foo']"), ("", "[]")])
+    def test_stopword_or_verb_that_is_not_one_token(self, field, what, token, tokens):
+        with pytest.raises(ValueError) as info:
+            Lexicon(**{field: frozenset({"fine", token})})
+        assert str(info.value) == f"{what} {token!r} can never match: text tokenizes to {tokens}"
+
 
 class TestStatementScorer:
     def test_requires_table_for_annotated_mode(self):
