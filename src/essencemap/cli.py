@@ -36,7 +36,7 @@ from .errors import (
 )
 from .lta import EMPTY_LEXICON, MODES, extract_spo
 from .mapper import MapConfig, MappingReport, map_contexts, map_pair
-from .matching import DEFAULT_THRESHOLD, THRESHOLDS, candidate_pairs
+from .matching import DEFAULT_THRESHOLD, THRESHOLDS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -214,18 +214,20 @@ def cmd_score(args: argparse.Namespace) -> str:
         "",
         "level matrix:",
     ]
+    # The matrix cells at or above the threshold, in candidate_pairs' order.
+    candidates = []
     right_rows = scorer.profile(right_ctx, right_concept)
     for a in scorer.profile(left_ctx, left_concept):
         for b in right_rows:
-            lines.append(f"{a.ref.attr} {b.ref.attr} {scorer.level(a, b)}")
-
-    candidates = candidate_pairs(
-        left_ctx, left_concept, right_ctx, right_concept, scorer, map_config.threshold
-    )
+            level = scorer.level(a, b)
+            lines.append(f"{a.ref.attr} {b.ref.attr} {level}")
+            if level >= map_config.threshold:
+                candidates.append((-level, a.ref, b.ref))
+    candidates.sort()
     lines.append("")
     lines.append(f"candidates (level >= {map_config.threshold}):")
-    for pair in candidates:
-        lines.append(f"{pair.left.attr} {pair.right.attr} {pair.level}")
+    for level, left, right in candidates:
+        lines.append(f"{left.attr} {right.attr} {-level}")
     if not candidates:
         lines.append("(none)")
 

@@ -239,12 +239,14 @@ def parse_annotations(
         ref = AttrRef.parse(ref_text)
         context = by_id.get(ref.context)
         if context is None:
-            raise UnknownReferenceError(f"{name}:{line}: unknown context in reference {ref}")
-        try:
-            context.concept(ref.concept)
-        except KeyError:
-            raise UnknownReferenceError(f"{name}:{line}: unknown concept in reference {ref}") from None
-        raise UnknownReferenceError(f"{name}:{line}: unknown attribute in reference {ref}")
+            part = "context"
+        else:
+            try:
+                context.concept(ref.concept)
+                part = "attribute"
+            except KeyError:
+                part = "concept"
+        raise UnknownReferenceError(f"unknown {part} in reference {ref}", source=name, line=line)
 
     for number, line in _logical_lines(text):
         try:

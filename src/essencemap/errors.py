@@ -20,7 +20,17 @@ class CorpusSyntaxError(EssenceMapError):
 
 
 class UnknownReferenceError(EssenceMapError):
-    """A context/concept/attribute reference does not resolve."""
+    """A context/concept/attribute reference does not resolve.
+
+    From a file it carries the source and line as :class:`CorpusSyntaxError`
+    does; without a source (a command-line argument) the message is the reason.
+    """
+
+    def __init__(self, message: str, *, source: str | None = None, line: int = 0):
+        super().__init__(message if source is None else f"{source}:{line}: {message}")
+        self.source = source
+        self.line = line
+        self.reason = message
 
 
 class UnannotatedPairError(EssenceMapError):

@@ -5,18 +5,27 @@ of attributes whose level reaches the satisfaction threshold.  When one
 attribute is similar to several on the other side, a maximum-cardinality
 matching decides, with fully deterministic tie-breaking: among maximum
 matchings prefer the highest total level, then the lexicographically
-smallest pair list.  The whole rule is folded into the weights of a single
-assignment problem: with ``P`` candidates sorted ascending, the pair of
-rank ``r`` weighs ``bonus + level * 2**P + 2**(P - 1 - r)``, where the
-cardinality ``bonus`` outweighs every level and tie term together and each
-tie term outweighs all later ones (see ``_select``).
+smallest pair list.  The rule is folded into the weights of one
+maximum-weight matching: with ``P`` distinct cells sorted ascending, the
+cell of rank ``r`` weighs ``bonus + level * 2**P + 2**(P - 1 - r)``.  The
+``bonus`` outweighs all level and tie terms of a matching together, its
+level terms all its tie terms, and each tie term all later ones; so every
+set of cells has its own total, and the unique optimum is the rule's
+choice whatever order a solver visits rows, columns and paths in.
 
-``max_matching`` normalises its input in one pass: one dict keeps the
-highest level per ``(left, right)``, the orientation is decided once so
-the side with the smaller ``(context, concept)`` is on the left, and the
-oriented pairs are sorted once for ``_select``.  The chosen pairs are
-mirrored back once, so swapping the two concepts mirrors the result
-exactly.  A conflict-free candidate set, where no attribute appears twice,
+The solve visits candidate cells only.  Each row owns a private
+"unmatched" column of weight 0, so every row is assigned.  Rows are
+inserted one at a time, each by a Dijkstra search for the shortest
+augmenting path under row and column potentials, so a later row can
+displace an earlier one.  Private columns keep potential 0, and a search
+stops no later than the private column of any row it reaches, so no row
+potential rises above 0 and every reduced cost stays non-negative.
+
+``max_matching`` keeps the highest level per cell, puts the side with the
+smaller ``(context, concept)`` on the left, sorts the cells once to build
+the solve's adjacency lists in rank order, and reads the chosen cells back
+in the caller's orientation, so swapping the two concepts mirrors the
+result.  A conflict-free candidate set, where no attribute appears twice,
 is its own unique optimum and skips the solve.
 
 ``candidate_pairs`` scores only the cells that can reach the threshold:
@@ -27,8 +36,8 @@ of a concept mapped against itself; with a table every cell is scored.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple
 
 from .concepts import AttrRef, Concept
@@ -132,91 +141,54 @@ def candidate_pairs(
     return found
 
 
-def _hungarian_max(profit: list[list[int]]) -> list[int]:
-    """Maximum-profit perfect assignment on a square integer matrix.
+def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -> list[int]:
+    """Maximum-weight matching of rows ``0..len(adjacency)-1`` to columns ``0..columns-1``.
 
-    Shortest augmenting paths with vertex potentials; deterministic for a
-    given matrix.  Returns ``assignment`` with row ``i`` assigned to column
-    ``assignment[i]``.  The sentinel is ``math.inf`` rather than a large
-    int, so it holds whatever the size of the profits.
+    ``adjacency[i]`` lists ``(column, weight)`` for the candidate cells of
+    row ``i``, every weight positive.  Returns the column of each row, or
+    -1 for its private column, which is never stored: a row reached at
+    distance ``d`` has it at ``d - u[row]``.  The reduced cost of a cell is
+    ``-weight - u[row] - v[column]``; only the root's cells may be negative.
     """
-    n = len(profit)
-    cost = [[-value for value in row] for row in profit]
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row assigned to column j (1-based)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = [math.inf] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = math.inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                reduced = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if reduced < minv[j]:
-                    minv[j] = reduced
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
+    row_of = [-1] * columns  # row holding each column, -1 when free
+    col_of = [-1] * len(adjacency)  # column of each row, -1 on its private column
+    u = [0] * len(adjacency)
+    v = [0] * columns
+    for root in range(len(adjacency)):
+        heap = [(-weight - v[j], j, root) for j, weight in adjacency[root]]
+        heapify(heap)
+        done: dict[int, tuple[int, int]] = {}  # scanned column -> (distance, row it came from)
+        tree = [(root, 0)]  # rows reached, with their distances
+        end, end_row, end_col = 0, root, -1  # nearest end: the root's private column
+        while heap:
+            d, j, i = heappop(heap)
+            if d >= end:
                 break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    assignment = [0] * n
-    for j in range(1, n + 1):
-        assignment[match[j] - 1] = j - 1
-    return assignment
-
-
-def _select(pairs: list[CandidatePair]) -> list[CandidatePair]:
-    """Lexicographically smallest matching among the optimal ones.
-
-    ``pairs`` holds distinct ``(left, right)`` cells, sorted ascending.
-    One assignment solve: with ``P`` pairs, the pair of rank ``r`` earns
-    ``bonus + level * 2**P + 2**(P - 1 - r)``; cells without a pair earn
-    0.  Summed over a matching, the level and tie terms stay below
-    ``(3P + 1) * 2**P``, which ``bonus`` exceeds, so more pairs always
-    win; the tie terms sum below ``2**P``, so a higher total level wins
-    next.  Between matchings equal in both, the tie term of the lowest
-    rank where they differ outweighs all later ranks together, and the
-    matching holding that rank is the one whose sorted pair list is
-    smaller.  The optimum is thus unique, whatever the order of the rows
-    and columns, and equals the (cardinality, total level, smallest
-    sorted pair list) rule.
-    """
-    count = len(pairs)
-    bonus = (3 * count + 2) << count
-    row: dict[AttrRef, int] = {}
-    col: dict[AttrRef, int] = {}
-    for pair in pairs:
-        row.setdefault(pair.left, len(row))
-        col.setdefault(pair.right, len(col))
-    size = max(len(row), len(col))
-    profit = [[0] * size for _ in range(size)]
-    at: dict[tuple[int, int], CandidatePair] = {}
-    for rank, pair in enumerate(pairs):
-        cell = (row[pair.left], col[pair.right])
-        profit[cell[0]][cell[1]] = bonus + (pair.level << count) + (1 << (count - 1 - rank))
-        at[cell] = pair
-    assignment = _hungarian_max(profit)
-    return [at[i, j] for i, j in enumerate(assignment) if (i, j) in at]
+            if j in done:
+                continue
+            done[j] = (d, i)
+            row = row_of[j]
+            if row < 0:
+                end, end_col = d, j
+                break
+            tree.append((row, d))
+            base = d - u[row]  # also the distance of the row's private column
+            if base < end:
+                end, end_row = base, row
+            for k, weight in adjacency[row]:
+                if k not in done:
+                    heappush(heap, (base - weight - v[k], k, row))
+        for i, d in tree:
+            u[i] += end - d
+        for j, (d, _) in done.items():
+            v[j] -= end - d
+        if end_col < 0:  # end_row leaves its column for its private one
+            end_col, col_of[end_row] = col_of[end_row], -1
+        j = end_col
+        while j >= 0:  # shift each row on the path; the root's old column is -1
+            i = done[j][1]
+            row_of[j], col_of[i], j = i, j, col_of[i]
+    return col_of
 
 
 def max_matching(
@@ -234,14 +206,28 @@ def max_matching(
     for left, right, level in candidates:
         if best.get((left, right), level) <= level:
             best[left, right] = level
-    if len({l for l, _ in best}) == len(best) == len({r for _, r in best}):
+    lefts, rights = {l for l, _ in best}, {r for _, r in best}
+    if len(lefts) == len(best) == len(rights):
         pairs = tuple(CandidatePair(l, r, level) for (l, r), level in best.items())
         return MatchSet(pairs, left_size, right_size)
+    lefts, rights = sorted(lefts), sorted(rights)
     # Orient so the side with the smaller (context, concept) is on the left.
-    flipped = (min((r.context, r.concept) for _, r in best)
-               < min((l.context, l.concept) for l, _ in best))
-    chosen = _select(sorted(CandidatePair(r, l, level) if flipped else CandidatePair(l, r, level)
-                            for (l, r), level in best.items()))
+    flipped = rights[0][:2] < lefts[0][:2]
     if flipped:
-        chosen = [p.mirrored() for p in chosen]
+        lefts, rights = rights, lefts
+    row = {ref: i for i, ref in enumerate(lefts)}
+    col = {ref: j for j, ref in enumerate(rights)}
+    # (row, column) indices order the cells as their sorted (left, right) refs do.
+    cells = sorted((row[r], col[l], level) if flipped else (row[l], col[r], level)
+                   for (l, r), level in best.items())
+    count = len(cells)
+    bonus = (3 * count + 2) << count
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in lefts]
+    for rank, (i, j, level) in enumerate(cells):
+        adjacency[i].append((j, bonus + (level << count) + (1 << (count - 1 - rank))))
+    chosen = []
+    for i, j in enumerate(_max_weight_matching(adjacency, len(rights))):
+        if j >= 0:
+            key = (rights[j], lefts[i]) if flipped else (lefts[i], rights[j])
+            chosen.append(CandidatePair(*key, best[key]))
     return MatchSet(tuple(chosen), left_size, right_size)

@@ -1,13 +1,18 @@
-"""Exhaustive oracle for ``essencemap.matching.max_matching``, plus :func:`mirror`; test use only.
+"""References for ``essencemap.matching.max_matching``, plus :func:`mirror`; test use only.
 
-Written from the documented rule, sharing no code with the matcher: keep the
-highest level per attribute pair, put the side with the smaller
-``(context, concept)`` on the left, search every bijective subset, and
-mirror the choice back.
+:func:`brute_force_matching` is written from the documented rule, sharing no
+code with the matcher: keep the highest level per attribute pair, put the
+side with the smaller ``(context, concept)`` on the left, search every
+bijective subset, and mirror the choice back.  It refuses sides above ten.
+
+:func:`dense_reference_matching` has no such bound: it solves the same
+weights as one dense assignment problem over a square profit matrix padded
+with zeros, an O(n**3) Hungarian solve that visits every cell.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from essencemap import AttrRef, CandidatePair, EssenceMapError, MatchSet
@@ -88,3 +93,113 @@ def brute_force_matching(
     visit(0, set(), [])
     chosen = MatchSet(tuple(best), *sizes)
     return mirror(chosen) if flipped else chosen
+
+
+def _hungarian_max(profit: list[list[int]]) -> list[int]:
+    """Maximum-profit perfect assignment on a square integer matrix.
+
+    Shortest augmenting paths with vertex potentials; deterministic for a
+    given matrix.  Returns ``assignment`` with row ``i`` assigned to column
+    ``assignment[i]``.  The sentinel is ``math.inf`` rather than a large
+    int, so it holds whatever the size of the profits.
+    """
+    n = len(profit)
+    cost = [[-value for value in row] for row in profit]
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    match = [0] * (n + 1)  # match[j] = row assigned to column j (1-based)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = math.inf
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                reduced = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                if reduced < minv[j]:
+                    minv[j] = reduced
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    assignment = [0] * n
+    for j in range(1, n + 1):
+        assignment[match[j] - 1] = j - 1
+    return assignment
+
+
+def _select(pairs: list[CandidatePair]) -> list[CandidatePair]:
+    """Lexicographically smallest matching among the optimal ones.
+
+    ``pairs`` holds distinct ``(left, right)`` cells, sorted ascending.
+    One assignment solve: with ``P`` pairs, the pair of rank ``r`` earns
+    ``bonus + level * 2**P + 2**(P - 1 - r)``; cells without a pair earn
+    0.  Summed over a matching, the level and tie terms stay below
+    ``(3P + 1) * 2**P``, which ``bonus`` exceeds, so more pairs always
+    win; the tie terms sum below ``2**P``, so a higher total level wins
+    next.  Between matchings equal in both, the tie term of the lowest
+    rank where they differ outweighs all later ranks together, and the
+    matching holding that rank is the one whose sorted pair list is
+    smaller.  The optimum is thus unique, whatever the order of the rows
+    and columns, and equals the (cardinality, total level, smallest
+    sorted pair list) rule.
+    """
+    count = len(pairs)
+    bonus = (3 * count + 2) << count
+    row: dict[AttrRef, int] = {}
+    col: dict[AttrRef, int] = {}
+    for pair in pairs:
+        row.setdefault(pair.left, len(row))
+        col.setdefault(pair.right, len(col))
+    size = max(len(row), len(col))
+    profit = [[0] * size for _ in range(size)]
+    at: dict[tuple[int, int], CandidatePair] = {}
+    for rank, pair in enumerate(pairs):
+        cell = (row[pair.left], col[pair.right])
+        profit[cell[0]][cell[1]] = bonus + (pair.level << count) + (1 << (count - 1 - rank))
+        at[cell] = pair
+    assignment = _hungarian_max(profit)
+    return [at[i, j] for i, j in enumerate(assignment) if (i, j) in at]
+
+
+def dense_reference_matching(
+    candidates: Iterable[CandidatePair], left_size: int, right_size: int
+) -> MatchSet:
+    """Dense reference for :func:`max_matching`, without its conflict-free shortcut.
+
+    Keeps the highest level per cell, orients the side with the smaller
+    ``(context, concept)`` to the left, solves every instance with
+    :func:`_select` and mirrors the choice back.
+    """
+    best: dict[tuple[AttrRef, AttrRef], int] = {}
+    for left, right, level in candidates:
+        best[left, right] = max(level, best.get((left, right), level))
+    if not best:
+        return MatchSet((), left_size, right_size)
+    flipped = (min((r.context, r.concept) for _, r in best)
+               < min((l.context, l.concept) for l, _ in best))
+    chosen = _select(sorted(CandidatePair(r, l, level) if flipped else CandidatePair(l, r, level)
+                            for (l, r), level in best.items()))
+    if flipped:
+        chosen = [p.mirrored() for p in chosen]
+    return MatchSet(tuple(chosen), left_size, right_size)

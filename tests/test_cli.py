@@ -143,6 +143,26 @@ def test_score_case_study_matches_golden(mode, scrum, essence, capsys):
     assert err == ""
 
 
+def test_score_scores_each_cell_once_for_its_listing(scrum, essence, monkeypatch, capsys):
+    # 36 cells for the level matrix, which also gives the candidate listing,
+    # plus 36 for map_pair: with a table every cell can qualify
+    from essencemap.lta import StatementScorer
+
+    calls = []
+    level = StatementScorer.level
+
+    def counting_level(self, a, b):
+        calls.append((a.ref, b.ref))
+        return level(self, a, b)
+
+    monkeypatch.setattr(StatementScorer, "level", counting_level)
+    argv = ["score", "--left", "Scrum/ProductBacklog", "--right", "EF/Requirements",
+            "--practice", str(scrum), "--framework", str(essence), *_MODE_ARGS["annotated"]]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "score-annotated.txt").read_text(encoding="utf-8")
+    assert len(calls) == 72
+
+
 @pytest.mark.parametrize("mode", sorted(_MODE_ARGS))
 @pytest.mark.parametrize("out_format", ["tsv", "jsonl", "table"])
 def test_map_case_study_matches_golden(out_format, mode, scrum, essence, capsys):

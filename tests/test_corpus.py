@@ -315,6 +315,7 @@ class TestParseAnnotations:
             parse_annotations(text, (essence_context, scrum_context), name="t.ann")
         assert type(info.value) is error
         assert str(info.value) == f"t.ann:1: {message}"
+        assert (info.value.source, info.value.line, info.value.reason) == ("t.ann", 1, message)
 
 
 class TestAnnotationTable:

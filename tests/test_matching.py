@@ -16,7 +16,12 @@ from essencemap import (
     matching,
     max_matching,
 )
-from matching_oracle import OracleBoundError, brute_force_matching, mirror
+from matching_oracle import (
+    OracleBoundError,
+    brute_force_matching,
+    dense_reference_matching,
+    mirror,
+)
 
 
 def ref_l(i):
@@ -31,10 +36,10 @@ def cand(i, j, level=2):
     return CandidatePair(ref_l(i), ref_r(j), level)
 
 
-def random_instance(rng, max_side=6):
+def random_instance(rng, max_side=6, densities=(0.15, 0.3, 0.5, 0.7)):
     n_left = rng.randint(0, max_side)
     n_right = rng.randint(0, max_side)
-    density = rng.choice([0.15, 0.3, 0.5, 0.7])
+    density = rng.choice(densities)
     pairs = [
         cand(i, j, rng.randint(1, 3))
         for i in range(1, n_left + 1)
@@ -232,10 +237,10 @@ class TestConflictFreeShortcut:
 
     @pytest.fixture(autouse=True)
     def no_solver(self, monkeypatch):
-        def solve(profit):
+        def solve(adjacency, columns):
             raise self.SolverCalled
 
-        monkeypatch.setattr(matching, "_hungarian_max", solve)
+        monkeypatch.setattr(matching, "_max_weight_matching", solve)
 
     def test_conflict_free_candidates_are_all_matched_without_a_solve(self):
         # A repeated cell keeps its highest level and is not a conflict.
@@ -284,3 +289,77 @@ class TestBruteForceOracle:
             pairs, n_left, n_right = random_instance(rng)
             assert max_matching(pairs, n_left, n_right) == brute_force_matching(pairs, n_left, n_right)
         assert time.perf_counter() - started < 10.0
+
+
+def matched_cells(match):
+    return [(p.left.attr, p.right.attr) for p in match.pairs]
+
+
+class TestDenseReference:
+    """The sparse solve against the dense zero-filled assignment it replaced,
+    on sides above the exhaustive oracle's bound."""
+
+    def test_agreement_on_200_seeded_instances_up_to_24_a_side(self):
+        rng = random.Random(0xD15E)
+        densities = (0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9)
+        for _ in range(200):
+            pairs, n_left, n_right = random_instance(rng, 24, densities)
+            rng.shuffle(pairs)
+            expected = dense_reference_matching(pairs, n_left, n_right)
+            assert max_matching(pairs, n_left, n_right) == expected
+            mirrored = [p.mirrored() for p in pairs]
+            assert max_matching(mirrored, n_right, n_left) == mirror(expected)
+
+    def test_later_row_displaces_an_earlier_one(self):
+        # a1 takes b1 first; a2 must push it back to unmatched
+        candidates = [cand(1, 1, 1), cand(2, 1, 3)]
+        for matcher in (max_matching, dense_reference_matching):
+            assert matched_cells(matcher(candidates, 2, 1)) == [("a2", "b1")]
+
+    def test_three_row_chain_of_displacements(self):
+        # a1 holds b1 and a2 b2 until a3 arrives: one augmenting path then
+        # gives b2 to a3, moves a2 onto b1 and leaves a1 unmatched
+        candidates = [cand(1, 1, 1), cand(2, 1, 2), cand(2, 2, 1), cand(3, 2, 3)]
+        for matcher in (max_matching, dense_reference_matching):
+            assert matched_cells(matcher(candidates, 3, 2)) == [("a2", "b1"), ("a3", "b2")]
+
+    def test_displacements_onto_other_columns(self):
+        # a2 moves a1 from b1 onto b2, then a3 moves a2 from b1 onto b3
+        candidates = [
+            cand(1, 1, 3), cand(1, 2, 1),
+            cand(2, 1, 3), cand(2, 3, 1),
+            cand(3, 1, 3),
+        ]
+        for matcher in (max_matching, dense_reference_matching):
+            assert matched_cells(matcher(candidates, 3, 3)) == [("a1", "b2"), ("a2", "b3"), ("a3", "b1")]
+
+    @pytest.mark.parametrize("n_left,n_right", [(1, 12), (12, 1)])
+    def test_unbalanced_sides(self, n_left, n_right):
+        candidates = [
+            cand(i, j, 1 + (i + j) % 3) for i in range(1, n_left + 1) for j in range(1, n_right + 1)
+        ]
+        selected = max_matching(candidates, n_left, n_right)
+        assert selected == dense_reference_matching(candidates, n_left, n_right)
+        # the one pair: the highest level, then the smallest pair
+        assert [(p.left.attr, p.right.attr, p.level) for p in selected.pairs] == [("a1", "b1", 3)]
+
+    def test_complete_20x20_graph_selects_the_diagonal(self):
+        candidates = [cand(i, j) for i in range(1, 21) for j in range(1, 21)]
+        with time_limit(10.0):
+            selected = max_matching(candidates, 20, 20)
+        assert matched_cells(selected) == sorted((f"a{i}", f"b{i}") for i in range(1, 21))
+
+    def test_disconnected_components(self):
+        # four components: a 2x2 block, a conflicting star, an isolated pair
+        # and a chain; each is solved as if alone
+        candidates = [
+            cand(1, 1), cand(1, 2), cand(2, 1), cand(2, 2),
+            cand(3, 3, 1), cand(4, 3, 2), cand(5, 3, 1),
+            cand(6, 4, 3),
+            cand(7, 5), cand(7, 6), cand(8, 6),
+        ]
+        selected = max_matching(candidates, 8, 6)
+        assert selected == dense_reference_matching(candidates, 8, 6)
+        assert matched_cells(selected) == [
+            ("a1", "b1"), ("a2", "b2"), ("a4", "b3"), ("a6", "b4"), ("a7", "b5"), ("a8", "b6"),
+        ]
