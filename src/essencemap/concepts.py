@@ -135,12 +135,6 @@ class Concept:
         for rel in self.output_relations:
             relation_ref("rel-out", rel)
 
-    def attribute(self, attr_id: str) -> AttributeStatement:
-        for attr in self.attributes:
-            if attr.id == attr_id:
-                return attr
-        raise KeyError(attr_id)
-
 
 @dataclass(frozen=True)
 class SemanticContext:

@@ -65,7 +65,7 @@ class AnnotationTable:
         if type(level) is not int or level not in LEVEL_RANGE:
             raise ValueError(f"level must be between 0 and 3 (0..3), got {level!r} for {left} / {right}")
         if left == right:
-            # A row against itself always scores 3, so such a level is never read.
+            # Never read: StatementScorer.level scores a row 3 against its own reference.
             raise ValueError(f"cannot annotate {left} against itself")
         key = frozenset((left, right))
         if key in self._levels:

@@ -13,8 +13,9 @@ alone), ``annotated`` (levels read from a curated table, errors on gaps)
 and ``hybrid`` (annotation wins when present, heuristic otherwise).
 
 :class:`StatementScorer` splits and canonicalizes each concept's
-statements once, caching one row of part sets per attribute under
-``(context, concept)``; scoring a pair is then three set-overlap tests.
+statements once, caching one row of part sets per attribute; scoring a
+pair is then three set-overlap tests.  The reference is a row's identity:
+a row scores 3 against the row with its own reference, whatever its text.
 When no annotation table is in use it also keeps, per part, a map from
 canonical token to the bitmask of the rows holding it, so a caller can
 find the cells that can reach a threshold without scoring the others (see
@@ -263,10 +264,10 @@ class StatementScorer:
     """Scoring front-end bundling lexicon, annotations and mode.
 
     :meth:`profile` splits and canonicalizes a concept's statements once
-    and caches the rows under ``(context, concept)``, so equal concepts
-    share the same row objects; :meth:`level` compares two rows with no
-    parsing or hashing per pair.  Caching is idempotent, so scores do not
-    depend on the order in which pairs are visited.
+    and caches the rows; :meth:`level` compares two rows with no parsing per
+    pair.  A row scores 3 against the row with its own reference.  Caching
+    is idempotent, so scores do not depend on the order in which pairs are
+    visited.
 
     Next to each profile, :meth:`indexed_profile` keeps one dict per part
     (subject, predicate, object) mapping a canonical token to the bitmask of
@@ -274,8 +275,8 @@ class StatementScorer:
     gives, bit by bit, the rows whose part overlaps it, so the three results
     add up to the heuristic level of every cell of the row; a caller can
     thus pick out the cells that can reach a threshold before scoring them.
-    The masks do not show the diagonal (a row scores 3 against itself even
-    with no content words), which the caller adds.  They know nothing of the
+    The masks do not show the row with a row's own reference (3 even with no
+    content words), which the caller adds.  They know nothing of the
     table either, so when one is in use (annotated mode, and hybrid mode
     with a table) there are none and every cell must be scored.
     """
@@ -293,8 +294,7 @@ class StatementScorer:
         self.lexicon = lexicon
         self.mode = mode
         self._table = None if mode == "heuristic" else annotations
-        self._profiles: dict[tuple[str, Concept], _Entry] = {}
-        self._seen: dict[tuple[str, int], tuple[Concept, _Entry]] = {}
+        self._profiles: dict[tuple[str, int], tuple[Concept, _Entry]] = {}
 
     def profile(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
         """One row per attribute of ``concept``, in attribute order."""
@@ -303,42 +303,40 @@ class StatementScorer:
     def indexed_profile(self, context: str, concept: Concept) -> _Entry:
         """The rows of :meth:`profile` and, with no table in use, their part masks.
 
-        Repeat calls with the same object skip hashing every statement: an
-        entry keyed on its id answers them, and holds the concept alive.
+        Cached on ``(context, id(concept))``; the entry holds the concept
+        alive, so its id is not reused while the scorer lives.
         """
-        seen = self._seen.get((context, id(concept)))
-        if seen is not None:
-            return seen[1]
-        key = (context, concept)
-        entry = self._profiles.get(key)
-        if entry is None:
-            built = []
-            for attr in concept.attributes:
-                ref = AttrRef(context, concept.name, attr.id)
-                spo = extract_spo(attr, concept.name, self.lexicon)
-                parts = (spo.subject, spo.predicate, spo.object_part)
-                built.append(AttrProfile(
-                    ref, *(canonicalize_part(part, self.lexicon) for part in parts), spo.has_verb
-                ))
-            masks = None
-            if self._table is None:
-                masks = ({}, {}, {})
-                for index, row in enumerate(built):
-                    for part, by_token in zip((row.subject, row.predicate, row.object_part), masks):
-                        for token in part:
-                            by_token[token] = by_token.get(token, 0) | 1 << index
-            entry = self._profiles[key] = (tuple(built), masks)
-        self._seen[context, id(concept)] = (concept, entry)
+        cached = self._profiles.get((context, id(concept)))
+        if cached is not None:
+            return cached[1]
+        built = []
+        for attr in concept.attributes:
+            ref = AttrRef(context, concept.name, attr.id)
+            spo = extract_spo(attr, concept.name, self.lexicon)
+            parts = (spo.subject, spo.predicate, spo.object_part)
+            built.append(AttrProfile(
+                ref, *(canonicalize_part(part, self.lexicon) for part in parts), spo.has_verb
+            ))
+        masks = None
+        if self._table is None:
+            masks = ({}, {}, {})
+            for index, row in enumerate(built):
+                for part, by_token in zip((row.subject, row.predicate, row.object_part), masks):
+                    for token in part:
+                        by_token[token] = by_token.get(token, 0) | 1 << index
+        entry = (tuple(built), masks)
+        self._profiles[context, id(concept)] = (concept, entry)
         return entry
 
     def level(self, a: AttrProfile, b: AttrProfile) -> int:
         """Level of one attribute pair; symmetric in ``a`` and ``b``.
 
-        A row against itself scores 3.  Otherwise the table, outside
-        heuristic mode, answers first (a gap is an error in annotated mode),
-        then each part whose canonical sets overlap scores one point.
+        A row scores 3 against the row with its own reference.  Otherwise
+        the table, outside heuristic mode, answers first (a gap is an error
+        in annotated mode), then each part whose canonical sets overlap
+        scores one point.
         """
-        if a is b:
+        if a.ref == b.ref:
             return 3
         if self._table is not None:
             level = self._table.level_for(a.ref, b.ref)

@@ -30,8 +30,8 @@ is its own unique optimum and skips the solve.
 
 ``candidate_pairs`` scores only the cells that can reach the threshold:
 without an annotation table, the per-part token masks of
-:class:`~essencemap.lta.StatementScorer` pick them out, plus the diagonal
-of a concept mapped against itself; with a table every cell is scored.
+:class:`~essencemap.lta.StatementScorer` pick them out, plus each row's
+cell with the row of its own reference; with a table every cell is scored.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class CandidatePair(NamedTuple):
     right: AttrRef
     level: int
 
-    def mirrored(self) -> "CandidatePair":
-        return CandidatePair(self.right, self.left, self.level)
-
 
 @dataclass(frozen=True)
 class MatchSet:
@@ -71,9 +68,7 @@ class MatchSet:
         object.__setattr__(self, "pairs", ordered)
         if self.left_size < 0 or self.right_size < 0:
             raise ValueError("attribute set sizes must be non-negative")
-        lefts = [p.left for p in ordered]
-        rights = [p.right for p in ordered]
-        if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
+        if not len({p.left for p in ordered}) == len({p.right for p in ordered}) == len(ordered):
             raise ValueError("match set must be bijective")
         if len(ordered) > min(self.left_size, self.right_size):
             raise ValueError("match set exceeds the smaller attribute set")
@@ -97,10 +92,11 @@ def candidate_pairs(
     the masks of its tokens in ``c2``'s profile (see
     :class:`~essencemap.lta.StatementScorer`) into ``m0``, ``m1`` and
     ``m2``; the cells that can reach the threshold are those set in at
-    least ``threshold`` of them.  When both sides are one profile, ``a``'s
-    own cell is added too, since a row scores 3 against itself whatever its
-    parts.  With a table every cell is scored: a table level can lift a
-    cell the masks skip, and in annotated mode a gap must still raise.
+    least ``threshold`` of them.  The row of ``c2`` with ``a``'s reference
+    is added too, since it scores 3 whatever its parts; there is one only
+    when both sides have the same context and concept name.  With a table
+    every cell is scored: a table level can lift a cell the masks skip, and
+    in annotated mode a gap must still raise.
     Each cell picked is scored by ``scorer.level``, the one statement of
     the rule, so the result equals a scan of every cell.
     """
@@ -111,7 +107,9 @@ def candidate_pairs(
     rows1 = scorer.profile(context1, c1)
     rows2, masks = scorer.indexed_profile(context2, c2)
     every_row = (1 << len(rows2)) - 1
-    for i, a in enumerate(rows1):
+    same_ref = ({b.ref: 1 << j for j, b in enumerate(rows2)}
+                if (context1, c1.name) == (context2, c2.name) else None)
+    for a in rows1:
         if masks is None:
             hits = every_row
         else:
@@ -128,8 +126,8 @@ def candidate_pairs(
                 hits = (m0 & m1) | (m0 & m2) | (m1 & m2)
             else:
                 hits = m0 & m1 & m2
-            if rows1 is rows2:
-                hits |= 1 << i
+            if same_ref:
+                hits |= same_ref.get(a.ref, 0)
         while hits:
             low = hits & -hits
             hits ^= low
@@ -202,14 +200,14 @@ def max_matching(
     together form the unique optimum, so they are returned without an
     assignment solve.
     """
-    best: dict[tuple[AttrRef, AttrRef], int] = {}
-    for left, right, level in candidates:
-        if best.get((left, right), level) <= level:
-            best[left, right] = level
+    best: dict[tuple[AttrRef, AttrRef], CandidatePair] = {}
+    for pair in candidates:
+        key = pair[:2]
+        if best.get(key, pair).level <= pair.level:
+            best[key] = pair
     lefts, rights = {l for l, _ in best}, {r for _, r in best}
     if len(lefts) == len(best) == len(rights):
-        pairs = tuple(CandidatePair(l, r, level) for (l, r), level in best.items())
-        return MatchSet(pairs, left_size, right_size)
+        return MatchSet(tuple(best.values()), left_size, right_size)
     lefts, rights = sorted(lefts), sorted(rights)
     # Orient so the side with the smaller (context, concept) is on the left.
     flipped = rights[0][:2] < lefts[0][:2]
@@ -218,8 +216,8 @@ def max_matching(
     row = {ref: i for i, ref in enumerate(lefts)}
     col = {ref: j for j, ref in enumerate(rights)}
     # (row, column) indices order the cells as their sorted (left, right) refs do.
-    cells = sorted((row[r], col[l], level) if flipped else (row[l], col[r], level)
-                   for (l, r), level in best.items())
+    cells = sorted((row[r], col[l], pair.level) if flipped else (row[l], col[r], pair.level)
+                   for (l, r), pair in best.items())
     count = len(cells)
     bonus = (3 * count + 2) << count
     adjacency: list[list[tuple[int, int]]] = [[] for _ in lefts]
@@ -228,6 +226,5 @@ def max_matching(
     chosen = []
     for i, j in enumerate(_max_weight_matching(adjacency, len(rights))):
         if j >= 0:
-            key = (rights[j], lefts[i]) if flipped else (lefts[i], rights[j])
-            chosen.append(CandidatePair(*key, best[key]))
+            chosen.append(best[(rights[j], lefts[i]) if flipped else (lefts[i], rights[j])])
     return MatchSet(tuple(chosen), left_size, right_size)

@@ -57,6 +57,12 @@ def make_random_context(rng: random.Random, index: int = 0) -> SemanticContext:
     return SemanticContext(f"ctx{index}", tuple(concepts))
 
 
+def attribute(concept: Concept, attr_id: str) -> AttributeStatement:
+    """The attribute of ``concept`` with id ``attr_id``."""
+    (attr,) = (a for a in concept.attributes if a.id == attr_id)
+    return attr
+
+
 @pytest.fixture(scope="session")
 def data_dir():
     return bundled_path("essence.concepts").parent

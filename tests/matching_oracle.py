@@ -1,4 +1,4 @@
-"""References for ``essencemap.matching.max_matching``, plus :func:`mirror`; test use only.
+"""References for ``essencemap.matching.max_matching``, plus :func:`flip` and :func:`mirror`; test use only.
 
 :func:`brute_force_matching` is written from the documented rule, sharing no
 code with the matcher: keep the highest level per attribute pair, put the
@@ -24,9 +24,14 @@ class OracleBoundError(EssenceMapError):
     """The exhaustive matching oracle refuses oversized instances."""
 
 
+def flip(pair: CandidatePair) -> CandidatePair:
+    """``pair`` seen from the other side."""
+    return CandidatePair(pair.right, pair.left, pair.level)
+
+
 def mirror(match: MatchSet) -> MatchSet:
     """``match`` seen from the other side: every pair and the two sizes swapped."""
-    return MatchSet(tuple(p.mirrored() for p in match.pairs), match.right_size, match.left_size)
+    return MatchSet(tuple(map(flip, match.pairs)), match.right_size, match.left_size)
 
 
 def brute_force_matching(
@@ -201,5 +206,5 @@ def dense_reference_matching(
     chosen = _select(sorted(CandidatePair(r, l, level) if flipped else CandidatePair(l, r, level)
                             for (l, r), level in best.items()))
     if flipped:
-        chosen = [p.mirrored() for p in chosen]
+        chosen = [flip(p) for p in chosen]
     return MatchSet(tuple(chosen), left_size, right_size)

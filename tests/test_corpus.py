@@ -21,7 +21,7 @@ from essencemap import (
 )
 from essencemap.corpus import AnnotationTable
 
-from conftest import make_random_context
+from conftest import attribute, make_random_context
 
 GOOD = """\
 context: EF
@@ -40,16 +40,16 @@ class TestParseConcepts:
         assert essence_context.id == "EF"
         concept = essence_context.concept("Requirements")
         assert [a.id for a in concept.attributes] == ["a1", "a2", "a3", "a4", "a5", "a6"]
-        assert concept.attribute("a1").text == "are the definition of what needs to be achieved"
-        assert concept.attribute("a3").text == (
+        assert attribute(concept, "a1").text == "are the definition of what needs to be achieved"
+        assert attribute(concept, "a3").text == (
             "mechanisms for managing /accepting requirements need to be established"
         )
-        assert concept.attribute("a6").text == "continue to evolve as more is learned."
+        assert attribute(concept, "a6").text == "continue to evolve as more is learned."
 
     def test_bundled_scrum_file(self, scrum_context):
         concept = scrum_context.concept("ProductBacklog")
         assert len(concept.attributes) == 6
-        assert concept.attribute("b2").text == "is required to meet the product owner’s vision"
+        assert attribute(concept, "b2").text == "is required to meet the product owner’s vision"
 
     def test_full_featured_block(self):
         context = parse_concepts(GOOD)
@@ -98,7 +98,7 @@ class TestParseConcepts:
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# leading comment\n\ncontext: EF\n  # indented comment\nconcept: X\nattr a1: t\nend\n"
-        assert parse_concepts(text).concept("X").attribute("a1").text == "t"
+        assert attribute(parse_concepts(text).concept("X"), "a1").text == "t"
 
 
 # Characters on the edge of a rule: line breaks that ``str.splitlines`` splits
@@ -153,7 +153,7 @@ class TestSerializeConcepts:
     def test_hash_inside_text_is_preserved(self):
         context = parse_concepts("context: EF\nconcept: X\nattr a1: uses #tag inline\nend\n")
         again = parse_concepts(serialize_concepts(context))
-        assert again.concept("X").attribute("a1").text == "uses #tag inline"
+        assert attribute(again.concept("X"), "a1").text == "uses #tag inline"
 
     def test_roundtrip_relations(self):
         text = "context: EF\nconcept: X\nattr a1: t\nrel-in: EF/Opportunity\nrel-out: Scrum/Sprint\nend\n"

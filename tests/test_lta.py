@@ -11,6 +11,8 @@ from essencemap import (
     CandidatePair,
     Concept,
     Lexicon,
+    MapConfig,
+    ObjectInstance,
     StatementScorer,
     UnannotatedPairError,
     bundled_path,
@@ -18,9 +20,13 @@ from essencemap import (
     canonicalize_part,
     extract_spo,
     load_lexicon,
+    map_pair,
 )
 from essencemap.corpus import AnnotationTable
 from essencemap.lta import EMPTY_LEXICON, MODES, add_synonym_group, stem, tokenize
+from essencemap.matching import THRESHOLDS
+
+from conftest import attribute, make_random_context
 
 
 def score_pair(left, s1, right, s2, lexicon=EMPTY_LEXICON, annotations=None, mode="heuristic"):
@@ -176,13 +182,13 @@ class TestScorePair:
         assert score_pair(left, s1, right, AttributeStatement("b1", "the is beta")) == 1
 
     def test_annotated_mode_reads_table(self, essence_context, scrum_context, table1_annotations):
-        a3 = essence_context.concept("Requirements").attribute("a3")
-        b3 = scrum_context.concept("ProductBacklog").attribute("b3")
+        a3 = attribute(essence_context.concept("Requirements"), "a3")
+        b3 = attribute(scrum_context.concept("ProductBacklog"), "b3")
         left, right = _refs("a3", "b3")
         level = score_pair(left, a3, right, b3, annotations=table1_annotations, mode="annotated")
         assert level == 2
-        a1 = essence_context.concept("Requirements").attribute("a1")
-        b1 = scrum_context.concept("ProductBacklog").attribute("b1")
+        a1 = attribute(essence_context.concept("Requirements"), "a1")
+        b1 = attribute(scrum_context.concept("ProductBacklog"), "b1")
         left, right = _refs("a1", "b1")
         assert score_pair(left, a1, right, b1, annotations=table1_annotations, mode="annotated") == 1
 
@@ -309,16 +315,19 @@ def _attr_refs(context, concept):
 def _scoring_case(draw, mode, complete=True):
     """(table, (context, concept) x 2) for ``mode``.
 
-    The second side is sometimes the first concept itself, or an equal but
-    distinct copy of it, which the scorer's profile cache must treat the
-    same way.  Annotated mode gets a level for every distinct pair unless
+    The second side is sometimes the first concept itself, an equal but
+    distinct copy of it, or a concept of the same context and name with
+    other texts; in each, a row scores 3 against the row with its own
+    reference.  Annotated mode gets a level for every distinct pair unless
     ``complete`` is false (then one pair of two distinct concepts is left
     out), hybrid mode a random subset, heuristic mode no table.
     """
     c1 = draw(_concept("Alpha", "a"))
-    side2 = draw(st.sampled_from(("other", "same", "equal"))) if complete else "other"
+    side2 = draw(st.sampled_from(("other", "same", "equal", "twin"))) if complete else "other"
     if side2 == "other":
         ctx2, c2 = "Y", draw(_concept("Beta", "b"))
+    elif side2 == "twin":
+        ctx2, c2 = "X", draw(_concept("Alpha", "a"))
     else:
         ctx2, c2 = "X", c1 if side2 == "same" else replace(c1)
     keys = {frozenset((r1, r2)): (r1, r2)
@@ -363,8 +372,8 @@ class TestScoringProperties:
         statement = AttributeStatement("a1", text)
         scorer = StatementScorer(LEXICON, AnnotationTable(()), mode)
         (row,) = scorer.profile("X", Concept("Thing", (statement,)))
-        assert scorer.profile("X", Concept("Thing", (AttributeStatement("a1", text),)))[0] is row
-        assert scorer.level(row, row) == 3
+        (copy_row,) = scorer.profile("X", Concept("Thing", (AttributeStatement("a1", text),)))
+        assert scorer.level(row, row) == scorer.level(row, copy_row) == 3
         ref = AttrRef("X", "Thing", "a1")
         assert score_pair(ref, statement, ref, statement, LEXICON, AnnotationTable(()), mode) == 3
 
@@ -401,6 +410,33 @@ class TestScoringProperties:
                 assert scorer.calls - before == len(found)
                 cells += len(c1.attributes) * len(c2.attributes)
         assert 0 < scorer.calls < cells
+
+    def test_same_reference_scores_3_whatever_the_concept_object(self):
+        # A verbless row scores 2 against an equal text under another reference.
+        statement = AttributeStatement("a1", "product backlog")
+        c1 = Concept("C", (statement,))
+        c2 = Concept("C", (statement,), (ObjectInstance("o1", "the backlog"),))
+        scorer = StatementScorer(LEXICON)
+        (a,), (b,) = scorer.profile("X", c1), scorer.profile("X", c2)
+        (other,) = scorer.profile("Y", c1)
+        assert scorer.level(a, other) == 2
+        assert scorer.level(a, b) == scorer.level(b, a) == 3
+        assert candidate_pairs("X", c1, "X", c2, scorer, 3) == [CandidatePair(a.ref, b.ref, 3)]
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_self_map_and_map_onto_an_equal_copy_score_the_same_cells(self, scrum_context, threshold):
+        config = MapConfig(LEXICON, mode="heuristic", threshold=threshold)
+        contexts = [scrum_context] + [make_random_context(random.Random(seed)) for seed in range(8)]
+        for context in contexts:
+            copy = replace(context, concepts=tuple(replace(c) for c in context.concepts))
+            results, calls = [], []
+            for other in (context, copy):
+                scorer = _CountingScorer(LEXICON)
+                results.append([map_pair(context.id, c1, other.id, c2, config, scorer)
+                                for c1 in context.concepts for c2 in other.concepts])
+                calls.append(scorer.calls)
+            assert results[0] == results[1]
+            assert calls[0] == calls[1] > 0
 
     @given(case=_scoring_case("annotated", complete=False))
     def test_unannotated_pair_raises_in_annotated_mode(self, case):

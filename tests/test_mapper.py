@@ -5,7 +5,9 @@ import pytest
 
 from essencemap import (
     AnnotationTable,
+    AttrRef,
     AttributeStatement,
+    CandidatePair,
     Concept,
     EmptyContextError,
     MapConfig,
@@ -46,6 +48,14 @@ def simple_concept(name, texts, prefix="a"):
 
 
 class TestMapPair:
+    def test_annotated_same_reference_needs_no_table_row(self):
+        c1 = Concept("C", (AttributeStatement("a1", "team builds the product"),))
+        c2 = Concept("C", (AttributeStatement("a1", "owner orders the backlog"),))
+        result = map_pair("X", c1, "X", c2, MapConfig(annotations=AnnotationTable(()), mode="annotated"))
+        ref = AttrRef("X", "C", "a1")
+        assert result.match_set.pairs == (CandidatePair(ref, ref, 3),)
+        assert (result.similarity_pct, result.relation) == (100, "equivalent")
+
     def test_case_study_pair(self, essence_context, scrum_context, tuned_lexicon, table1_annotations):
         config = MapConfig(tuned_lexicon, table1_annotations, mode="annotated", threshold=2)
         result = map_pair(

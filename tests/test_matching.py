@@ -20,6 +20,7 @@ from matching_oracle import (
     OracleBoundError,
     brute_force_matching,
     dense_reference_matching,
+    flip,
     mirror,
 )
 
@@ -221,7 +222,7 @@ class TestMaxMatching:
     def test_mirror_symmetry(self, instance):
         pairs, n_left, n_right = instance
         forward = max_matching(pairs, n_left, n_right)
-        backward = max_matching([p.mirrored() for p in pairs], n_right, n_left)
+        backward = max_matching([flip(p) for p in pairs], n_right, n_left)
         assert backward == mirror(forward)
 
     @given(instances())
@@ -307,7 +308,7 @@ class TestDenseReference:
             rng.shuffle(pairs)
             expected = dense_reference_matching(pairs, n_left, n_right)
             assert max_matching(pairs, n_left, n_right) == expected
-            mirrored = [p.mirrored() for p in pairs]
+            mirrored = [flip(p) for p in pairs]
             assert max_matching(mirrored, n_right, n_left) == mirror(expected)
 
     def test_later_row_displaces_an_earlier_one(self):

@@ -50,4 +50,3 @@ def test_pairs_sort_by_left_right_level(cells):
     # pairs drawn from a few refs, so equal lefts and rights are common
     pairs = [CandidatePair(*cell) for cell in cells]
     assert sorted(pairs) == sorted(pairs, key=lambda p: (_fields(p.left), _fields(p.right), p.level))
-    assert [p.mirrored().mirrored() for p in pairs] == pairs
