@@ -1,8 +1,9 @@
 """Line-oriented corpus, lexicon and annotation file handling.
 
-All three formats share the same conventions: UTF-8, lines are trimmed,
-blank lines are skipped, and a line whose first non-space character is
-``#`` is a comment.  Parse errors always carry the source name and a
+All three formats share the same conventions: UTF-8, with a leading
+byte-order mark skipped when a file is loaded; lines are trimmed, blank
+lines are skipped, and a line whose first non-space character is ``#``
+is a comment.  Parse errors always carry the source name and a
 1-based line number, and no partially built value ever escapes a failed
 parse.
 
@@ -34,6 +35,7 @@ checks do; one handler per parser loop turns that error into a
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
@@ -53,30 +55,37 @@ from .lta import LEVEL_RANGE, Lexicon, add_synonym_group, check_one_token
 
 
 class AnnotationTable:
-    """Curated levels keyed by unordered pairs of distinct attribute references."""
+    """Curated levels for unordered pairs of distinct attribute references.
+
+    Each reference keys a row dict from the other reference to the level, and
+    every pair sits in both rows, so a lookup in either orientation is two
+    dict lookups.
+    """
 
     def __init__(self, entries: Iterable[tuple[AttrRef, AttrRef, int]] = ()):
-        self._levels: dict[frozenset[AttrRef], int] = {}
+        self._rows: dict[AttrRef, dict[AttrRef, int]] = {}
         for left, right, level in entries:
             self.add(left, right, level)
 
     def add(self, left: AttrRef, right: AttrRef, level: int) -> None:
-        """Record one level; raises ValueError for a bad level or pair."""
+        """Record one level; raises ValueError for a bad level or pair before it writes a row."""
         if type(level) is not int or level not in LEVEL_RANGE:
             raise ValueError(f"level must be between 0 and 3 (0..3), got {level!r} for {left} / {right}")
         if left == right:
             # Never read: StatementScorer.level scores a row 3 against its own reference.
             raise ValueError(f"cannot annotate {left} against itself")
-        key = frozenset((left, right))
-        if key in self._levels:
+        if right in self._rows.get(left, ()):
             raise ValueError(f"duplicate annotation for pair {left} / {right}")
-        self._levels[key] = level
+        self._rows.setdefault(left, {})[right] = level
+        self._rows.setdefault(right, {})[left] = level
 
     def level_for(self, left: AttrRef, right: AttrRef) -> Optional[int]:
-        return self._levels.get(frozenset((left, right)))
+        row = self._rows.get(left)
+        return None if row is None else row.get(right)
 
     def __len__(self) -> int:
-        return len(self._levels)
+        """The number of pairs; each sits in two rows."""
+        return sum(map(len, self._rows.values())) // 2
 
 
 def _logical_lines(text: str):
@@ -209,6 +218,11 @@ def parse_lexicon(text: str, name: str = "<input>") -> Lexicon:
     return Lexicon(tuple(groups), frozenset(stopwords), frozenset(verbs))
 
 
+# A well-formed ``pair:`` line.  The second reference runs to the last '=',
+# as ``rpartition`` splits it, and the level is one of the digits 0-3.
+_PAIR_LINE = re.compile(r"pair:[ \t]*(\S+)[ \t]+(\S+)[ \t]*=[ \t]*([0-3])")
+
+
 def parse_annotations(
     text: str,
     contexts: Iterable[SemanticContext],
@@ -222,6 +236,13 @@ def parse_annotations(
     the model accepts, a hit is what the checked path would return.  A miss
     names the part that does not resolve: as ``str(AttrRef.parse(t)) == t``,
     the attribute when the context and concept resolve.
+
+    A line that matches ``_PAIR_LINE`` with both references hits goes
+    straight to :meth:`AnnotationTable.add`; the pattern splits it as the
+    checked path does, so the table and any error ``add`` raises are the
+    same.  Every other line takes the checked path, which writes the
+    shape and reference messages.  Each pair is stored in the table's row
+    dicts under both orientations, and ``len`` counts it once.
     """
     by_id: Mapping[str, SemanticContext] = {ctx.id: ctx for ctx in contexts}
     known: dict[str, AttrRef] = {}
@@ -250,6 +271,12 @@ def parse_annotations(
 
     for number, line in _logical_lines(text):
         try:
+            fast = _PAIR_LINE.fullmatch(line)
+            if fast is not None:
+                left, right = known.get(fast[1]), known.get(fast[2])
+                if left is not None and right is not None:
+                    table.add(left, right, int(fast[3]))
+                    continue
             if not line.startswith("pair:"):
                 raise ValueError("expected 'pair: <ref> <ref> = <level>'")
             body, sep, level_text = line[len("pair:"):].rpartition("=")
@@ -270,14 +297,17 @@ def parse_annotations(
 
 
 def _read_utf8(path: Path) -> str:
-    """Text of ``path``; a byte that is not UTF-8 is a syntax error on its line."""
-    data = path.read_bytes()
+    """Text of ``path`` after any leading byte-order mark.
+
+    A byte that is not UTF-8 is a syntax error on its line.
+    """
     try:
-        return data.decode("utf-8")
+        return path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # ``exc.object`` is what was decoded: the bytes after a byte-order mark.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise CorpusSyntaxError(
-            f"invalid UTF-8 byte 0x{data[exc.start]:02X}", source=str(path), line=line
+            f"invalid UTF-8 byte 0x{exc.object[exc.start]:02X}", source=str(path), line=line
         ) from None
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from essencemap import (
@@ -13,7 +13,9 @@ from essencemap import (
     SemanticContext,
     UnknownReferenceError,
     bundled_path,
+    load_annotations,
     load_concepts,
+    load_lexicon,
     parse_annotations,
     parse_concepts,
     parse_lexicon,
@@ -21,6 +23,7 @@ from essencemap import (
 )
 from essencemap.corpus import AnnotationTable
 
+from annotation_oracle import reference_parse_annotations
 from conftest import attribute, make_random_context
 
 GOOD = """\
@@ -346,6 +349,155 @@ class TestAnnotationTable:
     def test_missing_pair_is_none(self):
         table = AnnotationTable(())
         assert table.level_for(AttrRef("X", "A", "a1"), AttrRef("Y", "B", "b1")) is None
+
+
+_TABLE_REFS = (AttrRef("X", "A", "a1"), AttrRef("X", "A", "a2"), AttrRef("Y", "B", "b1"), AttrRef("Y", "B", "b2"))
+_table_refs = st.sampled_from(_TABLE_REFS)
+
+
+def _levels(table):
+    return {(left, right): table.level_for(left, right) for left in _TABLE_REFS for right in _TABLE_REFS}
+
+
+class TestAnnotationTableProperties:
+    @settings(max_examples=300)
+    @given(adds=st.lists(st.tuples(_table_refs, _table_refs,
+                                   st.one_of(st.integers(-1, 4), st.sampled_from([True, 2.0, "2"]))),
+                         max_size=12))
+    def test_symmetric_counted_once_and_unchanged_by_a_failed_add(self, adds):
+        table, expected = AnnotationTable(), {}
+        for left, right, level in adds:
+            before = (len(table), _levels(table))
+            valid = (type(level) is int and 0 <= level <= 3 and left != right
+                     and frozenset((left, right)) not in expected)
+            try:
+                table.add(left, right, level)
+            except ValueError:
+                assert not valid
+                assert (len(table), _levels(table)) == before
+            else:
+                assert valid
+                expected[frozenset((left, right))] = level
+        levels = _levels(table)
+        assert all(levels[left, right] == levels[right, left] for left, right in levels)
+        assert levels == {pair: expected.get(frozenset(pair)) for pair in levels}
+        assert len(table) == len(expected)
+
+    @given(left=_table_refs, right=_table_refs, first=st.integers(0, 3), second=st.integers(0, 3))
+    def test_reversed_duplicate_raises_and_keeps_the_first_level(self, left, right, first, second):
+        assume(left != right)
+        table = AnnotationTable(((left, right, first),))
+        with pytest.raises(ValueError) as info:
+            table.add(right, left, second)
+        assert str(info.value) == f"duplicate annotation for pair {right} / {left}"
+        assert (len(table), table.level_for(left, right), table.level_for(right, left)) == (1, first, first)
+
+
+# '=' inside context and concept names, and a context shadowed by a later one with its id.
+_ORACLE_CONTEXTS = (
+    SemanticContext("X", (Concept("Z", (AttributeStatement("z1", "shadowed"),)),)),
+    SemanticContext("X", (Concept("A", (AttributeStatement("a1", "t"), AttributeStatement("a2", "t"))),
+                          Concept("B=C", (AttributeStatement("b1", "t"),)),
+                          Concept("D=", (AttributeStatement("d1", "t"),)))),
+    SemanticContext("Y=", (Concept("E", (AttributeStatement("e1", "t"), AttributeStatement("e2", "t"))),)),
+)
+_ORACLE_REFS = [AttrRef(ctx.id, concept.name, attr.id)
+                for ctx in _ORACLE_CONTEXTS for concept in ctx.concepts for attr in concept.attributes]
+_GOOD_REFS = [str(ref) for ref in _ORACLE_REFS[1:]]
+_BAD_REFS = ["X/Z.z1", "X/A.a9", "X/Q.a1", "Q/A.a1", "A.a1", "X/A.a1.", "X/B.C.b1", "X/D.d1", "=", "X/A.a1="]
+# int() reads the first eight; the checked path rejects the rest.
+_GOOD_LEVELS = ["0", "1", "2", "3", " 3", "+1", "01", "\u0663"]
+_BAD_LEVELS = ["1_0", "4", "-1", "x", "", "1 2"]
+_GOOD_GAPS = ["", " ", "\t", "  ", " \t "]
+
+
+@st.composite
+def _annotation_texts(draw):
+    """``pair:`` lines.  A clean text holds distinct pairs of known references
+    with levels ``int`` reads; any other text adds near misses, self pairs,
+    repeats in either orientation and lines that are no pair."""
+    if draw(st.booleans()):
+        good = st.sampled_from(_GOOD_REFS)
+        items = draw(st.lists(st.tuples(good, good).filter(lambda pair: pair[0] != pair[1]),
+                              min_size=1, max_size=6, unique_by=frozenset))
+        levels, gaps = st.sampled_from(_GOOD_LEVELS), st.sampled_from(_GOOD_GAPS)
+    else:
+        refs = st.sampled_from(_GOOD_REFS + _BAD_REFS)
+        levels = st.sampled_from(_GOOD_LEVELS + _BAD_LEVELS)
+        gaps = st.sampled_from(_GOOD_GAPS + ["\xa0", "\x1f"])
+        items = []
+        for _ in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(["fresh", "fresh", "self", "repeat", "reversed", "other"]))
+            pairs = [item for item in items if isinstance(item, tuple)]
+            if kind == "other":
+                items.append(draw(st.sampled_from(["# note", "", "pair: X/A.a1 = 1", "level: 3"])))
+            elif kind in ("repeat", "reversed") and pairs:
+                left, right = draw(st.sampled_from(pairs))
+                items.append((left, right) if kind == "repeat" else (right, left))
+            else:
+                left = draw(refs)
+                items.append((left, left if kind == "self" else draw(refs)))
+    lines = []
+    for item in items:
+        if isinstance(item, tuple):
+            g0, g1, g2, g3 = (draw(gaps) for _ in range(4))
+            item = f"pair:{g0}{item[0]}{g1 or ' '}{item[1]}{g2}={g3}{draw(levels)}"
+        lines.append(item)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500)
+@given(text=_annotation_texts())
+def test_fast_path_parses_as_the_checked_path(text):
+    try:
+        expected = reference_parse_annotations(text, _ORACLE_CONTEXTS, name="t.ann")
+    except (CorpusSyntaxError, UnknownReferenceError) as exc:
+        with pytest.raises(type(exc)) as info:
+            parse_annotations(text, _ORACLE_CONTEXTS, name="t.ann")
+        got = info.value
+        assert type(got) is type(exc)
+        assert (str(got), got.reason, got.source, got.line) == (str(exc), exc.reason, exc.source, exc.line)
+        return
+    table = parse_annotations(text, _ORACLE_CONTEXTS, name="t.ann")
+    assert len(table) == len(expected)
+    for left in _ORACLE_REFS:
+        for right in _ORACLE_REFS:
+            assert table.level_for(left, right) == expected.get(frozenset((left, right)))
+
+
+class TestByteOrderMark:
+    BOM = b"\xef\xbb\xbf"
+
+    @pytest.mark.parametrize("filename", ["essence.concepts", "scrum.concepts", "paper.lex"])
+    def test_bom_file_parses_as_without(self, filename, tmp_path):
+        load = load_lexicon if filename.endswith(".lex") else load_concepts
+        path = tmp_path / filename
+        path.write_bytes(self.BOM + bundled_path(filename).read_bytes())
+        assert load(path) == load(bundled_path(filename))
+
+    def test_bom_annotation_file_parses_as_without(self, tmp_path, essence_context, scrum_context,
+                                                   table1_annotations):
+        path = tmp_path / "table.ann"
+        path.write_bytes(self.BOM + bundled_path("paper-table1.ann").read_bytes())
+        table = load_annotations(path, (essence_context, scrum_context))
+        refs = [AttrRef(ctx.id, concept.name, attr.id) for ctx in (essence_context, scrum_context)
+                for concept in ctx.concepts for attr in concept.attributes]
+        assert len(table) == len(table1_annotations) == 36
+        assert all(table.level_for(left, right) == table1_annotations.level_for(left, right)
+                   for left in refs for right in refs)
+
+    @pytest.mark.parametrize("bom", [b"", BOM])
+    @pytest.mark.parametrize("body,line,byte", [
+        (b"\xff\ncontext: X\n", 1, "FF"),
+        (b"context: X\n\xff\n", 2, "FF"),
+        (b"context: X\nconcept: Y\nattr a1: caf\xe9\nend\n", 3, "E9"),
+    ])
+    def test_bad_byte_names_its_line(self, bom, body, line, byte, tmp_path):
+        path = tmp_path / "bad.concepts"
+        path.write_bytes(bom + body)
+        with pytest.raises(CorpusSyntaxError) as info:
+            load_concepts(path)
+        assert (info.value.line, info.value.reason) == (line, f"invalid UTF-8 byte 0x{byte}")
 
 
 _B1 = "Scrum/ProductBacklog.b1"
