@@ -89,8 +89,11 @@ class AnnotationTable:
 
 
 def _logical_lines(text: str):
-    """Yield (line_number, trimmed_line) skipping blanks and comments."""
-    for number, raw in enumerate(text.splitlines(), 1):
+    """Yield (line_number, trimmed_line) skipping blanks and comments.
+
+    One leading byte-order mark (U+FEFF) is dropped; anywhere else it is text.
+    """
+    for number, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -297,14 +300,13 @@ def parse_annotations(
 
 
 def _read_utf8(path: Path) -> str:
-    """Text of ``path`` after any leading byte-order mark.
+    """Text of ``path``; the parsers drop a leading byte-order mark.
 
     A byte that is not UTF-8 is a syntax error on its line.
     """
     try:
-        return path.read_bytes().decode("utf-8-sig")
+        return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        # ``exc.object`` is what was decoded: the bytes after a byte-order mark.
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise CorpusSyntaxError(
             f"invalid UTF-8 byte 0x{exc.object[exc.start]:02X}", source=str(path), line=line

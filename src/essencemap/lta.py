@@ -16,9 +16,12 @@ and ``hybrid`` (annotation wins when present, heuristic otherwise).
 statements once, caching one row of part sets per attribute; scoring a
 pair is then three set-overlap tests.  The reference is a row's identity:
 a row scores 3 against the row with its own reference, whatever its text.
-When no annotation table is in use it also keeps, per part, a map from
-canonical token to the bitmask of the rows holding it, so a caller can
-find the cells that can reach a threshold without scoring the others (see
+The rows of all concepts profiled under one context id form one index,
+each concept at a fixed bit offset.  When no annotation table is in use
+the index also keeps, per part, a map from canonical token to the bitmask
+of the rows holding it, so one sweep per row finds the cells of the whole
+context that can reach a threshold, and a concept pair reads its slice
+without scoring the others (see
 :func:`~essencemap.matching.candidate_pairs`).
 """
 
@@ -255,9 +258,23 @@ class AttrProfile(NamedTuple):
     has_verb: bool
 
 
-#: A profile's rows and, with no table in use, one dict per part (subject,
-#: predicate, object) from canonical token to the bitmask of the rows holding it.
-_Entry = tuple[tuple[AttrProfile, ...], Optional[tuple[dict[str, int], ...]]]
+class _ContextIndex:
+    """Every row profiled under one context id, each concept's rows at a fixed bit offset.
+
+    ``concepts`` maps ``id(concept)`` to the concept (held alive, so its id
+    is not reused), its rows and its offset.  ``masks`` (one per part) and
+    ``refs`` map a canonical token or a reference to the bitmask of the rows
+    holding it; ``sweeps`` keeps each sweep with the row count it saw.
+    """
+
+    __slots__ = ("size", "concepts", "masks", "refs", "sweeps")
+
+    def __init__(self):
+        self.size = 0
+        self.concepts: dict[int, tuple[Concept, tuple[AttrProfile, ...], int]] = {}
+        self.masks: tuple[dict[str, int], ...] = ({}, {}, {})
+        self.refs: dict[AttrRef, int] = {}
+        self.sweeps: dict[tuple[str, int, int], tuple[int, tuple[int, ...]]] = {}
 
 
 class StatementScorer:
@@ -269,16 +286,16 @@ class StatementScorer:
     is idempotent, so scores do not depend on the order in which pairs are
     visited.
 
-    Next to each profile, :meth:`indexed_profile` keeps one dict per part
-    (subject, predicate, object) mapping a canonical token to the bitmask of
-    the rows that hold it.  ORing the masks of one row's tokens per part
-    gives, bit by bit, the rows whose part overlaps it, so the three results
-    add up to the heuristic level of every cell of the row; a caller can
-    thus pick out the cells that can reach a threshold before scoring them.
-    The masks do not show the row with a row's own reference (3 even with no
-    content words), which the caller adds.  They know nothing of the
-    table either, so when one is in use (annotated mode, and hybrid mode
-    with a table) there are none and every cell must be scored.
+    The rows of every concept profiled under one context id form that
+    context's index, each concept at a fixed bit offset
+    (:meth:`placed_profile`).  With no table in use the index keeps, per
+    part, a dict from canonical token to the bitmask of the rows holding it.
+    ORing the masks of one row's tokens per part gives, bit by bit, the rows
+    of the whole context whose part overlaps it, and the three results add
+    up to the heuristic level of each cell; so :meth:`sweep` picks out, once
+    per row and context, the cells that can reach a threshold.  With a
+    table in use (annotated mode, and hybrid mode with a table) a table
+    level can lift any cell, so the sweep marks every cell.
     """
 
     def __init__(
@@ -294,21 +311,28 @@ class StatementScorer:
         self.lexicon = lexicon
         self.mode = mode
         self._table = None if mode == "heuristic" else annotations
-        self._profiles: dict[tuple[str, int], tuple[Concept, _Entry]] = {}
+        self._contexts: dict[str, _ContextIndex] = {}
+
+    def _index(self, context: str) -> _ContextIndex:
+        index = self._contexts.get(context)
+        if index is None:
+            index = self._contexts[context] = _ContextIndex()
+        return index
 
     def profile(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
         """One row per attribute of ``concept``, in attribute order."""
-        return self.indexed_profile(context, concept)[0]
+        return self.placed_profile(context, concept)[0]
 
-    def indexed_profile(self, context: str, concept: Concept) -> _Entry:
-        """The rows of :meth:`profile` and, with no table in use, their part masks.
+    def placed_profile(self, context: str, concept: Concept) -> tuple[tuple[AttrProfile, ...], int]:
+        """The rows of :meth:`profile` and the bit of the first one in ``context``'s index.
 
-        Cached on ``(context, id(concept))``; the entry holds the concept
-        alive, so its id is not reused while the scorer lives.
+        A concept joins the index the first time it is profiled there, so
+        its offset never changes.
         """
-        cached = self._profiles.get((context, id(concept)))
-        if cached is not None:
-            return cached[1]
+        index = self._index(context)
+        placed = index.concepts.get(id(concept))
+        if placed is not None:
+            return placed[1:]
         built = []
         for attr in concept.attributes:
             ref = AttrRef(context, concept.name, attr.id)
@@ -317,16 +341,56 @@ class StatementScorer:
             built.append(AttrProfile(
                 ref, *(canonicalize_part(part, self.lexicon) for part in parts), spo.has_verb
             ))
-        masks = None
+        rows, offset = tuple(built), index.size
         if self._table is None:
-            masks = ({}, {}, {})
-            for index, row in enumerate(built):
-                for part, by_token in zip((row.subject, row.predicate, row.object_part), masks):
+            for bit, row in enumerate(rows, offset):
+                for part, by_token in zip((row.subject, row.predicate, row.object_part), index.masks):
                     for token in part:
-                        by_token[token] = by_token.get(token, 0) | 1 << index
-        entry = (tuple(built), masks)
-        self._profiles[context, id(concept)] = (concept, entry)
-        return entry
+                        by_token[token] = by_token.get(token, 0) | 1 << bit
+                index.refs[row.ref] = index.refs.get(row.ref, 0) | 1 << bit
+        index.size += len(rows)
+        index.concepts[id(concept)] = (concept, rows, offset)
+        return rows, offset
+
+    def sweep(
+        self, context1: str, c1: Concept, context2: str, threshold: int
+    ) -> tuple[tuple[AttrProfile, ...], tuple[int, ...]]:
+        """The rows of ``c1`` and, for each, the rows of ``context2`` it can reach ``threshold`` with.
+
+        Bit ``j`` of a row's mask is set when row ``j`` of ``context2`` shares
+        at least ``threshold`` (1 to 3) parts with it or has its reference,
+        and with a table in use always, so a cell left out scores below
+        ``threshold``.  Cached until a concept joins ``context2``.
+        """
+        rows = self.profile(context1, c1)
+        index = self._index(context2)
+        key = (context1, id(c1), threshold)
+        cached = index.sweeps.get(key)
+        if cached is not None and cached[0] == index.size:
+            return rows, cached[1]
+        if self._table is not None:
+            hits = ((1 << index.size) - 1,) * len(rows)
+        else:
+            subjects, predicates, objects = index.masks
+            found = []
+            for a in rows:
+                m0 = m1 = m2 = 0
+                for token in a.subject:
+                    m0 |= subjects.get(token, 0)
+                for token in a.predicate:
+                    m1 |= predicates.get(token, 0)
+                for token in a.object_part:
+                    m2 |= objects.get(token, 0)
+                if threshold == 1:
+                    mask = m0 | m1 | m2
+                elif threshold == 2:
+                    mask = (m0 & m1) | (m0 & m2) | (m1 & m2)
+                else:
+                    mask = m0 & m1 & m2
+                found.append(mask | index.refs.get(a.ref, 0))
+            hits = tuple(found)
+        index.sweeps[key] = (index.size, hits)
+        return rows, hits
 
     def level(self, a: AttrProfile, b: AttrProfile) -> int:
         """Level of one attribute pair; symmetric in ``a`` and ``b``.

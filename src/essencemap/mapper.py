@@ -141,12 +141,21 @@ def map_contexts(
     if not framework.concepts:
         raise EmptyContextError(f"context {framework.id!r} has no concepts")
     scorer = config.make_scorer()
+    # Profile every concept before the first sweep, so each context's index
+    # is complete and each practice row is swept once.
+    ordered = [sorted(context.concepts, key=lambda c: c.name) for context in (practice, framework)]
+    text_scored = config.mode != "annotated"
+    verbless = set()
+    for context, concepts in zip((practice, framework), ordered):
+        for concept in concepts:
+            rows = scorer.profile(context.id, concept)
+            verbless.update(str(row.ref) for row in rows if text_scored and not row.has_verb)
     results = []
     best_matches = []
-    for p_concept in sorted(practice.concepts, key=lambda c: c.name):
+    for p_concept in ordered[0]:
         row = [
             map_pair(practice.id, p_concept, framework.id, f_concept, config, scorer)
-            for f_concept in sorted(framework.concepts, key=lambda c: c.name)
+            for f_concept in ordered[1]
         ]
         results.extend(row)
         top = min(
@@ -160,12 +169,6 @@ def map_contexts(
                 similarity_pct=top.similarity_pct,
             )
         )
-    verbless = set()
-    if config.mode != "annotated":
-        for context in (practice, framework):
-            for concept in context.concepts:
-                rows = scorer.profile(context.id, concept)
-                verbless.update(str(row.ref) for row in rows if not row.has_verb)
     return MappingReport(
         practice_context=practice.id,
         framework_context=framework.id,

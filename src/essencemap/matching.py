@@ -28,10 +28,13 @@ in the caller's orientation, so swapping the two concepts mirrors the
 result.  A conflict-free candidate set, where no attribute appears twice,
 is its own unique optimum and skips the solve.
 
-``candidate_pairs`` scores only the cells that can reach the threshold:
-without an annotation table, the per-part token masks of
-:class:`~essencemap.lta.StatementScorer` pick them out, plus each row's
-cell with the row of its own reference; with a table every cell is scored.
+``candidate_pairs`` scores only the cells that can reach the threshold.
+:meth:`~essencemap.lta.StatementScorer.sweep` picks them out once per row
+of the first concept against every row profiled in the second concept's
+context, and each concept pair reads its slice of those masks.  Without
+an annotation table the picked cells are those with enough overlapping
+parts, plus each row's cell with the row of its own reference; with a
+table every cell is scored.
 """
 
 from __future__ import annotations
@@ -88,46 +91,26 @@ def candidate_pairs(
     Scoring errors (for instance an unannotated pair in annotated mode)
     propagate.
 
-    With no annotation table in use, a row ``a`` of ``c1`` ORs, per part,
-    the masks of its tokens in ``c2``'s profile (see
-    :class:`~essencemap.lta.StatementScorer`) into ``m0``, ``m1`` and
-    ``m2``; the cells that can reach the threshold are those set in at
-    least ``threshold`` of them.  The row of ``c2`` with ``a``'s reference
-    is added too, since it scores 3 whatever its parts; there is one only
-    when both sides have the same context and concept name.  With a table
-    every cell is scored: a table level can lift a cell the masks skip, and
-    in annotated mode a gap must still raise.
-    Each cell picked is scored by ``scorer.level``, the one statement of
-    the rule, so the result equals a scan of every cell.
+    ``scorer.sweep`` gives each row of ``c1`` one mask over every row
+    profiled in ``context2``: the cells that share at least ``threshold``
+    parts with it or have its reference, or every cell when a table is in
+    use, since a table level can lift a cell the parts do not and in
+    annotated mode a gap must still raise (see
+    :class:`~essencemap.lta.StatementScorer`).  The cells of ``c2`` are the
+    slice ``(hits >> offset) & ((1 << n2) - 1)``, with ``offset`` the bit
+    of ``c2``'s first row.  Each cell picked is scored by ``scorer.level``,
+    the one statement of the rule, so the result equals a scan of every
+    cell.
     """
     if threshold not in THRESHOLDS:
         raise ValueError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
     found = []
     score = scorer.level
-    rows1 = scorer.profile(context1, c1)
-    rows2, masks = scorer.indexed_profile(context2, c2)
-    every_row = (1 << len(rows2)) - 1
-    same_ref = ({b.ref: 1 << j for j, b in enumerate(rows2)}
-                if (context1, c1.name) == (context2, c2.name) else None)
-    for a in rows1:
-        if masks is None:
-            hits = every_row
-        else:
-            m0 = m1 = m2 = 0
-            for token in a.subject:
-                m0 |= masks[0].get(token, 0)
-            for token in a.predicate:
-                m1 |= masks[1].get(token, 0)
-            for token in a.object_part:
-                m2 |= masks[2].get(token, 0)
-            if threshold == 1:
-                hits = m0 | m1 | m2
-            elif threshold == 2:
-                hits = (m0 & m1) | (m0 & m2) | (m1 & m2)
-            else:
-                hits = m0 & m1 & m2
-            if same_ref:
-                hits |= same_ref.get(a.ref, 0)
+    rows2, offset = scorer.placed_profile(context2, c2)
+    rows1, swept = scorer.sweep(context1, c1, context2, threshold)
+    width = (1 << len(rows2)) - 1
+    for a, hits in zip(rows1, swept):
+        hits = (hits >> offset) & width
         while hits:
             low = hits & -hits
             hits ^= low

@@ -486,6 +486,53 @@ class TestByteOrderMark:
         assert all(table.level_for(left, right) == table1_annotations.level_for(left, right)
                    for left in refs for right in refs)
 
+    FILES = ("essence.concepts", "scrum.concepts", "paper.lex", "paper-table1.ann")
+    # File suffix -> the message of a line that holds a stray U+FEFF.
+    STRAY = {
+        "concepts": "unrecognized line; expected one of context:, concept:, attr, obj,"
+                    " rel-in:, rel-out:, end",
+        "lex": "expected 'syn:', 'stop:' or 'verb:' line",
+        "ann": "expected 'pair: <ref> <ref> = <level>'",
+    }
+
+    @staticmethod
+    def _parse(filename, text, contexts):
+        if filename.endswith(".ann"):
+            return parse_annotations(text, contexts, name="t")
+        parse = parse_lexicon if filename.endswith(".lex") else parse_concepts
+        return parse(text, name="t")
+
+    @pytest.mark.parametrize("filename", FILES)
+    def test_parsed_text_with_a_leading_bom_parses_as_without(self, filename, essence_context,
+                                                               scrum_context):
+        contexts = (essence_context, scrum_context)
+        text = bundled_path(filename).read_text(encoding="utf-8")
+        with_bom = self._parse(filename, "\ufeff" + text, contexts)
+        without = self._parse(filename, text, contexts)
+        if filename.endswith(".ann"):
+            refs = [AttrRef(ctx.id, concept.name, attr.id) for ctx in contexts
+                    for concept in ctx.concepts for attr in concept.attributes]
+            assert len(with_bom) == len(without) == 36
+            assert all(with_bom.level_for(left, right) == without.level_for(left, right)
+                       for left in refs for right in refs)
+        else:
+            assert with_bom == without
+
+    @pytest.mark.parametrize("filename", FILES)
+    @pytest.mark.parametrize("where", ["second mark", "second line", "last line"])
+    def test_a_bom_anywhere_else_is_a_stray_character(self, filename, where, essence_context,
+                                                      scrum_context):
+        text = bundled_path(filename).read_text(encoding="utf-8")
+        bad, line = {
+            "second mark": ("\ufeff\ufeff" + text, 1),
+            "second line": ("\n\ufeff" + text, 2),
+            "last line": (text + "\ufeff\n", len(text.splitlines()) + 1),
+        }[where]
+        with pytest.raises(CorpusSyntaxError) as info:
+            self._parse(filename, bad, (essence_context, scrum_context))
+        assert (info.value.source, info.value.line, info.value.reason) == (
+            "t", line, self.STRAY[filename.rpartition(".")[2]])
+
     @pytest.mark.parametrize("bom", [b"", BOM])
     @pytest.mark.parametrize("body,line,byte", [
         (b"\xff\ncontext: X\n", 1, "FF"),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from essencemap import (
     canonicalize_part,
     extract_spo,
     load_lexicon,
+    map_contexts,
     map_pair,
 )
 from essencemap.corpus import AnnotationTable
@@ -444,3 +446,99 @@ class TestScoringProperties:
         scorer = StatementScorer(LEXICON, table, "annotated")
         with pytest.raises(UnannotatedPairError, match="unannotated pair"):
             candidate_pairs(ctx1, c1, ctx2, c2, scorer, 1)
+
+
+def _full_scan(table, mode, side1, side2, threshold):
+    """Candidates of one concept pair by scoring every cell with a fresh scorer."""
+    scorer = StatementScorer(LEXICON, table, mode)
+    found = [CandidatePair(a.ref, b.ref, level)
+             for a in scorer.profile(*side1) for b in scorer.profile(*side2)
+             if (level := scorer.level(a, b)) >= threshold]
+    return sorted(found, key=lambda p: (-p.level, p.left, p.right))
+
+
+@st.composite
+def _scorer_session(draw):
+    """(mode, table, concepts, calls) for one long-lived scorer.
+
+    Each concept sits in context X or Y and is named from three names, so
+    pairs within one context id and twins (one context and name, other
+    texts) both occur.  A call profiles one concept, or takes the
+    candidates of or maps one ordered pair at a threshold; a concept first
+    named by a late call joins its context after earlier sweeps of it.
+    Some concepts reuse the texts of an earlier one.  Hybrid mode gets
+    levels for a random subset of the distinct pairs, annotated mode for
+    all of them.
+    """
+    pool = []
+    for _ in range(draw(st.integers(3, 6))):
+        concept = draw(_concept(draw(st.sampled_from(("Alpha", "Beta", "Gamma"))), "a"))
+        if pool and draw(st.booleans()):  # texts of an earlier concept, so cells reach level 3
+            concept = replace(concept, attributes=draw(st.sampled_from(pool))[1].attributes)
+        pool.append((draw(st.sampled_from("XY")), concept))
+    index = st.integers(0, len(pool) - 1)
+    calls = draw(st.lists(st.one_of(
+        st.tuples(st.just("profile"), index),
+        st.tuples(st.sampled_from(("candidates", "map")), index, index, st.sampled_from(THRESHOLDS)),
+    ), min_size=4, max_size=20))
+    mode = draw(st.sampled_from(MODES))
+    table = None
+    if mode != "heuristic":
+        refs = {ref for context, concept in pool for ref in _attr_refs(context, concept)}
+        pairs = sorted({frozenset(pair) for pair in itertools.combinations(sorted(refs), 2)}, key=sorted)
+        table = AnnotationTable((*sorted(pair), draw(st.integers(0, 3))) for pair in pairs
+                                if mode == "annotated" or draw(st.booleans()))
+    return mode, table, pool, calls
+
+
+_STALE_SWEEP = (
+    "heuristic", None,
+    [("X", Concept("Alpha", (AttributeStatement("a1", "backlog is the vision"),))),
+     ("Y", Concept("Beta", (AttributeStatement("a1", "stakeholders provide grooming"),))),
+     ("Y", Concept("Gamma", (AttributeStatement("a1", "backlog is the vision"),))),
+     ("X", Concept("Gamma", (AttributeStatement("a1", "the vision is backlog"),)))],
+    # Alpha's rows are swept against Y, then Gamma joins Y; Alpha and X/Gamma share X.
+    [("candidates", 0, 1, 2), ("candidates", 0, 2, 2), ("map", 3, 0, 3), ("candidates", 0, 3, 3)],
+)
+
+
+class TestLongLivedScorer:
+    @given(session=_scorer_session())
+    @example(session=_STALE_SWEEP)
+    def test_interleaved_calls_equal_fresh_full_scans(self, session):
+        mode, table, pool, calls = session
+        scorer = StatementScorer(LEXICON, table, mode)
+        for call, *args in calls:
+            if call == "profile":
+                side = pool[args[0]]
+                assert scorer.profile(*side) == StatementScorer(LEXICON, table, mode).profile(*side)
+                continue
+            i, j, threshold = args
+            if call == "candidates":
+                assert (candidate_pairs(*pool[i], *pool[j], scorer, threshold)
+                        == _full_scan(table, mode, pool[i], pool[j], threshold))
+            else:
+                config = MapConfig(LEXICON, table, mode, threshold)
+                assert map_pair(*pool[i], *pool[j], config, scorer) == map_pair(*pool[i], *pool[j], config)
+
+    def test_stale_sweep_example_finds_the_late_concept(self):
+        _, _, pool, _ = _STALE_SWEEP
+        scorer = StatementScorer(LEXICON)
+        assert candidate_pairs(*pool[0], *pool[1], scorer, 2) == []
+        assert candidate_pairs(*pool[0], *pool[2], scorer, 2) == [
+            CandidatePair(AttrRef("X", "Alpha", "a1"), AttrRef("Y", "Gamma", "a1"), 3)]
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_map_contexts_equals_map_pair_pair_by_pair(self, scrum_context, essence_context,
+                                                       table1_annotations, mode, threshold):
+        config = MapConfig(LEXICON, table1_annotations, mode, threshold)
+        sides = [(scrum_context, essence_context), (essence_context, scrum_context)]
+        if mode == "heuristic":
+            randoms = [make_random_context(random.Random(seed), seed) for seed in range(4)]
+            sides += [(randoms[0], randoms[1]), (randoms[2], randoms[2]), (randoms[3], randoms[3])]
+        for practice, framework in sides:
+            expected = [map_pair(practice.id, c1, framework.id, c2, config)
+                        for c1 in sorted(practice.concepts, key=lambda c: c.name)
+                        for c2 in sorted(framework.concepts, key=lambda c: c.name)]
+            assert list(map_contexts(practice, framework, config).results) == expected

@@ -1,0 +1,43 @@
+"""The report of each benchmark workload at seed 1, pinned by SHA-256.
+
+Each workload's corpus is generated by ``bench/corpora.py`` and mapped
+in-process with the options the benchmark passes, so a change that moves
+any report byte of the three workloads fails here, not only in the
+benchmark's own comparison.  Regenerate a hash only for an intended report
+change, such as the case-study work of ROADMAP item 2, and name the change
+and the new hash in CHANGES.md.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from essencemap import bundled_path
+from essencemap.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import corpora  # noqa: E402
+
+REPORT_SHA256 = {
+    "scoring-wide": "674bc573bdeefb77b4b48d4a161f0358bab0ad416541f83d225756d5530a324f",
+    "matching-dense": "e3dc94cb223f5a9ac8e7a12ef675efda9217101d84d3b3e7cebafc50c2ae07a4",
+    "annotated-hybrid": "47198a961427ac8690fd9da0af50ecbc2a7f968c0105f5d339f47e6ce11e7adb",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(REPORT_SHA256))
+def test_seed_1_report_hash(workload, tmp_path, capsys):
+    shape = corpora.SHAPES[workload]
+    paths = corpora.write(corpora.generate(shape, 1), tmp_path)
+    out = tmp_path / "report.out"
+    argv = ["map", "--practice", str(paths["practice"]), "--framework", str(paths["framework"]),
+            "--lexicon", str(bundled_path("paper.lex")), "--mode", shape.mode,
+            "--threshold", str(shape.threshold), "--format", shape.out_format, "--out", str(out)]
+    if "annotations" in paths:
+        argv += ["--annotations", str(paths["annotations"])]
+    assert main(argv) == 0
+    capsys.readouterr()  # the no-verb diagnostics
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[workload]
