@@ -17,15 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .concepts import (
-    Concept,
-    SemanticContext,
-    equivalent,
-    independent,
-    related,
-    sub_concept,
-    super_concept,
-)
+from .concepts import Concept, SemanticContext
 from .corpus import load_annotations, load_concepts, load_lexicon
 from .errors import (
     CorpusSyntaxError,
@@ -35,7 +27,7 @@ from .errors import (
     UnknownReferenceError,
 )
 from .lta import EMPTY_LEXICON, MODES, extract_spo
-from .mapper import MapConfig, MappingReport, map_contexts, map_pair
+from .mapper import RELATIONS, MapConfig, MappingReport, map_contexts, map_pair
 from .matching import DEFAULT_THRESHOLD, THRESHOLDS
 
 EXIT_OK = 0
@@ -243,15 +235,10 @@ def cmd_score(args: argparse.Namespace) -> str:
 
     lines.append("")
     lines.append("relations:")
-    predicates = (
-        ("related", related),
-        ("independent", independent),
-        ("equivalent", equivalent),
-        ("sub-concept", sub_concept),
-        ("super-concept", super_concept),
-    )
-    for label, fn in predicates:
-        lines.append(f"{label}: {'yes' if fn(left_concept, right_concept, match) else 'no'}")
+    predicates = dict(RELATIONS)
+    for label in ("related", "independent", "equivalent", "sub-concept", "super-concept"):
+        holds = predicates[label](left_concept, right_concept, match)
+        lines.append(f"{label}: {'yes' if holds else 'no'}")
 
     lines.append("")
     lines.append(f"{left_concept.name} -> {right_concept.name}  {pct}%  {result.relation}")

@@ -302,12 +302,14 @@ def parse_annotations(
 def _read_utf8(path: Path) -> str:
     """Text of ``path``; the parsers drop a leading byte-order mark.
 
-    A byte that is not UTF-8 is a syntax error on its line.
+    A byte that is not UTF-8 is a syntax error on its line, numbered as
+    the parsers number lines, by ``str.splitlines``.
     """
     try:
         return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        # The text before the bad byte decodes; "x" stands for the byte itself.
+        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
         raise CorpusSyntaxError(
             f"invalid UTF-8 byte 0x{exc.object[exc.start]:02X}", source=str(path), line=line
         ) from None

@@ -16,13 +16,8 @@ and ``hybrid`` (annotation wins when present, heuristic otherwise).
 statements once, caching one row of part sets per attribute; scoring a
 pair is then three set-overlap tests.  The reference is a row's identity:
 a row scores 3 against the row with its own reference, whatever its text.
-The rows of all concepts profiled under one context id form one index,
-each concept at a fixed bit offset.  When no annotation table is in use
-the index also keeps, per part, a map from canonical token to the bitmask
-of the rows holding it, so one sweep per row finds the cells of the whole
-context that can reach a threshold, and a concept pair reads its slice
-without scoring the others (see
-:func:`~essencemap.matching.candidate_pairs`).
+:meth:`StatementScorer.cells` names the cells of a concept pair that can
+reach a threshold, read from a bitmask index over each context's rows.
 """
 
 from __future__ import annotations
@@ -30,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .concepts import AttrRef, AttributeStatement, Concept
@@ -286,16 +282,17 @@ class StatementScorer:
     is idempotent, so scores do not depend on the order in which pairs are
     visited.
 
-    The rows of every concept profiled under one context id form that
-    context's index, each concept at a fixed bit offset
-    (:meth:`placed_profile`).  With no table in use the index keeps, per
-    part, a dict from canonical token to the bitmask of the rows holding it.
-    ORing the masks of one row's tokens per part gives, bit by bit, the rows
-    of the whole context whose part overlaps it, and the three results add
-    up to the heuristic level of each cell; so :meth:`sweep` picks out, once
-    per row and context, the cells that can reach a threshold.  With a
-    table in use (annotated mode, and hybrid mode with a table) a table
-    level can lift any cell, so the sweep marks every cell.
+    :meth:`cells` names the pairs of two concepts' rows worth scoring
+    against a threshold.  The rows of every concept profiled under one
+    context id form that context's index, each concept at a fixed bit
+    offset.  With no table in use the index keeps, per part, a dict from
+    canonical token to the bitmask of the rows holding it.  ORing the masks
+    of one row's tokens per part gives, bit by bit, the rows of the whole
+    context whose part overlaps it, and the three results add up to the
+    heuristic level of each cell; so one sweep per row and context picks
+    out the cells that can reach a threshold, and each concept pair reads
+    its slice.  With a table in use (annotated mode, and hybrid mode with
+    a table) a table level can lift any cell, so every cell is named.
     """
 
     def __init__(
@@ -313,26 +310,18 @@ class StatementScorer:
         self._table = None if mode == "heuristic" else annotations
         self._contexts: dict[str, _ContextIndex] = {}
 
-    def _index(self, context: str) -> _ContextIndex:
+    def profile(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
+        """One row per attribute of ``concept``, in attribute order.
+
+        A concept joins ``context``'s index the first time it is profiled
+        there, so its offset never changes.
+        """
         index = self._contexts.get(context)
         if index is None:
             index = self._contexts[context] = _ContextIndex()
-        return index
-
-    def profile(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
-        """One row per attribute of ``concept``, in attribute order."""
-        return self.placed_profile(context, concept)[0]
-
-    def placed_profile(self, context: str, concept: Concept) -> tuple[tuple[AttrProfile, ...], int]:
-        """The rows of :meth:`profile` and the bit of the first one in ``context``'s index.
-
-        A concept joins the index the first time it is profiled there, so
-        its offset never changes.
-        """
-        index = self._index(context)
         placed = index.concepts.get(id(concept))
         if placed is not None:
-            return placed[1:]
+            return placed[1]
         built = []
         for attr in concept.attributes:
             ref = AttrRef(context, concept.name, attr.id)
@@ -341,39 +330,38 @@ class StatementScorer:
             built.append(AttrProfile(
                 ref, *(canonicalize_part(part, self.lexicon) for part in parts), spo.has_verb
             ))
-        rows, offset = tuple(built), index.size
+        rows = tuple(built)
         if self._table is None:
-            for bit, row in enumerate(rows, offset):
+            for bit, row in enumerate(rows, index.size):
                 for part, by_token in zip((row.subject, row.predicate, row.object_part), index.masks):
                     for token in part:
                         by_token[token] = by_token.get(token, 0) | 1 << bit
                 index.refs[row.ref] = index.refs.get(row.ref, 0) | 1 << bit
+        index.concepts[id(concept)] = (concept, rows, index.size)
         index.size += len(rows)
-        index.concepts[id(concept)] = (concept, rows, offset)
-        return rows, offset
+        return rows
 
-    def sweep(
-        self, context1: str, c1: Concept, context2: str, threshold: int
-    ) -> tuple[tuple[AttrProfile, ...], tuple[int, ...]]:
-        """The rows of ``c1`` and, for each, the rows of ``context2`` it can reach ``threshold`` with.
+    def cells(
+        self, context1: str, c1: Concept, context2: str, c2: Concept, threshold: int
+    ) -> Iterable[tuple[AttrProfile, AttrProfile]]:
+        """The row pairs of ``c1`` x ``c2`` that can reach ``threshold`` (1 to 3).
 
-        Bit ``j`` of a row's mask is set when row ``j`` of ``context2`` shares
-        at least ``threshold`` (1 to 3) parts with it or has its reference,
-        and with a table in use always, so a cell left out scores below
-        ``threshold``.  Cached until a concept joins ``context2``.
+        With a table in use every pair, since a table level can lift a cell
+        the parts do not.  Otherwise the pairs that share at least
+        ``threshold`` parts or a reference, row by row of ``c1``; a pair
+        left out scores below ``threshold``.
         """
-        rows = self.profile(context1, c1)
-        index = self._index(context2)
-        key = (context1, id(c1), threshold)
-        cached = index.sweeps.get(key)
-        if cached is not None and cached[0] == index.size:
-            return rows, cached[1]
+        rows2 = self.profile(context2, c2)
+        rows1 = self.profile(context1, c1)
         if self._table is not None:
-            hits = ((1 << index.size) - 1,) * len(rows)
-        else:
+            return product(rows1, rows2)
+        index = self._contexts[context2]
+        key = (context1, id(c1), threshold)
+        swept = index.sweeps.get(key)
+        if swept is None or swept[0] != index.size:  # a concept joined since
             subjects, predicates, objects = index.masks
             found = []
-            for a in rows:
+            for a in rows1:
                 m0 = m1 = m2 = 0
                 for token in a.subject:
                     m0 |= subjects.get(token, 0)
@@ -388,9 +376,16 @@ class StatementScorer:
                 else:
                     mask = m0 & m1 & m2
                 found.append(mask | index.refs.get(a.ref, 0))
-            hits = tuple(found)
-        index.sweeps[key] = (index.size, hits)
-        return rows, hits
+            swept = index.sweeps[key] = (index.size, tuple(found))
+        offset, width = index.concepts[id(c2)][2], (1 << len(rows2)) - 1
+        pairs = []
+        for a, hits in zip(rows1, swept[1]):
+            hits = (hits >> offset) & width
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                pairs.append((a, rows2[low.bit_length() - 1]))
+        return pairs
 
     def level(self, a: AttrProfile, b: AttrProfile) -> int:
         """Level of one attribute pair; symmetric in ``a`` and ``b``.

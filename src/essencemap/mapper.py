@@ -2,13 +2,14 @@
 
 For every concept pair: score the attribute pairs that can reach the
 threshold, select the bijective matching, compute the similarity
-percentage and classify the relationship under a fixed precedence
-(equivalent, then sub-concept, then super-concept, then related, then
-independent).  A report over two whole contexts carries
-one result per concept pair plus, for each practice concept, its best
-framework match: the highest similarity, ties going to the relation that
-comes first in that precedence and then to the smaller name, so a concept
-mapped against itself picks itself.  The report also carries, once per
+percentage and classify the relationship by the first relation of
+:data:`RELATIONS` whose predicate holds.  A report over two whole contexts
+carries one result per concept pair plus, for each practice concept, its
+best framework match: the highest similarity, ties going to the relation
+that comes first in :data:`RELATIONS` and then to the smaller name.  So a
+concept mapped against its own context picks itself unless a concept with
+a smaller name is equivalent to it too, as one with the same attribute
+texts and objects is.  The report also carries, once per
 run, a sorted note for each statement of either context in which no verb
 was found (none in annotated mode, where the text is never scored).
 Everything is deterministic: identical inputs and configuration produce
@@ -25,6 +26,7 @@ from .concepts import (
     Concept,
     SemanticContext,
     equivalent,
+    independent,
     related,
     similarity,
     sub_concept,
@@ -35,7 +37,16 @@ from .errors import EmptyContextError, NoAttributesError
 from .lta import EMPTY_LEXICON, Lexicon, StatementScorer
 from .matching import DEFAULT_THRESHOLD, MatchSet, candidate_pairs, max_matching
 
-RELATION_LABELS = ("equivalent", "sub-concept", "super-concept", "related", "independent")
+#: Each relation with its predicate, in precedence order; ``related`` and
+#: ``independent`` cover every pair, so some predicate always holds.
+RELATIONS = (
+    ("equivalent", equivalent),
+    ("sub-concept", sub_concept),
+    ("super-concept", super_concept),
+    ("related", related),
+    ("independent", independent),
+)
+RELATION_LABELS = tuple(label for label, _ in RELATIONS)
 
 
 @dataclass(frozen=True)
@@ -91,16 +102,10 @@ class MappingReport:
 
 
 def classify(c1: Concept, c2: Concept, match: MatchSet) -> str:
-    """Single headline label; the underlying predicates stay queryable."""
-    if equivalent(c1, c2, match):
-        return "equivalent"
-    if sub_concept(c1, c2, match):
-        return "sub-concept"
-    if super_concept(c1, c2, match):
-        return "super-concept"
-    if related(c1, c2, match):
-        return "related"
-    return "independent"
+    """The first label of :data:`RELATIONS` whose predicate holds."""
+    for label, holds in RELATIONS:
+        if holds(c1, c2, match):
+            return label
 
 
 def map_pair(
@@ -141,8 +146,8 @@ def map_contexts(
     if not framework.concepts:
         raise EmptyContextError(f"context {framework.id!r} has no concepts")
     scorer = config.make_scorer()
-    # Profile every concept before the first sweep, so each context's index
-    # is complete and each practice row is swept once.
+    # Profile every concept before the first pair, so each context's index
+    # is complete when StatementScorer.cells first reads it.
     ordered = [sorted(context.concepts, key=lambda c: c.name) for context in (practice, framework)]
     text_scored = config.mode != "annotated"
     verbless = set()

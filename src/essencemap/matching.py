@@ -28,13 +28,8 @@ in the caller's orientation, so swapping the two concepts mirrors the
 result.  A conflict-free candidate set, where no attribute appears twice,
 is its own unique optimum and skips the solve.
 
-``candidate_pairs`` scores only the cells that can reach the threshold.
-:meth:`~essencemap.lta.StatementScorer.sweep` picks them out once per row
-of the first concept against every row profiled in the second concept's
-context, and each concept pair reads its slice of those masks.  Without
-an annotation table the picked cells are those with enough overlapping
-parts, plus each row's cell with the row of its own reference; with a
-table every cell is scored.
+``candidate_pairs`` scores only the cells that
+:meth:`~essencemap.lta.StatementScorer.cells` names for the threshold.
 """
 
 from __future__ import annotations
@@ -89,35 +84,17 @@ def candidate_pairs(
 
     Sorted by level descending, then left and right reference ascending.
     Scoring errors (for instance an unannotated pair in annotated mode)
-    propagate.
-
-    ``scorer.sweep`` gives each row of ``c1`` one mask over every row
-    profiled in ``context2``: the cells that share at least ``threshold``
-    parts with it or have its reference, or every cell when a table is in
-    use, since a table level can lift a cell the parts do not and in
-    annotated mode a gap must still raise (see
-    :class:`~essencemap.lta.StatementScorer`).  The cells of ``c2`` are the
-    slice ``(hits >> offset) & ((1 << n2) - 1)``, with ``offset`` the bit
-    of ``c2``'s first row.  Each cell picked is scored by ``scorer.level``,
-    the one statement of the rule, so the result equals a scan of every
-    cell.
+    propagate.  The cells scored are those ``scorer.cells`` names, each
+    by ``scorer.level``, so the result equals a scan of every cell.
     """
     if threshold not in THRESHOLDS:
         raise ValueError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
     found = []
     score = scorer.level
-    rows2, offset = scorer.placed_profile(context2, c2)
-    rows1, swept = scorer.sweep(context1, c1, context2, threshold)
-    width = (1 << len(rows2)) - 1
-    for a, hits in zip(rows1, swept):
-        hits = (hits >> offset) & width
-        while hits:
-            low = hits & -hits
-            hits ^= low
-            b = rows2[low.bit_length() - 1]
-            level = score(a, b)
-            if level >= threshold:
-                found.append(CandidatePair(a.ref, b.ref, level))
+    for a, b in scorer.cells(context1, c1, context2, c2, threshold):
+        level = score(a, b)
+        if level >= threshold:
+            found.append(CandidatePair(a.ref, b.ref, level))
     found.sort(key=lambda p: (-p.level, p.left, p.right))
     return found
 

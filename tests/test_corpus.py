@@ -546,8 +546,24 @@ class TestByteOrderMark:
             load_concepts(path)
         assert (info.value.line, info.value.reason) == (line, f"invalid UTF-8 byte 0x{byte}")
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r", b"\x0c", "\u0085".encode()],
+                             ids=["lf", "cr", "form-feed", "next-line"])
+    def test_bad_byte_line_is_numbered_as_the_parser_numbers_it(self, newline, tmp_path):
+        def lines(third):
+            return newline.join([b"context: X", b"concept: Y", third, b"end", b""])
 
-_B1 = "Scrum/ProductBacklog.b1"
+        path = tmp_path / "bad.concepts"
+        path.write_bytes(lines(b"\xff"))
+        with pytest.raises(CorpusSyntaxError) as info:
+            load_concepts(path)
+        assert (info.value.line, info.value.reason) == (3, "invalid UTF-8 byte 0xFF")
+        path.write_bytes(lines(b"bogus"))
+        with pytest.raises(CorpusSyntaxError) as info:
+            load_concepts(path)
+        assert info.value.line == 3
+
+
+_B1 ="Scrum/ProductBacklog.b1"
 
 
 # One input per raise site of each parser, with the full message it gives.

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from essencemap import (
     AnnotationTable,
@@ -24,6 +26,7 @@ from essencemap import (
     super_concept,
 )
 from essencemap.mapper import classify
+from essencemap.matching import THRESHOLDS
 
 from conftest import make_random_context
 
@@ -45,6 +48,43 @@ def simple_concept(name, texts, prefix="a"):
         name,
         tuple(AttributeStatement(f"{prefix}{i + 1}", t) for i, t in enumerate(texts)),
     )
+
+
+def precedence(c1, c2, match):
+    """The relation precedence, written out: the label ``classify`` must give."""
+    if equivalent(c1, c2, match):
+        return "equivalent"
+    if sub_concept(c1, c2, match):
+        return "sub-concept"
+    if super_concept(c1, c2, match):
+        return "super-concept"
+    if related(c1, c2, match):
+        return "related"
+    return "independent"
+
+
+# Texts over a few subjects, verbs, objects and stopwords: some statements
+# have no verb, and some are all stopwords past the verb.
+_texts = st.lists(
+    st.sampled_from("team product backlog is are must small fast the of and".split()),
+    min_size=1, max_size=5,
+).map(" ".join)
+
+
+@st.composite
+def _contexts(draw):
+    names = draw(st.lists(st.sampled_from(("Alpha", "Beta", "Gamma", "Delta")),
+                          min_size=1, max_size=4, unique=True))
+    concepts = []
+    for name in names:
+        texts = draw(st.lists(_texts, min_size=1, max_size=5))
+        labels = draw(st.lists(st.sampled_from(("one", "two")), max_size=2, unique=True))
+        concepts.append(Concept(
+            name,
+            tuple(AttributeStatement(f"a{i + 1}", t) for i, t in enumerate(texts)),
+            tuple(ObjectInstance(f"o{i + 1}", t) for i, t in enumerate(labels)),
+        ))
+    return SemanticContext("X", tuple(concepts))
 
 
 class TestMapPair:
@@ -166,6 +206,33 @@ class TestMapContexts:
             ("Beta", "Beta"),
         ]
 
+    def test_self_mapping_tie_goes_to_the_smaller_name(self):
+        # Same attribute texts and objects: each is 100% equivalent to the
+        # other, so Beta's best match is Alpha, not itself.
+        attrs = simple_concept("Any", ["team is small", "product is fast"]).attributes
+        objects = (ObjectInstance("o1", "one"),)
+        context = SemanticContext("X", (Concept("Alpha", attrs, objects), Concept("Beta", attrs, objects)))
+        report = map_contexts(context, context, MapConfig(mode="heuristic"))
+        assert {r.right: (r.similarity_pct, r.relation) for r in report.results if r.left == "X/Beta"} == {
+            "X/Alpha": (100, "equivalent"),
+            "X/Beta": (100, "equivalent"),
+        }
+        assert [(b.practice, b.framework, b.similarity_pct) for b in report.best_matches] == [
+            ("Alpha", "Alpha", 100),
+            ("Beta", "Alpha", 100),
+        ]
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    @pytest.mark.parametrize("mode", ["heuristic", "hybrid"])
+    @given(context=_contexts())
+    def test_self_mapping_is_100_percent(self, mode, threshold, context):
+        table = AnnotationTable(()) if mode == "hybrid" else None
+        report = map_contexts(context, context, MapConfig(annotations=table, mode=mode, threshold=threshold))
+        diagonal = [r for r in report.results if r.left == r.right]
+        assert len(diagonal) == len(context.concepts)
+        assert all((r.similarity_pct, r.relation) == (100, "equivalent") for r in diagonal)
+        assert all(b.similarity_pct == 100 for b in report.best_matches)
+
     def test_empty_context_rejected(self):
         empty = SemanticContext("E")
         other = SemanticContext("O", (simple_concept("X", ["is x"]),))
@@ -211,6 +278,32 @@ class TestMapContexts:
                     assert not equivalent(left, right, result.match_set)
                     assert not sub_concept(left, right, result.match_set)
                     assert not super_concept(left, right, result.match_set)
+
+    def test_labels_follow_the_written_precedence(self):
+        # One hand-built pair per label, then seeded random pairs.
+        pairs = [
+            (["team is small"], ["team is small"]),
+            (["team is small", "product is fast"], ["team is small"]),
+            (["team is small"], ["team is small", "product is fast"]),
+            (["team is small", "product is fast"], ["team is small", "cat is blue"]),
+            (["team is small"], ["cat sat on mat"]),
+        ]
+        config = MapConfig(mode="heuristic")
+        labels = [
+            map_pair("P", simple_concept("A", left), "F", simple_concept("B", right, "b"), config).relation
+            for left, right in pairs
+        ]
+        assert labels == ["equivalent", "sub-concept", "super-concept", "related", "independent"]
+        rng = random.Random(0xABCD)
+        for index in range(8):
+            practice = make_random_context(rng, index * 2)
+            framework = make_random_context(rng, index * 2 + 1)
+            report = map_contexts(practice, framework, config)
+            lookup = {f"{practice.id}/{c.name}": c for c in practice.concepts}
+            lookup.update({f"{framework.id}/{c.name}": c for c in framework.concepts})
+            for result in report.results:
+                left, right = lookup[result.left], lookup[result.right]
+                assert result.relation == precedence(left, right, result.match_set)
 
     @pytest.mark.parametrize("mode", ["heuristic", "hybrid"])
     def test_diagnostics_name_each_verbless_statement_once(self, mode, tuned_lexicon):
