@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import NoAttributesError
@@ -184,7 +185,17 @@ def similarity(c1: Concept, c2: Concept, m: "MatchSet") -> Fraction:
         raise NoAttributesError(
             f"no attributes to compare between {c1.name!r} and {c2.name!r}"
         )
-    return Fraction(100 * k, n1 + n2 - k)
+    return _percentage(k, n1 + n2 - k)
+
+
+@lru_cache(maxsize=None)
+def _percentage(k: int, union: int) -> Fraction:
+    """``100 * k / union``, one shared (immutable) ``Fraction`` per argument pair.
+
+    The cache is never pruned; it holds one entry per distinct ``(k, union)``
+    a process sees, and both are bounded by the attribute counts mapped.
+    """
+    return Fraction(100 * k, union)
 
 
 def equivalent(c1: Concept, c2: Concept, m: "MatchSet") -> bool:

@@ -74,10 +74,17 @@ class AnnotationTable:
         if left == right:
             # Never read: StatementScorer.level scores a row 3 against its own reference.
             raise ValueError(f"cannot annotate {left} against itself")
-        if right in self._rows.get(left, ()):
+        rows = self._rows
+        left_row = rows.get(left)
+        if left_row is None:  # a new reference, so no duplicate: the checks are done
+            left_row = rows[left] = {}
+        elif right in left_row:
             raise ValueError(f"duplicate annotation for pair {left} / {right}")
-        self._rows.setdefault(left, {})[right] = level
-        self._rows.setdefault(right, {})[left] = level
+        left_row[right] = level
+        right_row = rows.get(right)
+        if right_row is None:
+            right_row = rows[right] = {}
+        right_row[left] = level
 
     def level_for(self, left: AttrRef, right: AttrRef) -> Optional[int]:
         row = self._rows.get(left)

@@ -14,7 +14,10 @@ and ``hybrid`` (annotation wins when present, heuristic otherwise).
 
 :class:`StatementScorer` splits and canonicalizes each concept's
 statements once, caching one row of part sets per attribute; scoring a
-pair is then three set-overlap tests.  The reference is a row's identity:
+pair is then three set-overlap tests.  A :class:`Lexicon` folds and
+verb-tests each distinct token once and memoizes the answers, so the
+per-token work grows with the vocabulary, not with the number of times a
+token occurs.  The reference is a row's identity:
 a row scores 3 against the row with its own reference, whatever its text.
 :meth:`StatementScorer.cells` names the cells of a concept pair that can
 reach a threshold, read from a bitmask index over each context's rows.
@@ -101,6 +104,11 @@ class Lexicon:
     the stemmed forms of all members, so inflected corpus tokens reach
     their group without every inflection being listed.  Every stopword,
     verb and group member must pass :func:`check_one_token`.
+
+    Each instance memoizes, per raw token, its :meth:`fold` and its
+    :meth:`is_verb` answer; the memo is the instance's own, so two
+    lexicons never share one.  It is never pruned: the shared
+    :data:`EMPTY_LEXICON`'s memo grows with the vocabulary a process sees.
     """
 
     synonym_groups: tuple[tuple[str, ...], ...] = ()
@@ -117,6 +125,8 @@ class Lexicon:
             for token in sorted(tokens):
                 check_one_token(token, what)
         self.synonym_map  # validate the groups at construction
+        object.__setattr__(self, "_folds", {})
+        object.__setattr__(self, "_verdicts", {})
 
     @cached_property
     def synonym_map(self) -> dict[str, str]:
@@ -141,9 +151,31 @@ class Lexicon:
     def canonical(self, stemmed_token: str) -> str:
         return self.synonym_map.get(stemmed_token, stemmed_token)
 
+    def fold(self, token: str) -> Optional[str]:
+        """Canonical form of one raw token, or ``None`` when it is dropped.
+
+        A stopword is dropped; any other token is stemmed and folded into
+        its synonym group, and dropped when that canonical form is a
+        stopword.  Memoized per token.
+        """
+        try:
+            return self._folds[token]
+        except KeyError:
+            pass
+        folded = None
+        if token not in self.stopwords:
+            folded = self.canonical(stem(token))
+            if folded in self.stopwords:
+                folded = None
+        self._folds[token] = folded
+        return folded
+
     def is_verb(self, token: str) -> bool:
-        """Verb lexicon membership, matching inflections through stems."""
-        return token in self._verbs or stem(token) in self._verb_stems
+        """Verb lexicon membership, matching inflections through stems; memoized per token."""
+        verdict = self._verdicts.get(token)
+        if verdict is None:
+            verdict = self._verdicts[token] = token in self._verbs or stem(token) in self._verb_stems
+        return verdict
 
 
 def check_one_token(token: str, what: str) -> None:
@@ -230,18 +262,10 @@ def canonicalize_part(
 
     Drops stopwords, stems the rest, folds synonym groups, and finally
     drops canonical forms that are themselves stopwords so that the result
-    is a fixed point of this function.
+    is a fixed point of this function (:meth:`Lexicon.fold` per token).
     """
-    stop = lexicon.stopwords
-    out: set[str] = set()
-    for token in tokens:
-        if token in stop:
-            continue
-        canonical = lexicon.canonical(stem(token))
-        if canonical in stop:
-            continue
-        out.add(canonical)
-    return frozenset(out)
+    out = frozenset(map(lexicon.fold, tokens))
+    return out - {None} if None in out else out
 
 
 class AttrProfile(NamedTuple):
@@ -260,7 +284,8 @@ class _ContextIndex:
     ``concepts`` maps ``id(concept)`` to the concept (held alive, so its id
     is not reused), its rows and its offset.  ``masks`` (one per part) and
     ``refs`` map a canonical token or a reference to the bitmask of the rows
-    holding it; ``sweeps`` keeps each sweep with the row count it saw.
+    holding it; ``sweeps`` keeps each sweep with the row count it saw and
+    the OR of its row masks.
     """
 
     __slots__ = ("size", "concepts", "masks", "refs", "sweeps")
@@ -270,7 +295,7 @@ class _ContextIndex:
         self.concepts: dict[int, tuple[Concept, tuple[AttrProfile, ...], int]] = {}
         self.masks: tuple[dict[str, int], ...] = ({}, {}, {})
         self.refs: dict[AttrRef, int] = {}
-        self.sweeps: dict[tuple[str, int, int], tuple[int, tuple[int, ...]]] = {}
+        self.sweeps: dict[tuple[str, int, int], tuple[int, tuple[int, ...], int]] = {}
 
 
 class StatementScorer:
@@ -361,6 +386,7 @@ class StatementScorer:
         if swept is None or swept[0] != index.size:  # a concept joined since
             subjects, predicates, objects = index.masks
             found = []
+            union = 0
             for a in rows1:
                 m0 = m1 = m2 = 0
                 for token in a.subject:
@@ -375,9 +401,13 @@ class StatementScorer:
                     mask = (m0 & m1) | (m0 & m2) | (m1 & m2)
                 else:
                     mask = m0 & m1 & m2
-                found.append(mask | index.refs.get(a.ref, 0))
-            swept = index.sweeps[key] = (index.size, tuple(found))
+                mask |= index.refs.get(a.ref, 0)
+                found.append(mask)
+                union |= mask
+            swept = index.sweeps[key] = (index.size, tuple(found), union)
         offset, width = index.concepts[id(c2)][2], (1 << len(rows2)) - 1
+        if not (swept[2] >> offset) & width:  # no row of c1 hits c2
+            return []
         pairs = []
         for a, hits in zip(rows1, swept[1]):
             hits = (hits >> offset) & width

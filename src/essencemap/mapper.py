@@ -47,6 +47,7 @@ RELATIONS = (
     ("independent", independent),
 )
 RELATION_LABELS = tuple(label for label, _ in RELATIONS)
+_RANK = {label: rank for rank, label in enumerate(RELATION_LABELS)}
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class MappingResult:
     def __post_init__(self):
         if self.relation not in RELATION_LABELS:
             raise ValueError(f"unknown relation label {self.relation!r}")
-        if (self.relation == "independent") != (self.similarity_pct == 0):
+        if (self.relation == "independent") != (not self.similarity_pct):
             raise ValueError("independent and zero similarity must coincide")
         if self.relation == "equivalent" and self.similarity_pct != 100:
             raise ValueError("equivalent results must sit at 100%")
@@ -163,10 +164,9 @@ def map_contexts(
             for f_concept in ordered[1]
         ]
         results.extend(row)
-        top = min(
-            row,
-            key=lambda r: (-r.similarity_pct, RELATION_LABELS.index(r.relation), r.right),
-        )
+        # ``max`` keeps the first of equal keys and ``row`` is in name order,
+        # so a tie goes to the earlier relation, then to the smaller name.
+        top = max(row, key=lambda r: (r.similarity_pct, -_RANK[r.relation]))
         best_matches.append(
             BestMatch(
                 practice=p_concept.name,

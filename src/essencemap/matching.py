@@ -66,6 +66,8 @@ class MatchSet:
         object.__setattr__(self, "pairs", ordered)
         if self.left_size < 0 or self.right_size < 0:
             raise ValueError("attribute set sizes must be non-negative")
+        if not ordered:  # no pairs: the checks below cannot fail
+            return
         if not len({p.left for p in ordered}) == len({p.right for p in ordered}) == len(ordered):
             raise ValueError("match set must be bijective")
         if len(ordered) > min(self.left_size, self.right_size):

@@ -135,6 +135,14 @@ class TestSimilarity:
         c1, c2 = concept("A", 2), concept("B", 3, prefix="b")
         assert similarity(c1, c2, MatchSet((), 2, 3)) == 0
 
+    @pytest.mark.parametrize("n1, n2, k", [(1, 1, 0), (1, 1, 1), (3, 4, 2), (0, 5, 0), (8, 8, 3)])
+    def test_exact_value_of_the_formula(self, n1, n2, k):
+        c1, c2 = concept("A", n1), concept("B", n2, prefix="b")
+        m = match("A", "B", [(f"a{i}", f"b{i}") for i in range(1, k + 1)], n1, n2)
+        value = similarity(c1, c2, m)
+        assert type(value) is Fraction and value == Fraction(100 * k, n1 + n2 - k)
+        assert similarity(c1, c2, m) == value
+
     def test_both_empty_errors(self):
         c1, c2 = Concept("A"), Concept("B")
         with pytest.raises(NoAttributesError, match="no attributes to compare"):
@@ -242,6 +250,19 @@ class TestMatchSetValidation:
         pairs = (CandidatePair(AttrRef("L", "A", "a1"), AttrRef("R", "B", "b1"), 2),)
         with pytest.raises(ValueError, match="exceeds"):
             MatchSet(pairs, 1, 0)
+
+    @pytest.mark.parametrize("sizes", [(-1, 0), (0, -1)])
+    def test_rejects_a_negative_size_with_no_pairs(self, sizes):
+        with pytest.raises(ValueError) as info:
+            MatchSet((), *sizes)
+        assert str(info.value) == "attribute set sizes must be non-negative"
+
+    def test_empty_match_sets_compare_by_their_sizes(self):
+        assert MatchSet((), 0, 0).pairs == ()
+        for sizes in ((0, 0), (2, 3)):
+            a, b = MatchSet((), *sizes), MatchSet([], *sizes)
+            assert a == b and hash(a) == hash(b)
+        assert MatchSet((), 2, 3) != MatchSet((), 3, 2)
 
     def test_mirror_swaps_everything(self):
         m = match("A", "B", [("a1", "b2"), ("a2", "b1")], 3, 2)

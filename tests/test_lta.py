@@ -29,6 +29,7 @@ from essencemap.lta import EMPTY_LEXICON, MODES, add_synonym_group, stem, tokeni
 from essencemap.matching import THRESHOLDS
 
 from conftest import attribute, make_random_context
+from lexicon_oracle import reference_canonicalize_part, reference_is_verb
 
 
 def score_pair(left, s1, right, s2, lexicon=EMPTY_LEXICON, annotations=None, mode="heuristic"):
@@ -160,6 +161,55 @@ class TestCanonicalizePart:
             once = canonicalize_part(tokens, lexicon)
             again = canonicalize_part(sorted(once), lexicon)
             assert once == again
+
+
+# Raw tokens: stopwords, verbs and their inflections, words that stem or
+# fold, and arbitrary short tokens.
+_RAW = ("the be is are was needs progressing managing managed manage houses dies "
+        "requirements requirement owner owners it its whats noise press hou refers").split()
+_raw_tokens = st.one_of(st.sampled_from(_RAW), st.from_regex(r"[a-z0-9]{1,9}", fullmatch=True))
+
+
+@st.composite
+def _lexicons(draw):
+    """Lexicons with drawn synonym groups (colliding ones left out), stopwords and verbs."""
+    table, groups = {}, []
+    for group in draw(st.lists(st.lists(_raw_tokens, min_size=1, max_size=3, unique=True), max_size=4)):
+        try:
+            add_synonym_group(table, group)
+        except ValueError:
+            continue
+        groups.append(tuple(group))
+    return Lexicon(
+        synonym_groups=tuple(groups),
+        extra_stopwords=frozenset(draw(st.lists(_raw_tokens, max_size=3))),
+        extra_verbs=frozenset(draw(st.lists(_raw_tokens, max_size=3))),
+    )
+
+
+class TestLexiconMemo:
+    @given(lexicon=st.one_of(st.just(EMPTY_LEXICON), _lexicons()),
+           tokens=st.lists(_raw_tokens, max_size=12))
+    def test_memo_equals_the_uncached_rule(self, lexicon, tokens):
+        expected = reference_canonicalize_part(tokens, lexicon)
+        verbs = [reference_is_verb(t, lexicon) for t in tokens]
+        for _ in range(2):  # the second pass reads the memo
+            assert canonicalize_part(tokens, lexicon) == expected
+            assert [canonicalize_part([t], lexicon) for t in tokens] == [
+                reference_canonicalize_part([t], lexicon) for t in tokens]
+            assert [lexicon.is_verb(t) for t in tokens] == verbs
+        assert canonicalize_part(sorted(expected), lexicon) == expected
+
+    @given(lexicon=st.one_of(st.just(EMPTY_LEXICON), _lexicons()), token=_raw_tokens)
+    def test_no_memo_is_shared_between_lexicons(self, lexicon, token):
+        canonicalize_part([token], lexicon)  # fill this lexicon's memo
+        lexicon.is_verb(token)
+        stopping = replace(lexicon, extra_stopwords=lexicon.extra_stopwords | {token})
+        assert canonicalize_part([token], stopping) == frozenset()
+        assert replace(lexicon, extra_verbs=lexicon.extra_verbs | {token}).is_verb(token)
+        # An equal lexicon made later answers as the uncached rule does too.
+        twin = replace(lexicon)
+        assert canonicalize_part([token], twin) == reference_canonicalize_part([token], lexicon)
 
 
 def _refs(aid, bid):

@@ -13,6 +13,7 @@ from essencemap import (
     Concept,
     EmptyContextError,
     MapConfig,
+    MatchSet,
     NoAttributesError,
     ObjectInstance,
     SemanticContext,
@@ -21,11 +22,12 @@ from essencemap import (
     independent,
     map_contexts,
     map_pair,
+    parse_concepts,
     related,
     sub_concept,
     super_concept,
 )
-from essencemap.mapper import classify
+from essencemap.mapper import RELATION_LABELS, MappingResult, classify
 from essencemap.matching import THRESHOLDS
 
 from conftest import make_random_context
@@ -85,6 +87,38 @@ def _contexts(draw):
             tuple(ObjectInstance(f"o{i + 1}", t) for i, t in enumerate(labels)),
         ))
     return SemanticContext("X", tuple(concepts))
+
+
+_NAMES = ("Alpha", "Beta", "Gamma", "Delta", "Epsilon")
+
+
+@st.composite
+def _practice_and_framework_file(draw):
+    """A practice context, and a framework concept file declaring its concepts in a drawn order.
+
+    A framework concept sometimes copies the attribute texts of a practice
+    concept or of an earlier framework concept, with the same or other
+    objects, so equal similarities with equal or different relations are
+    common.
+    """
+    practice = draw(_contexts())
+    bodies = [([a.text for a in c.attributes], [o.text for o in c.objects]) for c in practice.concepts]
+    names = draw(st.permutations(_NAMES))[:draw(st.integers(1, len(_NAMES)))]
+    labels = st.lists(st.sampled_from(("one", "two")), max_size=2, unique=True)
+    lines = ["context: F"]
+    for name in names:
+        if draw(st.booleans()):
+            texts, objects = draw(st.sampled_from(bodies))
+            if draw(st.booleans()):
+                objects = draw(labels)
+        else:
+            texts, objects = draw(st.lists(_texts, min_size=1, max_size=4)), draw(labels)
+        bodies.append((texts, objects))
+        lines.append(f"concept: {name}")
+        lines += [f"attr a{i + 1}: {t}" for i, t in enumerate(texts)]
+        lines += [f"obj o{i + 1}: {t}" for i, t in enumerate(objects)]
+        lines.append("end")
+    return practice, "\n".join(lines) + "\n"
 
 
 class TestMapPair:
@@ -233,6 +267,18 @@ class TestMapContexts:
         assert all((r.similarity_pct, r.relation) == (100, "equivalent") for r in diagonal)
         assert all(b.similarity_pct == 100 for b in report.best_matches)
 
+    @given(case=_practice_and_framework_file(), threshold=st.sampled_from(THRESHOLDS))
+    def test_best_match_is_the_written_tie_rule(self, case, threshold):
+        # Highest similarity, then the relation that comes first, then the smaller name.
+        practice, framework_text = case
+        report = map_contexts(practice, parse_concepts(framework_text),
+                              MapConfig(mode="heuristic", threshold=threshold))
+        for best in report.best_matches:
+            row = [r for r in report.results if r.left == f"X/{best.practice}"]
+            top = min(row, key=lambda r: (-r.similarity_pct, RELATION_LABELS.index(r.relation),
+                                          r.right.partition("/")[2]))
+            assert (best.framework, best.similarity_pct) == (top.right.partition("/")[2], top.similarity_pct)
+
     def test_empty_context_rejected(self):
         empty = SemanticContext("E")
         other = SemanticContext("O", (simple_concept("X", ["is x"]),))
@@ -330,3 +376,25 @@ class TestMapContexts:
         first = map_contexts(scrum_context, essence_context, config)
         second = map_contexts(scrum_context, essence_context, config)
         assert first == second
+
+
+class TestMappingResultChecks:
+    @pytest.mark.parametrize("relation, pct, message", [
+        ("independent", Fraction(50), "independent and zero similarity must coincide"),
+        ("related", Fraction(0), "independent and zero similarity must coincide"),
+        ("related", 0, "independent and zero similarity must coincide"),
+        ("equivalent", Fraction(200, 3), "equivalent results must sit at 100%"),
+        ("equivalent", Fraction(0), "independent and zero similarity must coincide"),
+        ("unrelated", Fraction(50), "unknown relation label 'unrelated'"),
+    ])
+    def test_rejects_with_its_message(self, relation, pct, message):
+        with pytest.raises(ValueError) as info:
+            MappingResult("X/A", "Y/B", MatchSet((), 1, 1), pct, relation)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("relation, pct", [
+        ("independent", Fraction(0)), ("independent", 0), ("related", Fraction(1, 3)),
+        ("equivalent", Fraction(100)), ("equivalent", 100),
+    ])
+    def test_accepts(self, relation, pct):
+        assert MappingResult("X/A", "Y/B", MatchSet((), 1, 1), pct, relation).similarity_pct == pct
