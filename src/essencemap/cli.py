@@ -260,7 +260,7 @@ def _add_corpus_options(parser: argparse.ArgumentParser, *, framework_required: 
     )
     parser.add_argument("--lexicon", type=Path, help="lexicon file (syn:/stop:/verb: lines)")
     parser.add_argument("--annotations", type=Path, help="annotation table file")
-    parser.add_argument("--mode", choices=MODES, default=MapConfig.mode)
+    parser.add_argument("--mode", choices=MODES, default=MapConfig._field_defaults["mode"])
     parser.add_argument("--threshold", type=int, choices=THRESHOLDS, default=DEFAULT_THRESHOLD)
 
 

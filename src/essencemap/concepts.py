@@ -2,10 +2,12 @@
 
 A semantic context is a named knowledge domain holding concepts; a concept
 carries attribute statements (its intension), object instances (its
-extension) and opaque references to related concepts.  The constructors
-hold every value rule (ids, one-token names, single-line texts, relation
-references, duplicates in a concept or context) and raise ``ValueError``;
-the corpus parsers rely on them rather than repeating the rules.
+extension) and opaque references to related concepts.  These are immutable
+namedtuples: equal to a plain tuple of their items, with ``len`` and
+iteration.  The constructors hold every value rule (ids, one-token names,
+single-line texts, relation references, duplicates in a concept or context)
+and raise ``ValueError``; ``_replace`` copies through them, so it checks
+too.  The corpus parsers rely on them rather than repeating the rules.
 
 The relational predicates (:func:`related`, :func:`similarity`, ...) never
 look at raw attribute text: two attributes count as shared only when they
@@ -16,7 +18,7 @@ the natural-language intersection is made computable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -76,37 +78,44 @@ def relation_ref(key: str, ref: str) -> str:
     return ref
 
 
-@dataclass(frozen=True)
-class AttributeStatement:
+class Checked:
+    """Namedtuple mixin: ``_make``, and so ``_replace``, build through the checking ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class AttributeStatement(Checked, namedtuple("AttributeStatement", "id text")):
     """One attribute of a concept: an id plus a sentence fragment."""
 
-    id: str
-    text: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "id", self.id.strip())
-        object.__setattr__(self, "text", _clean_line_text(self.text, f"attribute {self.id!r}"))
-        if not ATTR_ID_PATTERN.match(self.id):
-            raise ValueError(f"attribute id must match [a-z][a-z0-9]*, got {self.id!r}")
+    def __new__(cls, id: str, text: str):
+        id = id.strip()
+        text = _clean_line_text(text, f"attribute {id!r}")
+        if not ATTR_ID_PATTERN.match(id):
+            raise ValueError(f"attribute id must match [a-z][a-z0-9]*, got {id!r}")
+        return tuple.__new__(cls, (id, text))
 
 
-@dataclass(frozen=True)
-class ObjectInstance:
+class ObjectInstance(Checked, namedtuple("ObjectInstance", "id text")):
     """A concrete instance extended from a concept."""
 
-    id: str
-    text: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "id", self.id.strip())
-        object.__setattr__(self, "text", _clean_line_text(self.text, f"object {self.id!r}"))
+    def __new__(cls, id: str, text: str):
+        id = id.strip()
+        text = _clean_line_text(text, f"object {id!r}")
         # ':' ends the id in ``obj <id>: <text>`` lines, so it cannot be part of one.
-        if not self.id or ":" in self.id or any(c.isspace() for c in self.id):
-            raise ValueError(f"object id must be a single token with no ':', got {self.id!r}")
+        if not id or ":" in id or any(c.isspace() for c in id):
+            raise ValueError(f"object id must be a single token with no ':', got {id!r}")
+        return tuple.__new__(cls, (id, text))
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(Checked, namedtuple("Concept", "name attributes objects input_relations output_relations")):
     """A named cognitive unit: attributes, objects and relation references.
 
     ``input_relations`` / ``output_relations`` hold ``context/Name`` strings
@@ -114,41 +123,37 @@ class Concept:
     reads them.
     """
 
-    name: str
-    attributes: tuple[AttributeStatement, ...] = ()
-    objects: tuple[ObjectInstance, ...] = ()
-    input_relations: tuple[str, ...] = ()
-    output_relations: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", _clean_line_text(self.name, "concept name"))
+    def __new__(cls, name: str, attributes: Iterable[AttributeStatement] = (),
+                objects: Iterable[ObjectInstance] = (), input_relations: Iterable[str] = (),
+                output_relations: Iterable[str] = ()):
+        name = _clean_line_text(name, "concept name")
         # References split on whitespace (``pair:`` lines, ``ctx/Name``), so a name is one token.
-        if any(c.isspace() for c in self.name):
-            raise ValueError(f"concept name must be a single token with no whitespace, got {self.name!r}")
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "input_relations", tuple(self.input_relations))
-        object.__setattr__(self, "output_relations", tuple(self.output_relations))
-        _check_unique((a.id for a in self.attributes), "attribute id", f"concept {self.name!r}")
-        _check_unique((o.id for o in self.objects), "object id", f"concept {self.name!r}")
+        if any(c.isspace() for c in name):
+            raise ValueError(f"concept name must be a single token with no whitespace, got {name!r}")
+        self = tuple.__new__(cls, (name, tuple(attributes), tuple(objects),
+                                   tuple(input_relations), tuple(output_relations)))
+        _check_unique((a.id for a in self.attributes), "attribute id", f"concept {name!r}")
+        _check_unique((o.id for o in self.objects), "object id", f"concept {name!r}")
         for rel in self.input_relations:
             relation_ref("rel-in", rel)
         for rel in self.output_relations:
             relation_ref("rel-out", rel)
+        return self
 
 
-@dataclass(frozen=True)
-class SemanticContext:
+class SemanticContext(Checked, namedtuple("SemanticContext", "id concepts")):
     """A knowledge domain: an identifier plus its member concepts."""
 
-    id: str
-    concepts: tuple[Concept, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "concepts", tuple(self.concepts))
-        if not self.id or "/" in self.id or any(c.isspace() for c in self.id):
-            raise ValueError(f"context id must be non-empty with no whitespace or '/', got {self.id!r}")
-        _check_unique((c.name for c in self.concepts), "concept name", f"context {self.id!r}")
+    def __new__(cls, id: str, concepts: Iterable[Concept] = ()):
+        concepts = tuple(concepts)
+        if not id or "/" in id or any(c.isspace() for c in id):
+            raise ValueError(f"context id must be non-empty with no whitespace or '/', got {id!r}")
+        _check_unique((c.name for c in concepts), "concept name", f"context {id!r}")
+        return tuple.__new__(cls, (id, concepts))
 
     def concept(self, name: str) -> Concept:
         for c in self.concepts:

@@ -35,12 +35,8 @@ checks do; one handler per parser loop turns that error into a
 
 from __future__ import annotations
 
-import re
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
-
-from importlib import resources
 
 from .concepts import (
     AttrRef,
@@ -139,7 +135,7 @@ def parse_concepts(text: str, name: str = "<input>") -> SemanticContext:
             elif line == "end":
                 if current is None:
                     raise ValueError("'end' without an open concept block")
-                concepts.append(replace(current, **parts))
+                concepts.append(Concept(current.name, **parts))
                 concept_names.add(current.name)
                 current = None
             elif line.startswith("attr ") or line.startswith("obj "):
@@ -172,7 +168,7 @@ def parse_concepts(text: str, name: str = "<input>") -> SemanticContext:
                                 source=name, line=opened_at)
     if header is None:
         raise CorpusSyntaxError("missing context header", source=name, line=1)
-    return replace(header, concepts=concepts)
+    return SemanticContext(header.id, concepts)
 
 
 def serialize_concepts(context: SemanticContext) -> str:
@@ -228,9 +224,7 @@ def parse_lexicon(text: str, name: str = "<input>") -> Lexicon:
     return Lexicon(tuple(groups), frozenset(stopwords), frozenset(verbs))
 
 
-# A well-formed ``pair:`` line.  The second reference runs to the last '=',
-# as ``rpartition`` splits it, and the level is one of the digits 0-3.
-_PAIR_LINE = re.compile(r"pair:[ \t]*(\S+)[ \t]+(\S+)[ \t]*=[ \t]*([0-3])")
+_LEVEL_TEXTS = {str(level): level for level in LEVEL_RANGE}  # "0" -> 0, ..., "3" -> 3
 
 
 def parse_annotations(
@@ -247,12 +241,15 @@ def parse_annotations(
     names the part that does not resolve: as ``str(AttrRef.parse(t)) == t``,
     the attribute when the context and concept resolve.
 
-    A line that matches ``_PAIR_LINE`` with both references hits goes
-    straight to :meth:`AnnotationTable.add`; the pattern splits it as the
-    checked path does, so the table and any error ``add`` raises are the
-    same.  Every other line takes the checked path, which writes the
-    shape and reference messages.  Each pair is stored in the table's row
-    dicts under both orientations, and ``len`` counts it once.
+    A line that splits on whitespace into exactly ``pair:``, two references
+    that both hit, ``=`` and a level text of :data:`_LEVEL_TEXTS` goes
+    straight to :meth:`AnnotationTable.add`.  ``str.split`` drops the
+    whitespace that the checked path's ``split`` and ``strip`` drop, and a
+    level text holds no ``=``, so ``rpartition`` would split at the ``=``
+    field and the checked path would read the same references and level.
+    Every other line takes the checked path, which writes the shape and
+    reference messages.  Each pair is stored in the table's row dicts under
+    both orientations, and ``len`` counts it once.
     """
     by_id: Mapping[str, SemanticContext] = {ctx.id: ctx for ctx in contexts}
     known: dict[str, AttrRef] = {}
@@ -281,11 +278,12 @@ def parse_annotations(
 
     for number, line in _logical_lines(text):
         try:
-            fast = _PAIR_LINE.fullmatch(line)
-            if fast is not None:
-                left, right = known.get(fast[1]), known.get(fast[2])
-                if left is not None and right is not None:
-                    table.add(left, right, int(fast[3]))
+            fields = line.split()
+            if len(fields) == 5 and fields[0] == "pair:" and fields[3] == "=":
+                left, right = known.get(fields[1]), known.get(fields[2])
+                level = _LEVEL_TEXTS.get(fields[4])
+                if left is not None and right is not None and level is not None:
+                    table.add(left, right, level)
                     continue
             if not line.startswith("pair:"):
                 raise ValueError("expected 'pair: <ref> <ref> = <level>'")
@@ -341,6 +339,9 @@ def load_annotations(
 
 def bundled_path(filename: str) -> Path:
     """Filesystem path of a bundled corpus file (see ``essencemap/data``)."""
+    # Imported here: on Python 3.12 it pulls in ``inspect``, which start-up otherwise avoids.
+    from importlib import resources
+
     path = Path(str(resources.files("essencemap").joinpath("data", filename)))
     if not path.is_file():
         raise FileNotFoundError(f"no bundled corpus file named {filename!r}")

@@ -26,12 +26,12 @@ reach a threshold, read from a bitmask index over each context's rows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
-from .concepts import AttrRef, AttributeStatement, Concept
+from .concepts import AttrRef, AttributeStatement, Checked, Concept
 from .errors import UnannotatedPairError
 
 if TYPE_CHECKING:
@@ -96,8 +96,7 @@ def stem(token: str) -> str:
     return token
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(Checked, namedtuple("Lexicon", "synonym_groups extra_stopwords extra_verbs")):
     """Synonym groups plus stopword and verb extensions.
 
     Each synonym group canonicalizes to its first member.  Lookup keys are
@@ -109,24 +108,26 @@ class Lexicon:
     :meth:`is_verb` answer; the memo is the instance's own, so two
     lexicons never share one.  It is never pruned: the shared
     :data:`EMPTY_LEXICON`'s memo grows with the vocabulary a process sees.
+    Memos and cached properties live in the instance dict, which equality
+    and hashing ignore; assigning an attribute still raises ``AttributeError``.
     """
 
-    synonym_groups: tuple[tuple[str, ...], ...] = ()
-    extra_stopwords: frozenset[str] = frozenset()
-    extra_verbs: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "synonym_groups", tuple(tuple(g) for g in self.synonym_groups)
-        )
-        object.__setattr__(self, "extra_stopwords", frozenset(self.extra_stopwords))
-        object.__setattr__(self, "extra_verbs", frozenset(self.extra_verbs))
+    def __new__(cls, synonym_groups: Iterable[Sequence[str]] = (),
+                extra_stopwords: Iterable[str] = frozenset(), extra_verbs: Iterable[str] = frozenset()):
+        self = tuple.__new__(cls, (tuple(tuple(g) for g in synonym_groups),
+                                   frozenset(extra_stopwords), frozenset(extra_verbs)))
         for what, tokens in (("stopword", self.extra_stopwords), ("verb", self.extra_verbs)):
             for token in sorted(tokens):
                 check_one_token(token, what)
         self.synonym_map  # validate the groups at construction
-        object.__setattr__(self, "_folds", {})
-        object.__setattr__(self, "_verdicts", {})
+        vars(self).update(_folds={}, _verdicts={})
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to attribute {name!r} of an immutable Lexicon")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete attribute {name!r} of an immutable Lexicon")
 
     @cached_property
     def synonym_map(self) -> dict[str, str]:
@@ -214,8 +215,7 @@ def add_synonym_group(table: dict[str, str], group: Sequence[str]) -> None:
     table.update(dict.fromkeys(keys, group[0]))
 
 
-@dataclass(frozen=True)
-class SpoTriple:
+class SpoTriple(NamedTuple):
     """Subject/predicate/object token runs of one statement."""
 
     subject: tuple[str, ...]

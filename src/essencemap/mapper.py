@@ -18,11 +18,12 @@ identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .concepts import (
+    Checked,
     Concept,
     SemanticContext,
     equivalent,
@@ -50,8 +51,7 @@ RELATION_LABELS = tuple(label for label, _ in RELATIONS)
 _RANK = {label: rank for rank, label in enumerate(RELATION_LABELS)}
 
 
-@dataclass(frozen=True)
-class MapConfig:
+class MapConfig(NamedTuple):
     """Shared knobs for a mapping run."""
 
     lexicon: Lexicon = EMPTY_LEXICON
@@ -63,27 +63,23 @@ class MapConfig:
         return StatementScorer(self.lexicon, self.annotations, self.mode)
 
 
-@dataclass(frozen=True)
-class MappingResult:
+class MappingResult(Checked, namedtuple("MappingResult", "left right match_set similarity_pct relation")):
     """Outcome for one ordered concept pair."""
 
-    left: str
-    right: str
-    match_set: MatchSet
-    similarity_pct: Fraction
-    relation: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.relation not in RELATION_LABELS:
-            raise ValueError(f"unknown relation label {self.relation!r}")
-        if (self.relation == "independent") != (not self.similarity_pct):
+    def __new__(cls, left: str, right: str, match_set: MatchSet,
+                similarity_pct: Fraction, relation: str):
+        if relation not in RELATION_LABELS:
+            raise ValueError(f"unknown relation label {relation!r}")
+        if (relation == "independent") != (not similarity_pct):
             raise ValueError("independent and zero similarity must coincide")
-        if self.relation == "equivalent" and self.similarity_pct != 100:
+        if relation == "equivalent" and similarity_pct != 100:
             raise ValueError("equivalent results must sit at 100%")
+        return tuple.__new__(cls, (left, right, match_set, similarity_pct, relation))
 
 
-@dataclass(frozen=True)
-class BestMatch:
+class BestMatch(NamedTuple):
     """Highest-similarity framework concept for one practice concept."""
 
     practice: str
@@ -91,14 +87,13 @@ class BestMatch:
     similarity_pct: Fraction
 
 
-@dataclass(frozen=True)
-class MappingReport:
+class MappingReport(NamedTuple):
     practice_context: str
     framework_context: str
     mode: str
     threshold: int
     results: tuple[MappingResult, ...] = ()
-    best_matches: tuple[BestMatch, ...] = field(default_factory=tuple)
+    best_matches: tuple[BestMatch, ...] = ()
     diagnostics: tuple[str, ...] = ()
 
 

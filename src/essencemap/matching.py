@@ -34,11 +34,11 @@ is its own unique optimum and skips the solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple
 
-from .concepts import AttrRef, Concept
+from .concepts import AttrRef, Checked, Concept
 from .lta import StatementScorer
 
 DEFAULT_THRESHOLD = 2
@@ -53,25 +53,21 @@ class CandidatePair(NamedTuple):
     level: int
 
 
-@dataclass(frozen=True)
-class MatchSet:
-    """A bijective attribute pairing between two concepts."""
+class MatchSet(Checked, namedtuple("MatchSet", "pairs left_size right_size")):
+    """A bijective attribute pairing between two concepts; ``pairs`` is kept sorted."""
 
-    pairs: tuple[CandidatePair, ...]
-    left_size: int
-    right_size: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.pairs))
-        object.__setattr__(self, "pairs", ordered)
-        if self.left_size < 0 or self.right_size < 0:
+    def __new__(cls, pairs: Iterable[CandidatePair], left_size: int, right_size: int):
+        pairs = tuple(sorted(pairs))
+        if left_size < 0 or right_size < 0:
             raise ValueError("attribute set sizes must be non-negative")
-        if not ordered:  # no pairs: the checks below cannot fail
-            return
-        if not len({p.left for p in ordered}) == len({p.right for p in ordered}) == len(ordered):
-            raise ValueError("match set must be bijective")
-        if len(ordered) > min(self.left_size, self.right_size):
-            raise ValueError("match set exceeds the smaller attribute set")
+        if pairs:  # with no pairs these checks cannot fail
+            if not len({p.left for p in pairs}) == len({p.right for p in pairs}) == len(pairs):
+                raise ValueError("match set must be bijective")
+            if len(pairs) > min(left_size, right_size):
+                raise ValueError("match set exceeds the smaller attribute set")
+        return tuple.__new__(cls, (pairs, left_size, right_size))
 
 
 def candidate_pairs(

@@ -264,6 +264,15 @@ class TestMatchSetValidation:
             assert a == b and hash(a) == hash(b)
         assert MatchSet((), 2, 3) != MatchSet((), 3, 2)
 
+    def test_replace_checks_the_sizes(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            match("A", "B", [("a1", "b1")], 1, 1)._replace(right_size=0)
+
+    def test_replace_sorts_the_new_pairs(self):
+        unsorted = match("A", "B", [("a2", "b1"), ("a1", "b2")], 2, 2).pairs[::-1]
+        assert list(unsorted) != sorted(unsorted)
+        assert MatchSet((), 2, 2)._replace(pairs=unsorted).pairs == tuple(sorted(unsorted))
+
     def test_mirror_swaps_everything(self):
         m = match("A", "B", [("a1", "b2"), ("a2", "b1")], 3, 2)
         back = mirror(m)

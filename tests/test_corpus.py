@@ -465,6 +465,22 @@ def test_fast_path_parses_as_the_checked_path(text):
             assert table.level_for(left, right) == expected.get(frozenset((left, right)))
 
 
+
+# Lines that miss the fast path's shape by one field; each must read as the checked path reads it.
+@pytest.mark.parametrize("line", ["pair: X/A.a1 X/A.a2 - 1", "pair: X/A.a1 X/A.a2 =1 1", "pairs: X/A.a1 X/A.a2 = 1",
+                                  "PAIR: X/A.a1 X/A.a2 = 1", "pair:: X/A.a1 X/A.a2 = 1", "pair: X/A.a1 X/A.a2 = 01",
+                                  "pair: X/A.a1 X/A.a2 = 1 2"])
+def test_lines_off_the_fast_shape_take_the_checked_path(line):
+    try:
+        expected = reference_parse_annotations(line, _ORACLE_CONTEXTS, name="t.ann")
+    except CorpusSyntaxError as exc:
+        with pytest.raises(CorpusSyntaxError) as info:
+            parse_annotations(line, _ORACLE_CONTEXTS, name="t.ann")
+        assert (str(info.value), info.value.line) == (str(exc), exc.line)
+        return
+    table = parse_annotations(line, _ORACLE_CONTEXTS, name="t.ann")
+    assert (len(table), table.level_for(*_ORACLE_REFS[1:3])) == (len(expected), 1)
+
 class TestByteOrderMark:
     BOM = b"\xef\xbb\xbf"
 

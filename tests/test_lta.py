@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -40,8 +39,8 @@ def score_pair(left, s1, right, s2, lexicon=EMPTY_LEXICON, annotations=None, mod
     itself: symmetric, and 3 for a statement against itself.
     """
     scorer = StatementScorer(lexicon, annotations, mode)
-    (a,) = scorer.profile(left.context, Concept(left.concept, (replace(s1, id=left.attr),)))
-    (b,) = scorer.profile(right.context, Concept(right.concept, (replace(s2, id=right.attr),)))
+    (a,) = scorer.profile(left.context, Concept(left.concept, (s1._replace(id=left.attr),)))
+    (b,) = scorer.profile(right.context, Concept(right.concept, (s2._replace(id=right.attr),)))
     return scorer.level(a, b)
 
 
@@ -204,11 +203,11 @@ class TestLexiconMemo:
     def test_no_memo_is_shared_between_lexicons(self, lexicon, token):
         canonicalize_part([token], lexicon)  # fill this lexicon's memo
         lexicon.is_verb(token)
-        stopping = replace(lexicon, extra_stopwords=lexicon.extra_stopwords | {token})
+        stopping = lexicon._replace(extra_stopwords=lexicon.extra_stopwords | {token})
         assert canonicalize_part([token], stopping) == frozenset()
-        assert replace(lexicon, extra_verbs=lexicon.extra_verbs | {token}).is_verb(token)
+        assert lexicon._replace(extra_verbs=lexicon.extra_verbs | {token}).is_verb(token)
         # An equal lexicon made later answers as the uncached rule does too.
-        twin = replace(lexicon)
+        twin = lexicon._replace()
         assert canonicalize_part([token], twin) == reference_canonicalize_part([token], lexicon)
 
 
@@ -381,7 +380,7 @@ def _scoring_case(draw, mode, complete=True):
     elif side2 == "twin":
         ctx2, c2 = "X", draw(_concept("Alpha", "a"))
     else:
-        ctx2, c2 = "X", c1 if side2 == "same" else replace(c1)
+        ctx2, c2 = "X", c1 if side2 == "same" else c1._replace()
     keys = {frozenset((r1, r2)): (r1, r2)
             for r1 in _attr_refs("X", c1) for r2 in _attr_refs(ctx2, c2) if r1 != r2}
     pairs = [keys[k] for k in sorted(keys, key=sorted)]
@@ -432,7 +431,7 @@ class TestScoringProperties:
     @given(case=_any_mode_case, threshold=st.integers(1, 3))
     # A verbless row reaches 3 only against itself, which no part mask shows.
     @example(case=("heuristic", (None, ("X", _VERBLESS), ("X", _VERBLESS))), threshold=3)
-    @example(case=("heuristic", (None, ("X", _VERBLESS), ("X", replace(_VERBLESS)))), threshold=3)
+    @example(case=("heuristic", (None, ("X", _VERBLESS), ("X", _VERBLESS._replace()))), threshold=3)
     def test_candidate_pairs_equals_per_pair_scan(self, case, threshold):
         mode, (table, (ctx1, c1), (ctx2, c2)) = case
         expected = []
@@ -480,7 +479,7 @@ class TestScoringProperties:
         config = MapConfig(LEXICON, mode="heuristic", threshold=threshold)
         contexts = [scrum_context] + [make_random_context(random.Random(seed)) for seed in range(8)]
         for context in contexts:
-            copy = replace(context, concepts=tuple(replace(c) for c in context.concepts))
+            copy = context._replace(concepts=tuple(c._replace() for c in context.concepts))
             results, calls = [], []
             for other in (context, copy):
                 scorer = _CountingScorer(LEXICON)
@@ -524,7 +523,7 @@ def _scorer_session(draw):
     for _ in range(draw(st.integers(3, 6))):
         concept = draw(_concept(draw(st.sampled_from(("Alpha", "Beta", "Gamma"))), "a"))
         if pool and draw(st.booleans()):  # texts of an earlier concept, so cells reach level 3
-            concept = replace(concept, attributes=draw(st.sampled_from(pool))[1].attributes)
+            concept = concept._replace(attributes=draw(st.sampled_from(pool))[1].attributes)
         pool.append((draw(st.sampled_from("XY")), concept))
     index = st.integers(0, len(pool) - 1)
     calls = draw(st.lists(st.one_of(

@@ -2,12 +2,31 @@
 
 ``AttrRef`` and ``CandidatePair`` must compare, order and hash as their
 field tuples, so reports do not depend on how the types are implemented.
+Every value type is immutable, and a ``_replace`` copy passes through the
+same checks as the constructor.
 """
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from essencemap import AttrRef, AttributeStatement, CandidatePair, Concept, SemanticContext
+from essencemap import (
+    AttrRef,
+    AttributeStatement,
+    BestMatch,
+    CandidatePair,
+    Concept,
+    Lexicon,
+    MapConfig,
+    MappingReport,
+    MappingResult,
+    MatchSet,
+    ObjectInstance,
+    SemanticContext,
+    SpoTriple,
+)
 
 # Characters on the edge of a rule: whitespace, and the reference separators.
 _values = st.text(st.one_of(st.sampled_from("aZ1./:#- \t"), st.characters()), min_size=1, max_size=3)
@@ -50,3 +69,79 @@ def test_pairs_sort_by_left_right_level(cells):
     # pairs drawn from a few refs, so equal lefts and rights are common
     pairs = [CandidatePair(*cell) for cell in cells]
     assert sorted(pairs) == sorted(pairs, key=lambda p: (_fields(p.left), _fields(p.right), p.level))
+
+
+_NO_MATCH = MatchSet((), 1, 1)
+
+# A valid value of each checked type, a change its constructor rejects, and the message.
+_CHECKED = [
+    (AttributeStatement("a1", "t"), {"id": "1a"}, "attribute id must match [a-z][a-z0-9]*, got '1a'"),
+    (AttributeStatement("a1", "t"), {"text": "two\nlines"}, "text of attribute 'a1' must be a single line"),
+    (ObjectInstance("o1", "t"), {"id": "o:1"}, "object id must be a single token with no ':', got 'o:1'"),
+    (Concept("A"), {"name": "A B"}, "concept name must be a single token with no whitespace, got 'A B'"),
+    (Concept("A"), {"input_relations": ("X",)}, "expected 'rel-in: ctx/Name' with neither part empty "
+                                                "and no whitespace, got 'X'"),
+    (SemanticContext("X"), {"id": "X/Y"}, "context id must be non-empty with no whitespace or '/', got 'X/Y'"),
+    (SemanticContext("X"), {"concepts": (Concept("A"), Concept("A"))}, "duplicate concept name 'A' in context 'X'"),
+    (Lexicon(), {"extra_verbs": {"a b"}}, "verb 'a b' can never match: text tokenizes to ['a', 'b']"),
+    (Lexicon(), {"synonym_groups": (("go", "go"),)}, "duplicate token 'go' within synonym group ('go', 'go')"),
+    (_NO_MATCH, {"left_size": -1}, "attribute set sizes must be non-negative"),
+    (MappingResult("X/A", "Y/B", _NO_MATCH, Fraction(0), "independent"), {"relation": "equivalent"},
+     "independent and zero similarity must coincide"),
+]
+
+_VALUES = [
+    AttrRef("X", "A", "a1"),
+    CandidatePair(AttrRef("X", "A", "a1"), AttrRef("Y", "B", "b1"), 2),
+    AttributeStatement("a1", "t"),
+    ObjectInstance("o1", "t"),
+    Concept("A"),
+    SemanticContext("X"),
+    Lexicon(),
+    SpoTriple(("a",), ("is",), ("b",)),
+    _NO_MATCH,
+    MapConfig(),
+    MappingResult("X/A", "Y/B", _NO_MATCH, Fraction(0), "independent"),
+    BestMatch("A", "B", Fraction(0)),
+    MappingReport("X", "Y", "hybrid", 2),
+]
+
+
+@pytest.mark.parametrize("value, change, message", _CHECKED)
+def test_replace_runs_the_constructor_checks(value, change, message):
+    with pytest.raises(ValueError) as built:
+        type(value)(**{**value._asdict(), **change})
+    with pytest.raises(ValueError) as copied:
+        value._replace(**change)
+    assert str(built.value) == str(copied.value) == message
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda value: type(value).__name__)
+def test_replace_with_no_change_is_an_equal_copy(value):
+    copy = value._replace()
+    assert copy == value and hash(copy) == hash(value) and type(copy) is type(value) and copy is not value
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda value: type(value).__name__)
+def test_attributes_cannot_be_assigned_or_deleted(value):
+    for name in (value._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, value._fields[0])
+
+
+def test_lexicon_memo_is_private_and_not_assignable():
+    lexicon = Lexicon((("plan", "roadmap"),))
+    assert lexicon.fold("roadmaps") == "plan"
+    with pytest.raises(AttributeError):
+        lexicon._folds = {}
+    copy = lexicon._replace()
+    assert copy == lexicon and hash(copy) == hash(lexicon) and copy is not lexicon
+    assert copy._folds == {} and lexicon._folds == {"roadmaps": "plan"}
+
+
+def test_values_compare_as_plain_tuples():
+    statement = AttributeStatement(" a1 ", " some text ")
+    assert statement == ("a1", "some text") and len(statement) == 2 and list(statement) == ["a1", "some text"]
+    assert Concept("A") == ("A", (), (), (), ())
