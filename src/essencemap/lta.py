@@ -12,15 +12,17 @@ Scoring runs in one of three modes: ``heuristic`` (computed from the text
 alone), ``annotated`` (levels read from a curated table, errors on gaps)
 and ``hybrid`` (annotation wins when present, heuristic otherwise).
 
-:class:`StatementScorer` splits and canonicalizes each concept's
-statements once, caching one row of part sets per attribute; scoring a
-pair is then three set-overlap tests.  A :class:`Lexicon` folds and
-verb-tests each distinct token once and memoizes the answers, so the
-per-token work grows with the vocabulary, not with the number of times a
-token occurs.  The reference is a row's identity:
-a row scores 3 against the row with its own reference, whatever its text.
-:meth:`StatementScorer.cells` names the cells of a concept pair that can
-reach a threshold, read from a bitmask index over each context's rows.
+A :class:`StatementScorer` is built over the contexts it maps: it splits
+and canonicalizes the statements of each of their concepts once, holding
+one row of part sets per attribute; scoring a pair is then three
+set-overlap tests.  A :class:`Lexicon` folds and verb-tests each distinct
+token once and memoizes the answers, so the per-token work grows with the
+vocabulary, not with the number of times a token occurs.  The reference
+is a row's identity: a row scores 3 against the row with its own
+reference, whatever its text.  :meth:`StatementScorer.cells` names the
+cells of a concept pair that can reach a threshold, read from a bitmask
+index over the rows the scorer holds; a concept it was not built over is
+scanned in full.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
-from .concepts import AttrRef, AttributeStatement, Checked, Concept
+from .concepts import AttrRef, AttributeStatement, Checked, Concept, SemanticContext
 from .errors import UnannotatedPairError
 
 if TYPE_CHECKING:
@@ -278,46 +280,28 @@ class AttrProfile(NamedTuple):
     has_verb: bool
 
 
-class _ContextIndex:
-    """Every row profiled under one context id, each concept's rows at a fixed bit offset.
-
-    ``concepts`` maps ``id(concept)`` to the concept (held alive, so its id
-    is not reused), its rows and its offset.  ``masks`` (one per part) and
-    ``refs`` map a canonical token or a reference to the bitmask of the rows
-    holding it; ``sweeps`` keeps each sweep with the row count it saw and
-    the OR of its row masks.
-    """
-
-    __slots__ = ("size", "concepts", "masks", "refs", "sweeps")
-
-    def __init__(self):
-        self.size = 0
-        self.concepts: dict[int, tuple[Concept, tuple[AttrProfile, ...], int]] = {}
-        self.masks: tuple[dict[str, int], ...] = ({}, {}, {})
-        self.refs: dict[AttrRef, int] = {}
-        self.sweeps: dict[tuple[str, int, int], tuple[int, tuple[int, ...], int]] = {}
-
-
 class StatementScorer:
     """Scoring front-end bundling lexicon, annotations and mode.
 
-    :meth:`profile` splits and canonicalizes a concept's statements once
-    and caches the rows; :meth:`level` compares two rows with no parsing per
-    pair.  A row scores 3 against the row with its own reference.  Caching
-    is idempotent, so scores do not depend on the order in which pairs are
-    visited.
+    The scorer is built over the contexts it will map: its constructor
+    splits and canonicalizes every concept of ``contexts`` once and holds
+    the rows under ``(context id, concept name)``, the first concept under
+    a key being the one held.  :meth:`profile` returns the held rows of
+    that concept or of one equal to it, and builds fresh rows for any other
+    concept: one the scorer was not built over, or a twin (another concept
+    under a key it holds).  :meth:`level` compares two rows with no parsing
+    per pair; a row scores 3 against the row with its own reference.
 
     :meth:`cells` names the pairs of two concepts' rows worth scoring
-    against a threshold.  The rows of every concept profiled under one
-    context id form that context's index, each concept at a fixed bit
-    offset.  With no table in use the index keeps, per part, a dict from
-    canonical token to the bitmask of the rows holding it.  ORing the masks
-    of one row's tokens per part gives, bit by bit, the rows of the whole
-    context whose part overlaps it, and the three results add up to the
-    heuristic level of each cell; so one sweep per row and context picks
-    out the cells that can reach a threshold, and each concept pair reads
-    its slice.  With a table in use (annotated mode, and hybrid mode with
-    a table) a table level can lift any cell, so every cell is named.
+    against a threshold.  With no table in use, every held row has one bit,
+    and the scorer keeps, per part, a dict from canonical token to the
+    bitmask of the rows holding it.  ORing the masks of one row's tokens
+    per part gives, bit by bit, the held rows whose part overlaps it, and
+    the three results add up to the heuristic level of each cell; so one
+    sweep per row picks out the cells that can reach a threshold, and each
+    concept pair reads its slice.  A pair with a concept that is not held,
+    or with a table in use (annotated mode, and hybrid mode with a table,
+    where a table level can lift any cell), names every cell.
     """
 
     def __init__(
@@ -325,6 +309,7 @@ class StatementScorer:
         lexicon: Lexicon = EMPTY_LEXICON,
         annotations: Optional["AnnotationTable"] = None,
         mode: str = "heuristic",
+        contexts: Iterable[SemanticContext] = (),
     ):
         if mode not in MODES:
             raise ValueError(f"unknown scoring mode {mode!r}")
@@ -333,20 +318,26 @@ class StatementScorer:
         self.lexicon = lexicon
         self.mode = mode
         self._table = None if mode == "heuristic" else annotations
-        self._contexts: dict[str, _ContextIndex] = {}
+        # (context id, name) -> (concept, its rows, the bit of its first row)
+        self._held: dict[tuple[str, str], tuple[Concept, tuple[AttrProfile, ...], int]] = {}
+        self._masks: tuple[dict[str, int], ...] = ({}, {}, {})
+        self._sweeps: dict[tuple[str, str, int], tuple[tuple[int, ...], int]] = {}
+        size = 0
+        for context in contexts:
+            for concept in context.concepts:
+                key = (context.id, concept.name)
+                if key not in self._held:
+                    rows = self._rows(context.id, concept)
+                    self._held[key] = (concept, rows, size)
+                    size += len(rows)
+        if self._table is None:
+            for _, rows, offset in self._held.values():
+                for bit, row in enumerate(rows, offset):
+                    for part, by_token in zip((row.subject, row.predicate, row.object_part), self._masks):
+                        for token in part:
+                            by_token[token] = by_token.get(token, 0) | 1 << bit
 
-    def profile(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
-        """One row per attribute of ``concept``, in attribute order.
-
-        A concept joins ``context``'s index the first time it is profiled
-        there, so its offset never changes.
-        """
-        index = self._contexts.get(context)
-        if index is None:
-            index = self._contexts[context] = _ContextIndex()
-        placed = index.concepts.get(id(concept))
-        if placed is not None:
-            return placed[1]
+    def _rows(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
         built = []
         for attr in concept.attributes:
             ref = AttrRef(context, concept.name, attr.id)
@@ -355,16 +346,17 @@ class StatementScorer:
             built.append(AttrProfile(
                 ref, *(canonicalize_part(part, self.lexicon) for part in parts), spo.has_verb
             ))
-        rows = tuple(built)
-        if self._table is None:
-            for bit, row in enumerate(rows, index.size):
-                for part, by_token in zip((row.subject, row.predicate, row.object_part), index.masks):
-                    for token in part:
-                        by_token[token] = by_token.get(token, 0) | 1 << bit
-                index.refs[row.ref] = index.refs.get(row.ref, 0) | 1 << bit
-        index.concepts[id(concept)] = (concept, rows, index.size)
-        index.size += len(rows)
-        return rows
+        return tuple(built)
+
+    def _holding(self, context: str, concept: Concept):
+        """``(concept, rows, offset)`` held for ``concept`` or one equal to it, else ``None``."""
+        held = self._held.get((context, concept.name))
+        return held if held is not None and held[0] == concept else None
+
+    def profile(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
+        """One row per attribute of ``concept``, in attribute order."""
+        held = self._holding(context, concept)
+        return held[1] if held is not None else self._rows(context, concept)
 
     def cells(
         self, context1: str, c1: Concept, context2: str, c2: Concept, threshold: int
@@ -372,22 +364,22 @@ class StatementScorer:
         """The row pairs of ``c1`` x ``c2`` that can reach ``threshold`` (1 to 3).
 
         With a table in use every pair, since a table level can lift a cell
-        the parts do not.  Otherwise the pairs that share at least
-        ``threshold`` parts or a reference, row by row of ``c1``; a pair
-        left out scores below ``threshold``.
+        the parts do not, and so too for a concept the scorer does not hold.
+        Otherwise the pairs that share at least ``threshold`` parts or a
+        reference, row by row of ``c1``; a pair left out scores below
+        ``threshold``.
         """
-        rows2 = self.profile(context2, c2)
-        rows1 = self.profile(context1, c1)
-        if self._table is not None:
-            return product(rows1, rows2)
-        index = self._contexts[context2]
-        key = (context1, id(c1), threshold)
-        swept = index.sweeps.get(key)
-        if swept is None or swept[0] != index.size:  # a concept joined since
-            subjects, predicates, objects = index.masks
+        held1, held2 = self._holding(context1, c1), self._holding(context2, c2)
+        if self._table is not None or held1 is None or held2 is None:
+            return product(self.profile(context1, c1), self.profile(context2, c2))
+        (_, rows1, offset1), (_, rows2, offset2) = held1, held2
+        key = (context1, c1.name, threshold)
+        swept = self._sweeps.get(key)
+        if swept is None:
+            subjects, predicates, objects = self._masks
             found = []
             union = 0
-            for a in rows1:
+            for bit, a in enumerate(rows1, offset1):
                 m0 = m1 = m2 = 0
                 for token in a.subject:
                     m0 |= subjects.get(token, 0)
@@ -401,16 +393,16 @@ class StatementScorer:
                     mask = (m0 & m1) | (m0 & m2) | (m1 & m2)
                 else:
                     mask = m0 & m1 & m2
-                mask |= index.refs.get(a.ref, 0)
+                mask |= 1 << bit  # the row with a's own reference is a
                 found.append(mask)
                 union |= mask
-            swept = index.sweeps[key] = (index.size, tuple(found), union)
-        offset, width = index.concepts[id(c2)][2], (1 << len(rows2)) - 1
-        if not (swept[2] >> offset) & width:  # no row of c1 hits c2
+            swept = self._sweeps[key] = (tuple(found), union)
+        width = (1 << len(rows2)) - 1
+        if not (swept[1] >> offset2) & width:  # no row of c1 hits c2
             return []
         pairs = []
-        for a, hits in zip(rows1, swept[1]):
-            hits = (hits >> offset) & width
+        for a, hits in zip(rows1, swept[0]):
+            hits = (hits >> offset2) & width
             while hits:
                 low = hits & -hits
                 hits ^= low

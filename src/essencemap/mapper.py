@@ -59,8 +59,8 @@ class MapConfig(NamedTuple):
     mode: str = "hybrid"
     threshold: int = DEFAULT_THRESHOLD
 
-    def make_scorer(self) -> StatementScorer:
-        return StatementScorer(self.lexicon, self.annotations, self.mode)
+    def make_scorer(self, *contexts: SemanticContext) -> StatementScorer:
+        return StatementScorer(self.lexicon, self.annotations, self.mode, contexts)
 
 
 class MappingResult(Checked, namedtuple("MappingResult", "left right match_set similarity_pct relation")):
@@ -114,8 +114,10 @@ def map_pair(
 ) -> MappingResult:
     """Score, match and classify a single concept pair.
 
-    ``scorer`` defaults to ``config.make_scorer()``; a caller mapping many
-    pairs passes the one it made, so each concept is profiled once.
+    ``scorer`` defaults to ``config.make_scorer()``, which holds no concept
+    and so scores every cell; a caller mapping many pairs passes one built
+    over their contexts, which profiles each concept once and scores only
+    the cells that can reach the threshold.
     """
     if not c1.attributes:
         raise NoAttributesError(f"concept {context1}/{c1.name} has no attributes")
@@ -141,16 +143,13 @@ def map_contexts(
         raise EmptyContextError(f"context {practice.id!r} has no concepts")
     if not framework.concepts:
         raise EmptyContextError(f"context {framework.id!r} has no concepts")
-    scorer = config.make_scorer()
-    # Profile every concept before the first pair, so each context's index
-    # is complete when StatementScorer.cells first reads it.
-    ordered = [sorted(context.concepts, key=lambda c: c.name) for context in (practice, framework)]
-    text_scored = config.mode != "annotated"
+    scorer = config.make_scorer(practice, framework)
     verbless = set()
-    for context, concepts in zip((practice, framework), ordered):
-        for concept in concepts:
-            rows = scorer.profile(context.id, concept)
-            verbless.update(str(row.ref) for row in rows if text_scored and not row.has_verb)
+    if config.mode != "annotated":
+        for context in (practice, framework):
+            for concept in context.concepts:
+                verbless.update(str(row.ref) for row in scorer.profile(context.id, concept) if not row.has_verb)
+    ordered = [sorted(context.concepts, key=lambda c: c.name) for context in (practice, framework)]
     results = []
     best_matches = []
     for p_concept in ordered[0]:

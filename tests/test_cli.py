@@ -1,15 +1,19 @@
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from essencemap import bundled_path, cli, load_concepts
 from essencemap.cli import EXIT_OK, EXIT_PARSE, EXIT_REFERENCE, EXIT_USAGE, format_pct, main
+from essencemap.lta import MODES
 
 
 def _map_argv(practice, framework, lexicon, *extra):
@@ -247,6 +251,91 @@ def test_one_file_as_both_sides_maps(clashing_files, capsys):
     alpha = clashing_files[0]
     assert main(["map", "--practice", str(alpha), "--framework", str(alpha)]) == EXIT_OK
     assert capsys.readouterr().out.startswith("mapping S -> S")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("map", "context: P\nconcept: A\nend\n", "concept P/A has no attributes"),
+    ("score", "context: P\nconcept: A\nend\n", "concept P/A has no attributes"),
+    ("map", "context: P\n", "context 'P' has no concepts"),
+])
+def test_concept_or_context_with_nothing_to_map_exits_2_without_a_line(
+        command, text, message, essence, tmp_path, capsys):
+    # The files parse; the mapper rejects them, so the message names no source:line.
+    practice = _write(tmp_path / "p.concepts", text)
+    argv = ["--practice", str(practice), "--framework", str(essence), "--mode", "heuristic"]
+    argv = ["score", "--left", "P/A", "--right", "EF/Requirements", *argv] if command == "score" else ["map", *argv]
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err == f"essencemap: {message}\n"
+
+
+_CASE_FILES = {name: bundled_path(name).read_bytes()
+               for name in ("scrum.concepts", "essence.concepts", "paper.lex", "paper-table1.ann")}
+# Bytes worth inserting: invalid UTF-8, a BOM, NUL, line breaks and line syntax.
+_INSERTS = (b"\xff", b"\xe9", b"\xc3", b"\xef\xbb\xbf", b"\x00", b"\n", b"\r", b"\\\n", b":", b"=",
+            b"/", b".", b"#", b" ", b"end\n", b"concept: ", b"attr a1: ", b"obj o1: ", b"pair: ")
+
+
+@st.composite
+def _mutated(draw, data):
+    """``data`` after one to four edits: bytes deleted or inserted, lines shuffled or duplicated."""
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(("delete", "insert", "shuffle", "duplicate")))
+        at = draw(st.integers(0, len(data)))
+        if edit == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 16)):]
+        elif edit == "insert":
+            data = data[:at] + draw(st.sampled_from(_INSERTS) | st.binary(min_size=1, max_size=4)) + data[at:]
+        else:
+            lines = data.splitlines(keepends=True)
+            i = draw(st.integers(0, len(lines)))
+            if edit == "shuffle":
+                j = draw(st.integers(i, min(len(lines), i + 6)))
+                lines[i:j] = draw(st.permutations(lines[i:j]))
+            elif i < len(lines):
+                lines.insert(i, lines[i])
+            data = b"".join(lines)
+    return data
+
+
+@pytest.mark.parametrize("command", ["map", "score", "parse"])
+@settings(derandomize=True, database=None, max_examples=100)
+@given(data=st.data())
+def test_mutated_case_study_files_exit_0_2_or_3_with_one_line(command, data):
+    if command == "parse":
+        flags = data.draw(st.sampled_from(([], ["--show-spo"], ["--show-spo", "--lexicon"])))
+        used = ["scrum.concepts"] + (["paper.lex"] if "--lexicon" in flags else [])
+    else:
+        mode = data.draw(st.sampled_from(MODES))
+        used = ["scrum.concepts", "essence.concepts"]
+        used += {"heuristic": ["paper.lex"], "annotated": ["paper-table1.ann"],
+                 "hybrid": ["paper.lex", "paper-table1.ann"]}[mode]
+    target = data.draw(st.sampled_from(used))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: bundled_path(name) for name in used}
+        paths[target] = Path(tmp) / target
+        paths[target].write_bytes(data.draw(_mutated(_CASE_FILES[target])))
+        if command == "parse":
+            argv = ["parse", str(paths["scrum.concepts"]), *flags]
+            if "--lexicon" in flags:
+                argv.append(str(paths["paper.lex"]))
+        else:
+            argv = ["--practice", str(paths["scrum.concepts"]), "--framework", str(paths["essence.concepts"]),
+                    "--mode", mode]
+            if "paper.lex" in paths:
+                argv += ["--lexicon", str(paths["paper.lex"])]
+            if "paper-table1.ann" in paths:
+                argv += ["--annotations", str(paths["paper-table1.ann"])]
+            if command == "score":
+                argv = ["score", "--left", "Scrum/ProductBacklog", "--right", "EF/Requirements", *argv]
+            else:
+                argv = ["map", *argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_REFERENCE)
+    if code != EXIT_OK:
+        message = err.getvalue()
+        assert message.startswith("essencemap: ") and message.count("\n") == 1 and message.endswith("\n")
 
 
 _VERBLESS = (

@@ -13,6 +13,7 @@ from essencemap import (
     Lexicon,
     MapConfig,
     ObjectInstance,
+    SemanticContext,
     StatementScorer,
     UnannotatedPairError,
     bundled_path,
@@ -441,11 +442,13 @@ class TestScoringProperties:
                 if level >= threshold:
                     expected.append(CandidatePair(left, right, level))
         expected.sort(key=lambda p: (-p.level, p.left, p.right))
-        scorer = StatementScorer(LEXICON, table, mode)
+        # Built over both sides; a twin second side is not held, so it is scanned in full.
+        contexts = (SemanticContext(ctx1, (c1,)), SemanticContext(ctx2, (c2,)))
+        scorer = StatementScorer(LEXICON, table, mode, contexts)
         assert candidate_pairs(ctx1, c1, ctx2, c2, scorer, threshold) == expected
 
     def test_prefilter_scores_only_qualifying_cells(self, scrum_context, essence_context):
-        scorer = _CountingScorer(LEXICON)
+        scorer = _CountingScorer(LEXICON, contexts=(scrum_context, essence_context))
         cells = 0
         for c1 in scrum_context.concepts:
             for c2 in essence_context.concepts:
@@ -482,7 +485,7 @@ class TestScoringProperties:
             copy = context._replace(concepts=tuple(c._replace() for c in context.concepts))
             results, calls = [], []
             for other in (context, copy):
-                scorer = _CountingScorer(LEXICON)
+                scorer = _CountingScorer(LEXICON, contexts=(context, other))
                 results.append([map_pair(context.id, c1, other.id, c2, config, scorer)
                                 for c1 in context.concepts for c2 in other.concepts])
                 calls.append(scorer.calls)
@@ -508,16 +511,16 @@ def _full_scan(table, mode, side1, side2, threshold):
 
 @st.composite
 def _scorer_session(draw):
-    """(mode, table, concepts, calls) for one long-lived scorer.
+    """(mode, table, concepts, calls) for one scorer built over the first concept per key.
 
     Each concept sits in context X or Y and is named from three names, so
     pairs within one context id and twins (one context and name, other
-    texts) both occur.  A call profiles one concept, or takes the
-    candidates of or maps one ordered pair at a threshold; a concept first
-    named by a late call joins its context after earlier sweeps of it.
-    Some concepts reuse the texts of an earlier one.  Hybrid mode gets
-    levels for a random subset of the distinct pairs, annotated mode for
-    all of them.
+    texts) both occur; the scorer holds the first concept under each
+    ``(context, name)`` and leaves the twins loose.  A call profiles one
+    concept, or takes the candidates of or maps one ordered pair at a
+    threshold.  Some concepts reuse the texts of an earlier one.  Hybrid
+    mode gets levels for a random subset of the distinct pairs, annotated
+    mode for all of them.
     """
     pool = []
     for _ in range(draw(st.integers(3, 6))):
@@ -540,23 +543,31 @@ def _scorer_session(draw):
     return mode, table, pool, calls
 
 
-_STALE_SWEEP = (
+def _held_contexts(pool):
+    """One context per id of ``pool``, holding the first concept under each name."""
+    first = {}
+    for context, concept in pool:
+        first.setdefault(context, {}).setdefault(concept.name, concept)
+    return [SemanticContext(context, by_name.values()) for context, by_name in first.items()]
+
+
+_THRESHOLD_3_THEN_1 = (
     "heuristic", None,
     [("X", Concept("Alpha", (AttributeStatement("a1", "backlog is the vision"),))),
-     ("Y", Concept("Beta", (AttributeStatement("a1", "stakeholders provide grooming"),))),
-     ("Y", Concept("Gamma", (AttributeStatement("a1", "backlog is the vision"),))),
-     ("X", Concept("Gamma", (AttributeStatement("a1", "the vision is backlog"),)))],
-    # Alpha's rows are swept against Y, then Gamma joins Y; Alpha and X/Gamma share X.
-    [("candidates", 0, 1, 2), ("candidates", 0, 2, 2), ("map", 3, 0, 3), ("candidates", 0, 3, 3)],
+     ("Y", Concept("Beta", (AttributeStatement("a1", "backlog is the vision"),
+                            AttributeStatement("a2", "stakeholders provide vision")))),
+     ("Y", Concept("Beta", (AttributeStatement("a1", "the vision"),)))],
+    # One sweep of Alpha against Y at threshold 3, then one at threshold 1; Y/Beta's twin is loose.
+    [("candidates", 0, 1, 3), ("candidates", 0, 1, 1), ("map", 0, 2, 1), ("candidates", 1, 1, 2)],
 )
 
 
-class TestLongLivedScorer:
+class TestScorerOverItsContexts:
     @given(session=_scorer_session())
-    @example(session=_STALE_SWEEP)
+    @example(session=_THRESHOLD_3_THEN_1)
     def test_interleaved_calls_equal_fresh_full_scans(self, session):
         mode, table, pool, calls = session
-        scorer = StatementScorer(LEXICON, table, mode)
+        scorer = StatementScorer(LEXICON, table, mode, _held_contexts(pool))
         for call, *args in calls:
             if call == "profile":
                 side = pool[args[0]]
@@ -570,12 +581,13 @@ class TestLongLivedScorer:
                 config = MapConfig(LEXICON, table, mode, threshold)
                 assert map_pair(*pool[i], *pool[j], config, scorer) == map_pair(*pool[i], *pool[j], config)
 
-    def test_stale_sweep_example_finds_the_late_concept(self):
-        _, _, pool, _ = _STALE_SWEEP
-        scorer = StatementScorer(LEXICON)
-        assert candidate_pairs(*pool[0], *pool[1], scorer, 2) == []
-        assert candidate_pairs(*pool[0], *pool[2], scorer, 2) == [
-            CandidatePair(AttrRef("X", "Alpha", "a1"), AttrRef("Y", "Gamma", "a1"), 3)]
+    def test_threshold_3_then_1_example_finds_the_level_1_cells(self):
+        _, _, pool, _ = _THRESHOLD_3_THEN_1
+        scorer = StatementScorer(LEXICON, contexts=_held_contexts(pool))
+        alpha, beta1, beta2 = AttrRef("X", "Alpha", "a1"), AttrRef("Y", "Beta", "a1"), AttrRef("Y", "Beta", "a2")
+        assert candidate_pairs(*pool[0], *pool[1], scorer, 3) == [CandidatePair(alpha, beta1, 3)]
+        assert candidate_pairs(*pool[0], *pool[1], scorer, 1) == [
+            CandidatePair(alpha, beta1, 3), CandidatePair(alpha, beta2, 1)]
 
     @pytest.mark.parametrize("threshold", THRESHOLDS)
     @pytest.mark.parametrize("mode", MODES)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from essencemap import (
     sub_concept,
     super_concept,
 )
+from essencemap.lta import MODES
 from essencemap.mapper import RELATION_LABELS, MappingResult, classify
 from essencemap.matching import THRESHOLDS
 
@@ -87,6 +89,29 @@ def _contexts(draw):
             tuple(ObjectInstance(f"o{i + 1}", t) for i, t in enumerate(labels)),
         ))
     return SemanticContext("X", tuple(concepts))
+
+
+@st.composite
+def _mapping_case(draw):
+    """(practice, framework, config) over two drawn contexts, in every mode and at every threshold.
+
+    The framework shares the practice's context id half the time, so a
+    framework concept can have the context and name of a practice concept
+    but other texts.  Annotated mode gets a level for every pair of
+    distinct references, hybrid mode for a random subset.
+    """
+    practice = draw(_contexts())
+    framework = draw(_contexts())._replace(id=draw(st.sampled_from(("X", "Y"))))
+    mode = draw(st.sampled_from(MODES))
+    table = None
+    if mode != "heuristic":
+        refs = sorted({AttrRef(context.id, concept.name, attr.id) for context in (practice, framework)
+                       for concept in context.concepts for attr in concept.attributes})
+        table = AnnotationTable((left, right, draw(st.integers(0, 3)))
+                                for left, right in itertools.combinations(refs, 2)
+                                if mode == "annotated" or draw(st.booleans()))
+    return practice, framework, MapConfig(annotations=table, mode=mode,
+                                          threshold=draw(st.sampled_from(THRESHOLDS)))
 
 
 _NAMES = ("Alpha", "Beta", "Gamma", "Delta", "Epsilon")
@@ -305,6 +330,15 @@ class TestMapContexts:
             }
             assert mirrored == original
 
+    @given(case=_mapping_case())
+    def test_swap_mirrors_every_result_on_drawn_contexts(self, case):
+        practice, framework, config = case
+        swaps = {"sub-concept": "super-concept", "super-concept": "sub-concept"}
+        mirrored = {(r.right, r.left, r.similarity_pct, swaps.get(r.relation, r.relation))
+                    for r in map_contexts(framework, practice, config).results}
+        assert mirrored == {(r.left, r.right, r.similarity_pct, r.relation)
+                            for r in map_contexts(practice, framework, config).results}
+
     def test_labels_agree_with_predicates(self):
         rng = random.Random(0xABCD)
         for index in range(8):
@@ -324,6 +358,15 @@ class TestMapContexts:
                     assert not equivalent(left, right, result.match_set)
                     assert not sub_concept(left, right, result.match_set)
                     assert not super_concept(left, right, result.match_set)
+
+    @given(case=_mapping_case())
+    def test_labels_agree_with_predicates_on_drawn_contexts(self, case):
+        practice, framework, config = case
+        for result in map_contexts(practice, framework, config).results:
+            left = practice.concept(result.left.partition("/")[2])
+            right = framework.concept(result.right.partition("/")[2])
+            assert result.relation == precedence(left, right, result.match_set)
+            assert all(pair.level >= config.threshold for pair in result.match_set.pairs)
 
     def test_labels_follow_the_written_precedence(self):
         # One hand-built pair per label, then seeded random pairs.
