@@ -197,7 +197,9 @@ def cmd_score(args: argparse.Namespace) -> str:
     contexts = {practice.id: practice, framework.id: framework}
     left_ctx, left_concept = _resolve_concept(args.left, contexts)
     right_ctx, right_concept = _resolve_concept(args.right, contexts)
-    scorer = map_config.make_scorer()
+    # One-concept contexts: the scorer profiles the pair once, for map_pair and the matrix alike.
+    scorer = map_config.make_scorer(SemanticContext(left_ctx, (left_concept,)),
+                                    SemanticContext(right_ctx, (right_concept,)))
     result = map_pair(left_ctx, left_concept, right_ctx, right_concept, map_config, scorer)
 
     lines = [

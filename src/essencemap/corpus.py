@@ -29,8 +29,10 @@ each line builds its model object (:class:`SemanticContext`,
 :class:`Concept`, :class:`AttributeStatement`, :class:`ObjectInstance`,
 :func:`relation_ref`, :func:`~essencemap.lta.add_synonym_group`,
 :meth:`AnnotationTable.add`, ...), which raises ``ValueError`` as the shape
-checks do; one handler per parser loop turns that error into a
-:class:`CorpusSyntaxError` at that line.
+checks do; one handler per checked parser loop turns that error into a
+:class:`CorpusSyntaxError` at that line.  An annotation file takes one
+unchecked pass first, kept only when its entry count shows no self pair or
+repeat; any other file is parsed again by the checked loop.
 """
 
 from __future__ import annotations
@@ -55,7 +57,10 @@ class AnnotationTable:
 
     Each reference keys a row dict from the other reference to the level, and
     every pair sits in both rows, so a lookup in either orientation is two
-    dict lookups.
+    dict lookups.  A row may be empty: :func:`parse_annotations` makes one
+    for every known reference before it reads a line, and a reference that
+    no line names keeps its empty row.  ``len`` counts the entries of all
+    rows, halved.
     """
 
     def __init__(self, entries: Iterable[tuple[AttrRef, AttrRef, int]] = ()):
@@ -235,35 +240,56 @@ def parse_annotations(
     """Parse ``pair:`` lines, resolving every reference against ``contexts``.
 
     When two contexts share an id, the last one wins.  A reference resolves
-    with one lookup in a map from ``str(ref)`` to ``ref`` over every attribute
-    of those contexts; since ``AttrRef.parse(str(ref)) == ref`` for every ref
-    the model accepts, a hit is what the checked path would return.  A miss
-    names the part that does not resolve: as ``str(AttrRef.parse(t)) == t``,
-    the attribute when the context and concept resolve.
+    with one lookup in a map from ``str(ref)`` to ``ref`` and its row, over
+    every attribute of those contexts; since ``AttrRef.parse(str(ref)) ==
+    ref`` for every ref the model accepts, a hit is what the checked path
+    would return.  A miss names the part that does not resolve: as
+    ``str(AttrRef.parse(t)) == t``, the attribute when the context and
+    concept resolve.
 
-    A line that splits on whitespace into exactly ``pair:``, two references
-    that both hit, ``=`` and a level text of :data:`_LEVEL_TEXTS` goes
-    straight to :meth:`AnnotationTable.add`.  ``str.split`` drops the
-    whitespace that the checked path's ``split`` and ``strip`` drop, and a
-    level text holds no ``=``, so ``rpartition`` would split at the ``=``
-    field and the checked path would read the same references and level.
-    Every other line takes the checked path, which writes the shape and
-    reference messages.  Each pair is stored in the table's row dicts under
-    both orientations, and ``len`` counts it once.
+    One pass over the whole text, meant for well-formed files, skips the
+    lines :func:`_logical_lines` skips and writes the level of each line
+    that splits on whitespace into exactly ``pair:``, two references that
+    both hit, ``=`` and a level text of :data:`_LEVEL_TEXTS` into both rows.
+    ``str.split`` drops the whitespace that the checked path's ``split`` and
+    ``strip`` drop, and a level text holds no ``=``, so the checked path
+    would read the same references and level.  The self-pair and duplicate
+    rules hold by count: a line of two references not paired before writes
+    two new entries, and a self pair or a repeat in either orientation
+    fewer, so ``len(table)``, the entries halved, equals the lines taken
+    only when none was either.  Any other outcome (a line off that shape,
+    or a count short) parses again from the first line on the checked path,
+    whose :meth:`AnnotationTable.add` raises at the first bad line.
     """
     by_id: Mapping[str, SemanticContext] = {ctx.id: ctx for ctx in contexts}
-    known: dict[str, AttrRef] = {}
+    table = AnnotationTable()
+    known: dict[str, tuple[AttrRef, dict[AttrRef, int]]] = {}
     for context in by_id.values():
         for concept in context.concepts:
             for attr in concept.attributes:
                 ref = AttrRef(context.id, concept.name, attr.id)
-                known[str(ref)] = ref
-    table = AnnotationTable()
+                known[str(ref)] = (ref, table._rows.setdefault(ref, {}))
+
+    taken, hit, level_of = 0, known.get, _LEVEL_TEXTS.get
+    for line in text.removeprefix("\ufeff").splitlines():
+        fields = line.split()
+        if len(fields) == 5 and fields[0] == "pair:" and fields[3] == "=":
+            left, right, level = hit(fields[1]), hit(fields[2]), level_of(fields[4])
+            if left is None or right is None or level is None:
+                break
+            left[1][right[0]] = level
+            right[1][left[0]] = level
+            taken += 1
+        elif fields and not fields[0].startswith("#"):
+            break
+    else:
+        if len(table) == taken:
+            return table
 
     def resolve(line: int, ref_text: str) -> AttrRef:
-        ref = known.get(ref_text)
-        if ref is not None:
-            return ref
+        found = known.get(ref_text)
+        if found is not None:
+            return found[0]
         ref = AttrRef.parse(ref_text)
         context = by_id.get(ref.context)
         if context is None:
@@ -276,15 +302,9 @@ def parse_annotations(
                 part = "concept"
         raise UnknownReferenceError(f"unknown {part} in reference {ref}", source=name, line=line)
 
+    table = AnnotationTable()
     for number, line in _logical_lines(text):
         try:
-            fields = line.split()
-            if len(fields) == 5 and fields[0] == "pair:" and fields[3] == "=":
-                left, right = known.get(fields[1]), known.get(fields[2])
-                level = _LEVEL_TEXTS.get(fields[4])
-                if left is not None and right is not None and level is not None:
-                    table.add(left, right, level)
-                    continue
             if not line.startswith("pair:"):
                 raise ValueError("expected 'pair: <ref> <ref> = <level>'")
             body, sep, level_text = line[len("pair:"):].rpartition("=")

@@ -168,6 +168,26 @@ def test_score_scores_each_cell_once_for_its_listing(scrum, essence, monkeypatch
 
 
 @pytest.mark.parametrize("mode", sorted(_MODE_ARGS))
+def test_score_splits_each_statement_once(mode, scrum, essence, monkeypatch, capsys):
+    # 6 + 6 attributes: map_pair and the level matrix read the same rows.
+    from essencemap import lta
+
+    calls = []
+    extract_spo = lta.extract_spo
+
+    def counting_extract_spo(*args, **kwargs):
+        calls.append(args[0])
+        return extract_spo(*args, **kwargs)
+
+    monkeypatch.setattr(lta, "extract_spo", counting_extract_spo)
+    argv = ["score", "--left", "Scrum/ProductBacklog", "--right", "EF/Requirements",
+            "--practice", str(scrum), "--framework", str(essence), *_MODE_ARGS[mode]]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / f"score-{mode}.txt").read_text(encoding="utf-8")
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("mode", sorted(_MODE_ARGS))
 @pytest.mark.parametrize("out_format", ["tsv", "jsonl", "table"])
 def test_map_case_study_matches_golden(out_format, mode, scrum, essence, capsys):
     # The case study reproduces the paper in both modes, so they share one file,

@@ -465,6 +465,51 @@ def test_fast_path_parses_as_the_checked_path(text):
             assert table.level_for(left, right) == expected.get(frozenset((left, right)))
 
 
+def _levels_as_reference(text):
+    """The levels ``parse_annotations`` reads from ``text``, by unordered pair,
+    checked against the reference parse; an error is checked the same way and raised."""
+    try:
+        expected = reference_parse_annotations(text, _ORACLE_CONTEXTS, name="t.ann")
+    except (CorpusSyntaxError, UnknownReferenceError) as exc:
+        with pytest.raises(type(exc)) as info:
+            parse_annotations(text, _ORACLE_CONTEXTS, name="t.ann")
+        got = info.value
+        assert (type(got), str(got), got.reason, got.source, got.line) == (
+            type(exc), str(exc), exc.reason, exc.source, exc.line)
+        raise got
+    table = parse_annotations(text, _ORACLE_CONTEXTS, name="t.ann")
+    levels = {frozenset((left, right)): table.level_for(left, right)
+              for left in _ORACLE_REFS for right in _ORACLE_REFS if table.level_for(left, right) is not None}
+    assert (len(table), levels) == (len(expected), expected)
+    return levels
+
+
+# Fast-shaped lines that break the self-pair or duplicate rule; the first bad line is reported.
+@pytest.mark.parametrize("text, line, message", [
+    ("pair: X/A.a1 X/A.a2 = 1\npair: Y=/E.e1 X/A.a1 = 2\npair: X/A.a1 X/A.a2 = 1\n", 3, "duplicate annotation"),
+    ("pair: X/A.a1 X/A.a2 = 1\npair: Y=/E.e1 X/A.a1 = 2\npair: X/A.a2 X/A.a1 = 3\n", 3, "duplicate annotation"),
+    ("pair: X/A.a1 X/A.a2 = 1\npair: X/B=C.b1 X/B=C.b1 = 3\n", 2, "cannot annotate X/B=C.b1 against itself"),
+    ("pair: X/A.a1 X/A.a2 = 1\npair: X/A.a2 X/A.a1 = 1\npair: Y=/E.e1 X/A.a1 = 2\npair: X/A.a1 = 1\n",
+     2, "duplicate annotation"),
+    ("pair: X/A.a1 X/A.a2 = 1\npair: X/A.a1 X/A.a2 = 1\npair: Y=/E.e1 X/A.a9 = 2\n", 2, "duplicate annotation"),
+])
+def test_a_count_short_of_the_lines_reports_the_first_bad_line(text, line, message):
+    with pytest.raises(CorpusSyntaxError, match=message) as info:
+        _levels_as_reference(text)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("off_shape", ["= 01", "=1", "= +1", "=\t1 "])
+def test_a_line_off_the_fast_shape_loads_the_table_of_its_canonical_text(off_shape):
+    lines = ["pair: X/A.a1 X/A.a2 = 1", "pair: Y=/E.e1 X/B=C.b1 = 2", "pair: X/D=.d1 X/A.a1 = 3"]
+    canonical = _levels_as_reference("\n".join(lines))
+    lines[0] = lines[0].replace("= 1", off_shape)
+    assert _levels_as_reference("\n".join(lines)) == canonical
+
+
+def test_comments_and_blank_lines_alone_load_an_empty_table():
+    assert _levels_as_reference("# a table\n\n   \n\t# pair: X/A.a1 X/A.a2 = 1\n#\n") == {}
+
 
 # Lines that miss the fast path's shape by one field; each must read as the checked path reads it.
 @pytest.mark.parametrize("line", ["pair: X/A.a1 X/A.a2 - 1", "pair: X/A.a1 X/A.a2 =1 1", "pairs: X/A.a1 X/A.a2 = 1",
