@@ -33,10 +33,15 @@ checks do; one handler per checked parser loop turns that error into a
 :class:`CorpusSyntaxError` at that line.  An annotation file takes one
 unchecked pass first, kept only when its entry count shows no self pair or
 repeat; any other file is parsed again by the checked loop.
+
+Every parser reads its text one piece of lines at a time, cut only after a
+``\\n`` about every 64 Ki characters, so the extra memory of a parse is
+about one piece, not a list of every line of the file.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
@@ -96,12 +101,37 @@ class AnnotationTable:
         return sum(map(len, self._rows.values())) // 2
 
 
+# About how many characters :func:`_line_pieces` cuts at a time.
+_PIECE_CHARS = 1 << 16
+
+
+def _line_pieces(text: str):
+    """Yield the lines of ``text``, one piece's ``splitlines()`` at a time.
+
+    One leading byte-order mark (U+FEFF) is dropped; anywhere else it is
+    text.  A piece ends just after the first ``\\n`` that makes it at least
+    :data:`_PIECE_CHARS` characters long, or at the end of the text, so a
+    ``\\r\\n`` is never split and the pieces' lines, in order, are exactly
+    ``text.removeprefix("\\ufeff").splitlines()``; a text with no ``\\n``
+    is one piece.  Only one piece and its lines are held at a time, not a
+    list of every line.
+    """
+    start = 1 if text.startswith("\ufeff") else 0
+    end = len(text)
+    while start < end:
+        cut = text.find("\n", start + _PIECE_CHARS - 1) + 1 or end
+        yield text[start:cut].splitlines()
+        start = cut
+
+
 def _logical_lines(text: str):
     """Yield (line_number, trimmed_line) skipping blanks and comments.
 
-    One leading byte-order mark (U+FEFF) is dropped; anywhere else it is text.
+    Lines are numbered as ``str.splitlines`` numbers them, after one leading
+    byte-order mark (U+FEFF) is dropped, and are read one piece at a time
+    (:func:`_line_pieces`).
     """
-    for number, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
+    for number, raw in enumerate(chain.from_iterable(_line_pieces(text)), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -247,8 +277,9 @@ def parse_annotations(
     ``str(AttrRef.parse(t)) == t``, the attribute when the context and
     concept resolve.
 
-    One pass over the whole text, meant for well-formed files, skips the
-    lines :func:`_logical_lines` skips and writes the level of each line
+    One pass over the whole text, meant for well-formed files and read one
+    piece at a time (:func:`_line_pieces`), skips the lines
+    :func:`_logical_lines` skips and writes the level of each line
     that splits on whitespace into exactly ``pair:``, two references that
     both hit, ``=`` and a level text of :data:`_LEVEL_TEXTS` into both rows.
     ``str.split`` drops the whitespace that the checked path's ``split`` and
@@ -259,7 +290,9 @@ def parse_annotations(
     fewer, so ``len(table)``, the entries halved, equals the lines taken
     only when none was either.  Any other outcome (a line off that shape,
     or a count short) parses again from the first line on the checked path,
-    whose :meth:`AnnotationTable.add` raises at the first bad line.
+    whose :meth:`AnnotationTable.add` raises at the first bad line.  Both
+    passes hold one piece of lines at a time, so beyond the table a load
+    holds about one piece, not the file.
     """
     by_id: Mapping[str, SemanticContext] = {ctx.id: ctx for ctx in contexts}
     table = AnnotationTable()
@@ -271,7 +304,7 @@ def parse_annotations(
                 known[str(ref)] = (ref, table._rows.setdefault(ref, {}))
 
     taken, hit, level_of = 0, known.get, _LEVEL_TEXTS.get
-    for line in text.removeprefix("\ufeff").splitlines():
+    for line in chain.from_iterable(_line_pieces(text)):
         fields = line.split()
         if len(fields) == 5 and fields[0] == "pair:" and fields[3] == "=":
             left, right, level = hit(fields[1]), hit(fields[2]), level_of(fields[4])

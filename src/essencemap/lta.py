@@ -75,7 +75,10 @@ _MIN_STEMMABLE = 4
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, drop apostrophes, split on anything non-alphanumeric."""
-    return _TOKEN_RE.findall(text.lower().translate(_APOSTROPHES))
+    text = text.lower()
+    if "'" in text or "’" in text:
+        text = text.translate(_APOSTROPHES)
+    return _TOKEN_RE.findall(text)
 
 
 def stem(token: str) -> str:
@@ -245,16 +248,18 @@ def extract_spo(
     """
     head, _, tail = statement.text.partition(".")
     tokens = tokenize(head)
-    trailing = tokenize(tail)
-    owner_tokens = tuple(tokenize(owner))
-    start = next((i for i, t in enumerate(tokens) if lexicon.is_verb(t)), None)
+    is_verb = lexicon.is_verb
+    start = next((i for i, t in enumerate(tokens) if is_verb(t)), None)
     if start is None:
-        return SpoTriple(owner_tokens, (), tuple(tokens + trailing))
-    end = start
-    while end < len(tokens) and lexicon.is_verb(tokens[end]):
-        end += 1
-    subject = tuple(tokens[:start]) or owner_tokens
-    return SpoTriple(subject, tuple(tokens[start:end]), tuple(tokens[end:] + trailing))
+        subject, predicate, rest = (), (), tokens
+    else:
+        end = start + 1
+        while end < len(tokens) and is_verb(tokens[end]):
+            end += 1
+        subject, predicate, rest = tuple(tokens[:start]), tuple(tokens[start:end]), tokens[end:]
+    if tail:
+        rest += tokenize(tail)
+    return SpoTriple(subject or tuple(tokenize(owner)), predicate, tuple(rest))
 
 
 def canonicalize_part(

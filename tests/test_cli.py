@@ -201,6 +201,15 @@ def test_map_case_study_matches_golden(out_format, mode, scrum, essence, capsys)
     assert err == ""
 
 
+@pytest.mark.parametrize("name", ["scrum", "essence"])
+def test_parse_show_spo_matches_golden(name, capsys):
+    argv = ["parse", str(bundled_path(f"{name}.concepts")), "--show-spo", "--lexicon", str(bundled_path("paper.lex"))]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.encode("utf-8") == (GOLDEN / f"parse-spo-{name}.txt").read_bytes()
+    assert err == ""
+
+
 def _run_module(*argv):
     src = Path(__file__).parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -1,4 +1,7 @@
+import itertools
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +24,7 @@ from essencemap import (
     parse_lexicon,
     serialize_concepts,
 )
+from essencemap import corpus
 from essencemap.corpus import AnnotationTable
 
 from annotation_oracle import reference_parse_annotations
@@ -525,6 +529,113 @@ def test_lines_off_the_fast_shape_take_the_checked_path(line):
         return
     table = parse_annotations(line, _ORACLE_CONTEXTS, name="t.ann")
     assert (len(table), table.level_for(*_ORACLE_REFS[1:3])) == (len(expected), 1)
+
+
+# Every line boundary of str.splitlines; "\r" and "\n" drawn apart also make a "\r\n".
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=500)
+@given(size=st.integers(1, 16), bom=st.booleans(), no_lf=st.booleans(),
+       parts=st.lists(st.sampled_from(_LINE_BREAKS) | st.text(alphabet="ab \t\ufeff", max_size=5), max_size=30))
+def test_line_pieces_yield_exactly_the_lines_of_splitlines(size, bom, no_lf, parts):
+    body = "".join(parts)
+    if no_lf:
+        body = body.replace("\n", "")
+    text = "\ufeff" * bom + body
+    with mock.patch.object(corpus, "_PIECE_CHARS", size):
+        pieces = list(corpus._line_pieces(text))
+    assert [line for piece in pieces for line in piece] == text.removeprefix("\ufeff").splitlines()
+    if "\n" not in body:
+        assert len(pieces) == (1 if body else 0)
+
+
+_SMALL_PIECE = 100
+
+
+def _crlf_table_lines():
+    """Every pair of ``_GOOD_REFS`` as a ``pair:`` line, with comments and blank lines."""
+    lines = []
+    for i, (left, right) in enumerate(itertools.combinations(_GOOD_REFS, 2)):
+        if i % 5 == 0:
+            lines.append("# note")
+        if i % 7 == 3:
+            lines.append("")
+        lines.append(f"pair: {left} {right} = {i % 4}")
+    return lines
+
+
+def _first_lines_after_cuts(text):
+    """The number of the first line after each cut at piece size ``_SMALL_PIECE``."""
+    with mock.patch.object(corpus, "_PIECE_CHARS", _SMALL_PIECE):
+        counts = [len(piece) for piece in corpus._line_pieces(text)]
+    return [total + 1 for total in itertools.accumulate(counts[:-1])]
+
+
+def test_a_crlf_table_of_several_pieces_loads_the_levels_of_the_reference():
+    text = "\r\n".join(_crlf_table_lines()) + "\r\n"
+    assert len(_first_lines_after_cuts(text)) >= 3
+    with mock.patch.object(corpus, "_PIECE_CHARS", _SMALL_PIECE):
+        levels = _levels_as_reference(text)
+    assert len(levels) == len(list(itertools.combinations(_GOOD_REFS, 2)))
+
+
+# Lines that break a rule, each put on the first line after a cut.
+@pytest.mark.parametrize("cut", [0, 1, 2])
+@pytest.mark.parametrize("bad, error, message", [
+    (f"pair: {_GOOD_REFS[1]} {_GOOD_REFS[0]} = 3", CorpusSyntaxError, "duplicate annotation"),
+    (f"pair: {_GOOD_REFS[2]} {_GOOD_REFS[2]} = 1", CorpusSyntaxError, "against itself"),
+    (f"pair: {_GOOD_REFS[0]} X/A.a9 = 1", UnknownReferenceError, "unknown attribute"),
+])
+def test_a_bad_line_just_after_a_cut_reports_as_the_reference(cut, bad, error, message):
+    lines = _crlf_table_lines()
+    number = _first_lines_after_cuts("\r\n".join(lines) + "\r\n")[cut]
+    lines[number - 1] = bad
+    text = "\r\n".join(lines) + "\r\n"
+    # A cut depends only on the text before it, so the bad line still follows one.
+    assert _first_lines_after_cuts(text)[cut] == number
+    with mock.patch.object(corpus, "_PIECE_CHARS", _SMALL_PIECE):
+        with pytest.raises(error, match=message) as info:
+            _levels_as_reference(text)
+    assert (info.value.source, info.value.line) == ("t.ann", number)
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_bundled_files_parse_the_same_in_small_pieces(size, essence_context, scrum_context):
+    def parse_all():
+        texts = {name: bundled_path(name).read_text(encoding="utf-8").replace("\n", "\r\n")
+                 for name in ("essence.concepts", "scrum.concepts", "paper.lex", "paper-table1.ann")}
+        table = parse_annotations(texts["paper-table1.ann"], [essence_context, scrum_context])
+        return (parse_concepts(texts["essence.concepts"]), parse_concepts(texts["scrum.concepts"]),
+                parse_lexicon(texts["paper.lex"]), table._rows)
+
+    whole = parse_all()
+    with mock.patch.object(corpus, "_PIECE_CHARS", size):
+        assert parse_all() == whole
+
+
+def test_a_load_holds_under_half_its_text_beyond_the_table():
+    concepts = tuple(Concept(f"C{c}", tuple(AttributeStatement(f"a{a}", "t") for a in range(1, 9)))
+                     for c in range(20))
+    contexts = (SemanticContext("P", concepts), SemanticContext("F", concepts))
+    refs = [[str(AttrRef(ctx.id, concept.name, attr.id)) for concept in ctx.concepts for attr in concept.attributes]
+            for ctx in contexts]
+    pairs = [f"pair: {left} {right} = {i % 4}" for i, (left, right) in enumerate(itertools.product(*refs))]
+    text = "# generated table\n" + "\n".join(pairs) + "\n"
+    assert len(pairs) >= 20_000
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        table = parse_annotations(text, contexts, name="big.ann")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(table) == len(pairs)
+    # A list of every line alone would be about twice the text.
+    assert peak - kept < len(text) / 2
 
 class TestByteOrderMark:
     BOM = b"\xef\xbb\xbf"

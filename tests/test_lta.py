@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from essencemap import (
@@ -29,7 +29,7 @@ from essencemap.lta import EMPTY_LEXICON, MODES, add_synonym_group, stem, tokeni
 from essencemap.matching import THRESHOLDS
 
 from conftest import attribute, make_random_context
-from lexicon_oracle import reference_canonicalize_part, reference_is_verb
+from lexicon_oracle import reference_canonicalize_part, reference_extract_spo, reference_is_verb
 
 
 def score_pair(left, s1, right, s2, lexicon=EMPTY_LEXICON, annotations=None, mode="heuristic"):
@@ -135,6 +135,22 @@ class TestExtractSpo:
         spo = extract_spo(AttributeStatement("x1", "team grooms the backlog"), "Thing", lexicon)
         assert spo.subject == ("team",)
         assert spo.predicate == ("grooms",)
+
+    # Apostrophes, periods, verb runs and owners that open with a verb.
+    _WORDS = ("team", "owner's", "Team’s", "'", "’s", "backlog", "is", "Are", "must", "address", "needs",
+              "grooms", "grooming", "the", "of", "2nd", ".", ". ", "..", "-", ",", "")
+
+    @given(words=st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12),
+           gaps=st.lists(st.sampled_from([" ", "", ".", "  "]), min_size=12, max_size=12),
+           owner=st.sampled_from(["Requirements", "IsReady", "Must Meet", "Owner's Vision", "Team’s Board",
+                                  "needs-backlog", "is"]),
+           extra_verbs=st.sampled_from([frozenset(), frozenset({"grooms"})]))
+    def test_split_matches_the_reference(self, words, gaps, owner, extra_verbs):
+        text = "".join(word + gap for word, gap in zip(words, gaps)).strip()
+        assume(text)
+        lexicon = Lexicon(extra_verbs=extra_verbs)
+        spo = extract_spo(AttributeStatement("x1", text), owner, lexicon)
+        assert tuple(spo) == reference_extract_spo(text, owner, lexicon)
 
 
 class TestCanonicalizePart:
