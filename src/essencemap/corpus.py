@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
 from .concepts import (
@@ -55,6 +56,9 @@ from .concepts import (
 )
 from .errors import CorpusSyntaxError, UnknownReferenceError
 from .lta import LEVEL_RANGE, Lexicon, add_synonym_group, check_one_token
+
+
+_NO_LEVELS: Mapping = MappingProxyType({})
 
 
 class AnnotationTable:
@@ -92,6 +96,11 @@ class AnnotationTable:
             right_row = rows[right] = {}
         right_row[left] = level
 
+    def row(self, ref: AttrRef) -> Mapping[AttrRef, int]:
+        """Read-only view of the levels of ``ref``: other reference -> level."""
+        row = self._rows.get(ref)
+        return _NO_LEVELS if row is None else MappingProxyType(row)
+
     def level_for(self, left: AttrRef, right: AttrRef) -> Optional[int]:
         row = self._rows.get(left)
         return None if row is None else row.get(right)
@@ -112,9 +121,10 @@ def _line_pieces(text: str):
     text.  A piece ends just after the first ``\\n`` that makes it at least
     :data:`_PIECE_CHARS` characters long, or at the end of the text, so a
     ``\\r\\n`` is never split and the pieces' lines, in order, are exactly
-    ``text.removeprefix("\\ufeff").splitlines()``; a text with no ``\\n``
-    is one piece.  Only one piece and its lines are held at a time, not a
-    list of every line.
+    ``text.removeprefix("\\ufeff").splitlines()``.  A text with no ``\\n``
+    is one piece when it is still non-empty after its mark is dropped, and
+    no piece otherwise.  Only one piece and its lines are held at a time,
+    not a list of every line.
     """
     start = 1 if text.startswith("\ufeff") else 0
     end = len(text)

@@ -21,8 +21,9 @@ vocabulary, not with the number of times a token occurs.  The reference
 is a row's identity: a row scores 3 against the row with its own
 reference, whatever its text.  :meth:`StatementScorer.cells` names the
 cells of a concept pair that can reach a threshold, read from a bitmask
-index over the rows the scorer holds; a concept it was not built over is
-scanned in full.
+index over the rows the scorer holds and, in hybrid mode, from the table
+levels of those rows; annotated mode, and a concept the scorer was not
+built over, are scanned in full.
 """
 
 from __future__ import annotations
@@ -298,15 +299,19 @@ class StatementScorer:
     per pair; a row scores 3 against the row with its own reference.
 
     :meth:`cells` names the pairs of two concepts' rows worth scoring
-    against a threshold.  With no table in use, every held row has one bit,
-    and the scorer keeps, per part, a dict from canonical token to the
-    bitmask of the rows holding it.  ORing the masks of one row's tokens
-    per part gives, bit by bit, the held rows whose part overlaps it, and
-    the three results add up to the heuristic level of each cell; so one
-    sweep per row picks out the cells that can reach a threshold, and each
-    concept pair reads its slice.  A pair with a concept that is not held,
-    or with a table in use (annotated mode, and hybrid mode with a table,
-    where a table level can lift any cell), names every cell.
+    against a threshold.  Outside annotated mode every held row has one
+    bit, and the scorer keeps, per part, a dict from canonical token to the
+    bitmask of the rows holding it, and a dict from each held row's
+    reference to its bit.  ORing the masks of one row's tokens per part
+    gives, bit by bit, the held rows whose part overlaps it, and the three
+    results add up to the heuristic level of each cell.  In hybrid mode a
+    table level replaces that level, so the sweep reads the row's table
+    levels once: the cells with a level drop their heuristic bits, and
+    those whose level reaches the threshold set theirs.  One sweep per row
+    thus picks out the cells that can reach a threshold, and each concept
+    pair reads its slice.  A pair with a concept that is not held names
+    every cell, and so does annotated mode, where a cell the table lacks
+    must reach :meth:`level` to raise.
     """
 
     def __init__(
@@ -326,6 +331,7 @@ class StatementScorer:
         # (context id, name) -> (concept, its rows, the bit of its first row)
         self._held: dict[tuple[str, str], tuple[Concept, tuple[AttrProfile, ...], int]] = {}
         self._masks: tuple[dict[str, int], ...] = ({}, {}, {})
+        self._bits: dict[AttrRef, int] = {}  # reference of a held row -> its bit, as a mask
         self._sweeps: dict[tuple[str, str, int], tuple[tuple[int, ...], int]] = {}
         size = 0
         for context in contexts:
@@ -335,12 +341,13 @@ class StatementScorer:
                     rows = self._rows(context.id, concept)
                     self._held[key] = (concept, rows, size)
                     size += len(rows)
-        if self._table is None:
+        if mode != "annotated":  # annotated mode scans every cell, so that a gap raises
             for _, rows, offset in self._held.values():
-                for bit, row in enumerate(rows, offset):
+                for index, row in enumerate(rows, offset):
+                    bit = self._bits[row.ref] = 1 << index
                     for part, by_token in zip((row.subject, row.predicate, row.object_part), self._masks):
                         for token in part:
-                            by_token[token] = by_token.get(token, 0) | 1 << bit
+                            by_token[token] = by_token.get(token, 0) | bit
 
     def _rows(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
         built = []
@@ -368,20 +375,22 @@ class StatementScorer:
     ) -> Iterable[tuple[AttrProfile, AttrProfile]]:
         """The row pairs of ``c1`` x ``c2`` that can reach ``threshold`` (1 to 3).
 
-        With a table in use every pair, since a table level can lift a cell
-        the parts do not, and so too for a concept the scorer does not hold.
-        Otherwise the pairs that share at least ``threshold`` parts or a
-        reference, row by row of ``c1``; a pair left out scores below
+        In annotated mode every pair, so that a pair the table lacks raises,
+        and so too for a concept the scorer does not hold.  Otherwise, row
+        by row of ``c1``, the pairs that share a reference, that have a
+        table level of at least ``threshold``, or that have no table level
+        and share at least ``threshold`` parts; a pair left out scores below
         ``threshold``.
         """
         held1, held2 = self._holding(context1, c1), self._holding(context2, c2)
-        if self._table is not None or held1 is None or held2 is None:
+        if self.mode == "annotated" or held1 is None or held2 is None:
             return product(self.profile(context1, c1), self.profile(context2, c2))
         (_, rows1, offset1), (_, rows2, offset2) = held1, held2
         key = (context1, c1.name, threshold)
         swept = self._sweeps.get(key)
         if swept is None:
             subjects, predicates, objects = self._masks
+            table, bits = self._table, self._bits
             found = []
             union = 0
             for bit, a in enumerate(rows1, offset1):
@@ -398,6 +407,14 @@ class StatementScorer:
                     mask = (m0 & m1) | (m0 & m2) | (m1 & m2)
                 else:
                     mask = m0 & m1 & m2
+                if table is not None:  # a table level replaces the heuristic one of its cell
+                    known = lifted = 0
+                    for ref, level in table.row(a.ref).items():
+                        cell = bits.get(ref, 0)
+                        known |= cell
+                        if level >= threshold:
+                            lifted |= cell
+                    mask = (mask & ~known) | lifted
                 mask |= 1 << bit  # the row with a's own reference is a
                 found.append(mask)
                 union |= mask

@@ -149,7 +149,7 @@ def test_score_case_study_matches_golden(mode, scrum, essence, capsys):
 
 def test_score_scores_each_cell_once_for_its_listing(scrum, essence, monkeypatch, capsys):
     # 36 cells for the level matrix, which also gives the candidate listing,
-    # plus 36 for map_pair: with a table every cell can qualify
+    # plus 36 for map_pair: annotated mode scores every cell, so that a gap raises
     from essencemap.lta import StatementScorer
 
     calls = []

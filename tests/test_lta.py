@@ -23,6 +23,7 @@ from essencemap import (
     load_lexicon,
     map_contexts,
     map_pair,
+    parse_annotations,
 )
 from essencemap.corpus import AnnotationTable
 from essencemap.lta import EMPTY_LEXICON, MODES, add_synonym_group, stem, tokenize
@@ -423,6 +424,25 @@ class _CountingScorer(StatementScorer):
         return super().level(a, b)
 
 
+def _assert_scores_only_qualifying_cells(scorer, practice, framework, threshold):
+    """Each concept pair's candidates equal a full scan, and each cell ``scorer`` scores is one of them."""
+    cells = 0
+    for c1 in practice.concepts:
+        for c2 in framework.concepts:
+            full = [CandidatePair(a.ref, b.ref, level)
+                    for a in scorer.profile(practice.id, c1)
+                    for b in scorer.profile(framework.id, c2)
+                    if (level := StatementScorer.level(scorer, a, b)) >= threshold]  # uncounted
+            full.sort(key=lambda p: (-p.level, p.left, p.right))
+            before = scorer.calls
+            found = candidate_pairs(practice.id, c1, framework.id, c2, scorer, threshold)
+            assert found == full
+            # The masks give each cell's level exactly, so every scored cell qualifies.
+            assert scorer.calls - before == len(found)
+            cells += len(c1.attributes) * len(c2.attributes)
+    assert 0 < scorer.calls < cells
+
+
 _any_mode_case = st.sampled_from(MODES).flatmap(lambda mode: st.tuples(st.just(mode), _scoring_case(mode)))
 
 
@@ -465,21 +485,17 @@ class TestScoringProperties:
 
     def test_prefilter_scores_only_qualifying_cells(self, scrum_context, essence_context):
         scorer = _CountingScorer(LEXICON, contexts=(scrum_context, essence_context))
-        cells = 0
-        for c1 in scrum_context.concepts:
-            for c2 in essence_context.concepts:
-                full = [CandidatePair(a.ref, b.ref, level)
-                        for a in scorer.profile(scrum_context.id, c1)
-                        for b in scorer.profile(essence_context.id, c2)
-                        if (level := StatementScorer.level(scorer, a, b)) >= 2]  # uncounted
-                full.sort(key=lambda p: (-p.level, p.left, p.right))
-                before = scorer.calls
-                found = candidate_pairs(scrum_context.id, c1, essence_context.id, c2, scorer, 2)
-                assert found == full
-                # The masks give the heuristic level exactly, so every scored cell qualifies.
-                assert scorer.calls - before == len(found)
-                cells += len(c1.attributes) * len(c2.attributes)
-        assert 0 < scorer.calls < cells
+        _assert_scores_only_qualifying_cells(scorer, scrum_context, essence_context, 2)
+
+    @pytest.mark.parametrize("threshold", (1, 2))  # no cell of the case study reaches 3 in hybrid mode
+    def test_hybrid_prefilter_scores_only_qualifying_cells(self, scrum_context, essence_context, threshold):
+        # Every other pair of the case-study table, so both table and heuristic levels decide cells.
+        text = bundled_path("paper-table1.ann").read_text(encoding="utf-8")
+        pairs = [line for line in text.splitlines() if line.startswith("pair:")]
+        contexts = (scrum_context, essence_context)
+        table = parse_annotations("\n".join(pairs[::2]), contexts)
+        scorer = _CountingScorer(LEXICON, table, "hybrid", contexts)
+        _assert_scores_only_qualifying_cells(scorer, scrum_context, essence_context, threshold)
 
     def test_same_reference_scores_3_whatever_the_concept_object(self):
         # A verbless row scores 2 against an equal text under another reference.
@@ -511,9 +527,11 @@ class TestScoringProperties:
     @given(case=_scoring_case("annotated", complete=False))
     def test_unannotated_pair_raises_in_annotated_mode(self, case):
         table, (ctx1, c1), (ctx2, c2) = case
-        scorer = StatementScorer(LEXICON, table, "annotated")
-        with pytest.raises(UnannotatedPairError, match="unannotated pair"):
-            candidate_pairs(ctx1, c1, ctx2, c2, scorer, 1)
+        # Built over neither side, then over both, so a prefilter that skipped the gap would fail.
+        for contexts in ((), (SemanticContext(ctx1, (c1,)), SemanticContext(ctx2, (c2,)))):
+            scorer = StatementScorer(LEXICON, table, "annotated", contexts)
+            with pytest.raises(UnannotatedPairError, match="unannotated pair"):
+                candidate_pairs(ctx1, c1, ctx2, c2, scorer, 1)
 
 
 def _full_scan(table, mode, side1, side2, threshold):
