@@ -1,13 +1,12 @@
 """Concept model and the relational operations over matched attribute sets.
 
 A semantic context is a named knowledge domain holding concepts; a concept
-carries attribute statements (its intension), object instances (its
-extension) and opaque references to related concepts.  These are immutable
-namedtuples: equal to a plain tuple of their items, with ``len`` and
-iteration.  The constructors hold every value rule (ids, one-token names,
-single-line texts, relation references, duplicates in a concept or context)
-and raise ``ValueError``; ``_replace`` copies through them, so it checks
-too.  The corpus parsers rely on them rather than repeating the rules.
+carries attribute statements (its intension) and object instances (its
+extension).  These are immutable namedtuples: equal to a plain tuple of
+their items, with ``len`` and iteration.  The constructors hold every value
+rule (ids, one-token names, single-line texts, duplicates in a concept or
+context) and raise ``ValueError``; ``_replace`` copies through them, so it
+checks too.  The corpus parsers rely on them rather than repeating the rules.
 
 The relational predicates (:func:`related`, :func:`similarity`, ...) never
 look at raw attribute text: two attributes count as shared only when they
@@ -29,8 +28,6 @@ if TYPE_CHECKING:
     from .matching import MatchSet
 
 ATTR_ID_PATTERN = re.compile(r"[a-z][a-z0-9]*\Z")
-# ``<ctx>/<Name>``: neither part empty, no whitespace, no '/' in the context
-RELATION_REF_PATTERN = re.compile(r"[^\s/]+/\S+\Z")
 
 
 class AttrRef(NamedTuple):
@@ -70,14 +67,6 @@ def _check_unique(ids: Iterable[str], what: str, owner: str) -> None:
         seen.add(ident)
 
 
-def relation_ref(key: str, ref: str) -> str:
-    """``ref`` when it reads ``ctx/Name``; ``key`` names its list in the error."""
-    if not RELATION_REF_PATTERN.match(ref):
-        raise ValueError(f"expected '{key}: ctx/Name' with neither part empty "
-                         f"and no whitespace, got {ref!r}")
-    return ref
-
-
 class Checked:
     """Namedtuple mixin: ``_make``, and so ``_replace``, build through the checking ``__new__``."""
 
@@ -115,31 +104,20 @@ class ObjectInstance(Checked, namedtuple("ObjectInstance", "id text")):
         return tuple.__new__(cls, (id, text))
 
 
-class Concept(Checked, namedtuple("Concept", "name attributes objects input_relations output_relations")):
-    """A named cognitive unit: attributes, objects and relation references.
-
-    ``input_relations`` / ``output_relations`` hold ``context/Name`` strings
-    verbatim; they are parsed, validated and round-tripped, but nothing else
-    reads them.
-    """
+class Concept(Checked, namedtuple("Concept", "name attributes objects")):
+    """A named cognitive unit: attributes and objects."""
 
     __slots__ = ()
 
     def __new__(cls, name: str, attributes: Iterable[AttributeStatement] = (),
-                objects: Iterable[ObjectInstance] = (), input_relations: Iterable[str] = (),
-                output_relations: Iterable[str] = ()):
+                objects: Iterable[ObjectInstance] = ()):
         name = _clean_line_text(name, "concept name")
-        # References split on whitespace (``pair:`` lines, ``ctx/Name``), so a name is one token.
+        # References split on whitespace (``pair:`` lines), so a name is one token.
         if any(c.isspace() for c in name):
             raise ValueError(f"concept name must be a single token with no whitespace, got {name!r}")
-        self = tuple.__new__(cls, (name, tuple(attributes), tuple(objects),
-                                   tuple(input_relations), tuple(output_relations)))
+        self = tuple.__new__(cls, (name, tuple(attributes), tuple(objects)))
         _check_unique((a.id for a in self.attributes), "attribute id", f"concept {name!r}")
         _check_unique((o.id for o in self.objects), "object id", f"concept {name!r}")
-        for rel in self.input_relations:
-            relation_ref("rel-in", rel)
-        for rel in self.output_relations:
-            relation_ref("rel-out", rel)
         return self
 
 

@@ -13,8 +13,6 @@ Concept files::
     concept: Requirements
     attr a1: are the definition of what needs to be achieved
     obj o1: release 2 requirement set
-    rel-in: EF/Opportunity
-    rel-out: EF/SoftwareSystem
     end
 
 Lexicon files hold ``syn:``, ``stop:`` and ``verb:`` lines with
@@ -27,12 +25,9 @@ closed once), plus the duplicate checks across lines, since only they know
 the line of the second occurrence.  Every value rule lives in the model:
 each line builds its model object (:class:`SemanticContext`,
 :class:`Concept`, :class:`AttributeStatement`, :class:`ObjectInstance`,
-:func:`relation_ref`, :func:`~essencemap.lta.add_synonym_group`,
-:meth:`AnnotationTable.add`, ...), which raises ``ValueError`` as the shape
-checks do; one handler per checked parser loop turns that error into a
-:class:`CorpusSyntaxError` at that line.  An annotation file takes one
-unchecked pass first, kept only when its entry count shows no self pair or
-repeat; any other file is parsed again by the checked loop.
+:func:`~essencemap.lta.add_synonym_group`, :meth:`AnnotationTable.add`,
+...), which raises ``ValueError`` as the shape checks do; one handler per
+parser loop turns that error into a :class:`CorpusSyntaxError` at that line.
 
 Every parser reads its text one piece of lines at a time, cut only after a
 ``\\n`` about every 64 Ki characters, so the extra memory of a parse is
@@ -42,6 +37,7 @@ about one piece, not a list of every line of the file.
 from __future__ import annotations
 
 from itertools import chain
+from operator import length_hint
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
@@ -52,7 +48,6 @@ from .concepts import (
     Concept,
     ObjectInstance,
     SemanticContext,
-    relation_ref,
 )
 from .errors import CorpusSyntaxError, UnknownReferenceError
 from .lta import LEVEL_RANGE, Lexicon, add_synonym_group, check_one_token
@@ -149,8 +144,7 @@ def _logical_lines(text: str):
 
 
 # Line keyword inside a concept block -> the Concept field it adds to.
-_BLOCK_FIELDS = {"attr": "attributes", "obj": "objects",
-                 "rel-in": "input_relations", "rel-out": "output_relations"}
+_BLOCK_FIELDS = {"attr": "attributes", "obj": "objects"}
 
 
 def parse_concepts(text: str, name: str = "<input>") -> SemanticContext:
@@ -197,14 +191,8 @@ def parse_concepts(text: str, name: str = "<input>") -> SemanticContext:
                 if any(other.id == item.id for other in siblings):
                     raise ValueError(f"duplicate {what} id {item.id!r}")
                 siblings.append(item)
-            elif line.startswith("rel-in:") or line.startswith("rel-out:"):
-                key, _, value = line.partition(":")
-                if current is None:
-                    raise ValueError(f"'{key}:' line outside a concept block")
-                parts[_BLOCK_FIELDS[key]].append(relation_ref(key, value.strip()))
             else:
-                raise ValueError("unrecognized line; expected one of context:, concept:, "
-                                 "attr, obj, rel-in:, rel-out:, end")
+                raise ValueError("unrecognized line; expected one of context:, concept:, attr, obj, end")
         except ValueError as exc:
             raise CorpusSyntaxError(str(exc), source=name, line=number) from None
 
@@ -225,10 +213,6 @@ def serialize_concepts(context: SemanticContext) -> str:
             lines.append(f"attr {attr.id}: {attr.text}")
         for obj in concept.objects:
             lines.append(f"obj {obj.id}: {obj.text}")
-        for ref in concept.input_relations:
-            lines.append(f"rel-in: {ref}")
-        for ref in concept.output_relations:
-            lines.append(f"rel-out: {ref}")
         lines.append("end")
         lines.append("")
     return "\n".join(lines)
@@ -287,22 +271,14 @@ def parse_annotations(
     ``str(AttrRef.parse(t)) == t``, the attribute when the context and
     concept resolve.
 
-    One pass over the whole text, meant for well-formed files and read one
-    piece at a time (:func:`_line_pieces`), skips the lines
-    :func:`_logical_lines` skips and writes the level of each line
-    that splits on whitespace into exactly ``pair:``, two references that
-    both hit, ``=`` and a level text of :data:`_LEVEL_TEXTS` into both rows.
-    ``str.split`` drops the whitespace that the checked path's ``split`` and
-    ``strip`` drop, and a level text holds no ``=``, so the checked path
-    would read the same references and level.  The self-pair and duplicate
-    rules hold by count: a line of two references not paired before writes
-    two new entries, and a self pair or a repeat in either orientation
-    fewer, so ``len(table)``, the entries halved, equals the lines taken
-    only when none was either.  Any other outcome (a line off that shape,
-    or a count short) parses again from the first line on the checked path,
-    whose :meth:`AnnotationTable.add` raises at the first bad line.  Both
-    passes hold one piece of lines at a time, so beyond the table a load
-    holds about one piece, not the file.
+    One loop reads the lines a piece at a time (:func:`_line_pieces`).  A
+    line that splits on whitespace into exactly ``pair:``, two references
+    that hit, ``=`` and a level text of :data:`_LEVEL_TEXTS` reads as the
+    checked path would read it; it writes its level and goes on when its
+    references differ and the left row grew, so the pair is new.  Any other
+    line that is not blank or a comment takes the checked path, which ends
+    in :meth:`AnnotationTable.add`, the only place that rejects a self pair
+    or a repeat, at its own line; a table a repeat wrote into is discarded.
     """
     by_id: Mapping[str, SemanticContext] = {ctx.id: ctx for ctx in contexts}
     table = AnnotationTable()
@@ -312,22 +288,6 @@ def parse_annotations(
             for attr in concept.attributes:
                 ref = AttrRef(context.id, concept.name, attr.id)
                 known[str(ref)] = (ref, table._rows.setdefault(ref, {}))
-
-    taken, hit, level_of = 0, known.get, _LEVEL_TEXTS.get
-    for line in chain.from_iterable(_line_pieces(text)):
-        fields = line.split()
-        if len(fields) == 5 and fields[0] == "pair:" and fields[3] == "=":
-            left, right, level = hit(fields[1]), hit(fields[2]), level_of(fields[4])
-            if left is None or right is None or level is None:
-                break
-            left[1][right[0]] = level
-            right[1][left[0]] = level
-            taken += 1
-        elif fields and not fields[0].startswith("#"):
-            break
-    else:
-        if len(table) == taken:
-            return table
 
     def resolve(line: int, ref_text: str) -> AttrRef:
         found = known.get(ref_text)
@@ -345,25 +305,41 @@ def parse_annotations(
                 part = "concept"
         raise UnknownReferenceError(f"unknown {part} in reference {ref}", source=name, line=line)
 
-    table = AnnotationTable()
-    for number, line in _logical_lines(text):
-        try:
-            if not line.startswith("pair:"):
-                raise ValueError("expected 'pair: <ref> <ref> = <level>'")
-            body, sep, level_text = line[len("pair:"):].rpartition("=")
-            if not sep:
-                raise ValueError("expected '= <level>' at end of pair line")
-            ref_texts = body.split()
-            if len(ref_texts) != 2:
-                raise ValueError(f"expected exactly two references, got {len(ref_texts)}")
+    end, hit, level_of = 0, known.get, _LEVEL_TEXTS.get
+    # Only the iterator of a piece is held, and it lets go of the piece's lines once read.
+    for rest in map(iter, _line_pieces(text)):
+        end += length_hint(rest)  # the number of the piece's last line
+        for line in rest:
+            fields = line.split()
+            if len(fields) == 5 and fields[0] == "pair:" and fields[3] == "=":
+                left, right, level = hit(fields[1]), hit(fields[2]), level_of(fields[4])
+                if left is not None and right is not None and level is not None and left is not right:
+                    row = left[1]
+                    size = len(row)
+                    row[right[0]] = level
+                    if len(row) != size:
+                        right[1][left[0]] = level
+                        continue
+            elif not fields or fields[0].startswith("#"):
+                continue
+            number = end - length_hint(rest)
+            line = line.strip()
             try:
-                level = int(level_text.strip())
-            except ValueError:
-                raise ValueError(f"level must be an integer, got {level_text.strip()!r}") from None
-            table.add(resolve(number, ref_texts[0]), resolve(number, ref_texts[1]), level)
-        except ValueError as exc:
-            raise CorpusSyntaxError(str(exc), source=name, line=number) from None
-
+                if not line.startswith("pair:"):
+                    raise ValueError("expected 'pair: <ref> <ref> = <level>'")
+                body, sep, level_text = line[len("pair:"):].rpartition("=")
+                if not sep:
+                    raise ValueError("expected '= <level>' at end of pair line")
+                ref_texts = body.split()
+                if len(ref_texts) != 2:
+                    raise ValueError(f"expected exactly two references, got {len(ref_texts)}")
+                try:
+                    level = int(level_text.strip())
+                except ValueError:
+                    raise ValueError(f"level must be an integer, got {level_text.strip()!r}") from None
+                table.add(resolve(number, ref_texts[0]), resolve(number, ref_texts[1]), level)
+            except ValueError as exc:
+                raise CorpusSyntaxError(str(exc), source=name, line=number) from None
     return table
 
 

@@ -45,15 +45,7 @@ def make_random_context(rng: random.Random, index: int = 0) -> SemanticContext:
         objs = tuple(
             ObjectInstance(f"o{oi + 1}", text()) for oi in range(rng.randint(0, 3))
         )
-        rel_in = tuple(
-            f"ctx{rng.randint(0, 5)}/Other{rng.randint(0, 9)}"
-            for _ in range(rng.randint(0, 2))
-        )
-        rel_out = tuple(
-            f"ctx{rng.randint(0, 5)}/Other{rng.randint(0, 9)}"
-            for _ in range(rng.randint(0, 2))
-        )
-        concepts.append(Concept(f"Concept{ci + 1}", attrs, objs, rel_in, rel_out))
+        concepts.append(Concept(f"Concept{ci + 1}", attrs, objs))
     return SemanticContext(f"ctx{index}", tuple(concepts))
 
 

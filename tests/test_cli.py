@@ -55,11 +55,12 @@ def test_non_utf8_lexicon_exits_2(scrum, essence, tmp_path, capsys):
     assert f"{lexicon}:2: invalid UTF-8 byte 0xFF" in capsys.readouterr().err
 
 
-def test_malformed_relation_exits_2_with_its_line(tmp_path, capsys):
+def test_relation_line_exits_2_as_unrecognized_with_its_line(tmp_path, capsys):
     path = tmp_path / "rel.concepts"
-    path.write_text("context: EF\nconcept: X\nattr a1: t\nrel-in: X/ B c\nend\n", encoding="utf-8")
+    path.write_text("context: EF\nconcept: X\nattr a1: t\nrel-in: EF/Opportunity\nend\n", encoding="utf-8")
     assert main(["parse", str(path)]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith(f"essencemap: {path}:4: expected 'rel-in:")
+    assert capsys.readouterr().err == (f"essencemap: {path}:4: unrecognized line; "
+                                       "expected one of context:, concept:, attr, obj, end\n")
 
 
 def test_concept_name_with_whitespace_exits_2_with_its_line(tmp_path, capsys):

@@ -36,8 +36,6 @@ context: EF
 concept: Requirements
 attr a1: are the definition of what needs to be achieved
 obj o1: release backlog for milestone 1
-rel-in: EF/Opportunity
-rel-out: EF/SoftwareSystem
 end
 """
 
@@ -62,8 +60,6 @@ class TestParseConcepts:
         context = parse_concepts(GOOD)
         concept = context.concept("Requirements")
         assert concept.objects[0].text == "release backlog for milestone 1"
-        assert concept.input_relations == ("EF/Opportunity",)
-        assert concept.output_relations == ("EF/SoftwareSystem",)
 
     def test_empty_input_needs_header(self):
         with pytest.raises(CorpusSyntaxError, match="missing context header"):
@@ -88,10 +84,11 @@ class TestParseConcepts:
             ("context: EF\nattr a1: x\n", 2, "outside a concept block"),
             ("context: EF\nconcept: X\nwhatever here\nend\n", 3, "unrecognized line"),
             ("context: EF\nconcept: X\nend\nconcept: X\nend\n", 4, "duplicate concept name"),
-            ("context: EF\nconcept: X\nrel-in: NoSlash\nend\n", 3, "rel-in"),
-            ("context: EF\nconcept: X\nrel-in: X/ B c\nend\n", 3, "no whitespace"),
-            ("context: EF\nconcept: X\nrel-out: X/\nend\n", 3, "neither part empty"),
-            ("context: EF\nconcept: X\nrel-out: /B\nend\n", 3, "neither part empty"),
+            ("context: EF\nconcept: X\nrel-in: EF/Opportunity\nend\n", 3, "unrecognized line"),
+            ("context: EF\nconcept: X\nrel-in: NoSlash\nend\n", 3, "unrecognized line"),
+            ("context: EF\nconcept: X\nrel-in: X/ B c\nend\n", 3, "unrecognized line"),
+            ("context: EF\nconcept: X\nrel-out: X/\nend\n", 3, "unrecognized line"),
+            ("context: EF\nconcept: X\nrel-out: /B\nend\n", 3, "unrecognized line"),
             ("context: EF\nconcept: X\nobj o 1: text\nend\n", 3, "single token"),
             ("context: EF\nconcept: Product Backlog\nattr a1: t\nend\n", 2,
              "concept name must be a single token with no whitespace"),
@@ -113,7 +110,6 @@ class TestParseConcepts:
 _texts = st.text(st.one_of(st.sampled_from("a1 :/.#\x85\u2028\x0b\n\t"), st.characters()),
                  min_size=1, max_size=6)
 _ids = st.one_of(_texts, st.from_regex(r"[a-z][a-z0-9:]{0,2}", fullmatch=True))
-_refs = st.one_of(_texts, st.from_regex(r"[a-z]{1,2}/[A-Za-z:./]{1,3}", fullmatch=True))
 
 
 def _accepted(make, *values):
@@ -133,8 +129,7 @@ def _accepted_contexts(draw):
                                    for _ in range(draw(st.integers(0, 4)))) if a}
         objs = {o.id: o for o in (_accepted(ObjectInstance, *draw(st.tuples(_ids, _texts)))
                                   for _ in range(draw(st.integers(0, 3)))) if o}
-        rels = [draw(st.lists(_refs, max_size=2)) for _ in range(2)]
-        concept = _accepted(Concept, draw(_texts), attrs.values(), objs.values(), *rels)
+        concept = _accepted(Concept, draw(_texts), attrs.values(), objs.values())
         if concept is not None:
             concepts.setdefault(concept.name, concept)
     return _accepted(SemanticContext, draw(_ids), concepts.values()) or SemanticContext(
@@ -162,15 +157,17 @@ class TestSerializeConcepts:
         again = parse_concepts(serialize_concepts(context))
         assert attribute(again.concept("X"), "a1").text == "uses #tag inline"
 
-    def test_roundtrip_relations(self):
-        text = "context: EF\nconcept: X\nattr a1: t\nrel-in: EF/Opportunity\nrel-out: Scrum/Sprint\nend\n"
-        context = parse_concepts(text)
-        assert parse_concepts(serialize_concepts(context)) == context
-        assert "rel-in: EF/Opportunity\n" in serialize_concepts(context)
+    def test_roundtrip_writes_no_relation_lines(self):
+        context = parse_concepts(GOOD)
+        text = serialize_concepts(context)
+        assert "rel-in:" not in text and "rel-out:" not in text
+        assert parse_concepts(text) == context
 
-    def test_malformed_relation_cannot_be_serialized(self):
-        with pytest.raises(ValueError, match="ctx/Name"):
-            Concept("X", (AttributeStatement("a1", "t"),), input_relations=("X/ B c",))
+    def test_a_concept_takes_no_relations(self):
+        with pytest.raises(TypeError):
+            Concept("X", (AttributeStatement("a1", "t"),), (), ("EF/Opportunity",))
+        with pytest.raises(TypeError):
+            Concept("X", (AttributeStatement("a1", "t"),), input_relations=("EF/Opportunity",))
 
     def test_roundtrip_seeded_random_contexts(self):
         rng = random.Random(0xC0FFEE)
@@ -496,6 +493,7 @@ def _levels_as_reference(text):
     ("pair: X/A.a1 X/A.a2 = 1\npair: X/A.a2 X/A.a1 = 1\npair: Y=/E.e1 X/A.a1 = 2\npair: X/A.a1 = 1\n",
      2, "duplicate annotation"),
     ("pair: X/A.a1 X/A.a2 = 1\npair: X/A.a1 X/A.a2 = 1\npair: Y=/E.e1 X/A.a9 = 2\n", 2, "duplicate annotation"),
+    ("pair: X/A.a1 X/A.a2 = 01\npair: X/A.a2 X/A.a1 = 1\n", 2, "duplicate annotation"),
 ])
 def test_a_count_short_of_the_lines_reports_the_first_bad_line(text, line, message):
     with pytest.raises(CorpusSyntaxError, match=message) as info:
@@ -664,8 +662,7 @@ class TestByteOrderMark:
     FILES = ("essence.concepts", "scrum.concepts", "paper.lex", "paper-table1.ann")
     # File suffix -> the message of a line that holds a stray U+FEFF.
     STRAY = {
-        "concepts": "unrecognized line; expected one of context:, concept:, attr, obj,"
-                    " rel-in:, rel-out:, end",
+        "concepts": "unrecognized line; expected one of context:, concept:, attr, obj, end",
         "lex": "expected 'syn:', 'stop:' or 'verb:' line",
         "ann": "expected 'pair: <ref> <ref> = <level>'",
     }
@@ -764,11 +761,12 @@ _B1 ="Scrum/ProductBacklog.b1"
          "duplicate attribute id 'a1'"),
         ("concepts", "context: EF\nconcept: X\nobj o1: x\nobj o1: y\nend\n", 4,
          "duplicate object id 'o1'"),
-        ("concepts", "context: EF\nrel-out: EF/X\n", 2, "'rel-out:' line outside a concept block"),
+        ("concepts", "context: EF\nrel-out: EF/X\n", 2,
+         "unrecognized line; expected one of context:, concept:, attr, obj, end"),
         ("concepts", "context: EF\nconcept: X\nrel-in: NoSlash\nend\n", 3,
-         "expected 'rel-in: ctx/Name' with neither part empty and no whitespace, got 'NoSlash'"),
+         "unrecognized line; expected one of context:, concept:, attr, obj, end"),
         ("concepts", "context: EF\nconcept: X\nwhatever here\nend\n", 3,
-         "unrecognized line; expected one of context:, concept:, attr, obj, rel-in:, rel-out:, end"),
+         "unrecognized line; expected one of context:, concept:, attr, obj, end"),
         ("concepts", "context: EF\n\nconcept: X\nattr a1: t\n", 3, "concept block 'X' is never closed with 'end'"),
         ("concepts", "# only a comment\n", 1, "missing context header"),
         ("lexicon", "nouns: a, b\n", 1, "expected 'syn:', 'stop:' or 'verb:' line"),

@@ -79,8 +79,7 @@ _CHECKED = [
     (AttributeStatement("a1", "t"), {"text": "two\nlines"}, "text of attribute 'a1' must be a single line"),
     (ObjectInstance("o1", "t"), {"id": "o:1"}, "object id must be a single token with no ':', got 'o:1'"),
     (Concept("A"), {"name": "A B"}, "concept name must be a single token with no whitespace, got 'A B'"),
-    (Concept("A"), {"input_relations": ("X",)}, "expected 'rel-in: ctx/Name' with neither part empty "
-                                                "and no whitespace, got 'X'"),
+    (Concept("A"), {"attributes": (AttributeStatement("a1", "t"),) * 2}, "duplicate attribute id 'a1' in concept 'A'"),
     (SemanticContext("X"), {"id": "X/Y"}, "context id must be non-empty with no whitespace or '/', got 'X/Y'"),
     (SemanticContext("X"), {"concepts": (Concept("A"), Concept("A"))}, "duplicate concept name 'A' in context 'X'"),
     (Lexicon(), {"extra_verbs": {"a b"}}, "verb 'a b' can never match: text tokenizes to ['a', 'b']"),
@@ -144,4 +143,10 @@ def test_lexicon_memo_is_private_and_not_assignable():
 def test_values_compare_as_plain_tuples():
     statement = AttributeStatement(" a1 ", " some text ")
     assert statement == ("a1", "some text") and len(statement) == 2 and list(statement) == ["a1", "some text"]
-    assert Concept("A") == ("A", (), (), (), ())
+    assert Concept("A") == ("A", (), ())
+
+
+def test_concept_replace_has_no_relation_fields():
+    assert Concept._fields == ("name", "attributes", "objects")
+    with pytest.raises(ValueError, match="unexpected field names: \\['input_relations'\\]"):
+        Concept("A")._replace(input_relations=("X/Y",))
