@@ -27,8 +27,8 @@ from .errors import (
     UnknownReferenceError,
 )
 from .lta import EMPTY_LEXICON, MODES, extract_spo
-from .mapper import RELATIONS, MapConfig, MappingReport, map_contexts, map_pair
-from .matching import DEFAULT_THRESHOLD, THRESHOLDS
+from .mapper import RELATIONS, MapConfig, MappingReport, map_contexts, pair_result
+from .matching import DEFAULT_THRESHOLD, THRESHOLDS, candidate_pairs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -197,10 +197,11 @@ def cmd_score(args: argparse.Namespace) -> str:
     contexts = {practice.id: practice, framework.id: framework}
     left_ctx, left_concept = _resolve_concept(args.left, contexts)
     right_ctx, right_concept = _resolve_concept(args.right, contexts)
-    # One-concept contexts: the scorer profiles the pair once, for map_pair and the matrix alike.
+    # One-concept contexts: the scorer profiles the pair once, for candidate_pairs and the matrix.
     scorer = map_config.make_scorer(SemanticContext(left_ctx, (left_concept,)),
                                     SemanticContext(right_ctx, (right_concept,)))
-    result = map_pair(left_ctx, left_concept, right_ctx, right_concept, map_config, scorer)
+    candidates = candidate_pairs(left_ctx, left_concept, right_ctx, right_concept, scorer, map_config.threshold)
+    result = pair_result(left_ctx, left_concept, right_ctx, right_concept, candidates)
 
     lines = [
         f"pair: {result.left} vs {result.right}"
@@ -208,20 +209,13 @@ def cmd_score(args: argparse.Namespace) -> str:
         "",
         "level matrix:",
     ]
-    # The matrix cells at or above the threshold, in candidate_pairs' order.
-    candidates = []
     right_rows = scorer.profile(right_ctx, right_concept)
     for a in scorer.profile(left_ctx, left_concept):
         for b in right_rows:
-            level = scorer.level(a, b)
-            lines.append(f"{a.ref.attr} {b.ref.attr} {level}")
-            if level >= map_config.threshold:
-                candidates.append((-level, a.ref, b.ref))
-    candidates.sort()
+            lines.append(f"{a.ref.attr} {b.ref.attr} {scorer.level(a, b)}")
     lines.append("")
     lines.append(f"candidates (level >= {map_config.threshold}):")
-    for level, left, right in candidates:
-        lines.append(f"{left.attr} {right.attr} {-level}")
+    lines.extend(f"{p.left.attr} {p.right.attr} {p.level}" for p in candidates)
     if not candidates:
         lines.append("(none)")
 
@@ -231,7 +225,7 @@ def cmd_score(args: argparse.Namespace) -> str:
     lines.append(f"matching: {rendered or '(empty)'}")
 
     k = len(match.pairs)
-    union = len(left_concept.attributes) + len(right_concept.attributes) - k
+    union = match.left_size + match.right_size - k
     pct = format_pct(result.similarity_pct)
     lines.append(f"similarity: {k}/{union} = {pct}%")
 

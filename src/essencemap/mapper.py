@@ -1,9 +1,11 @@
 """Context-to-context mapping pipeline.
 
-For every concept pair: score the attribute pairs that can reach the
-threshold, select the bijective matching, compute the similarity
-percentage and classify the relationship by the first relation of
-:data:`RELATIONS` whose predicate holds.  A report over two whole contexts
+For every concept pair, ``candidate_pairs`` keeps the attribute pairs at
+or above the threshold, and :func:`pair_result` selects the bijective
+matching, computes the similarity percentage and classifies the
+relationship by the first relation of :data:`RELATIONS` whose predicate
+holds; :func:`map_pair` and the ``score`` command both run the two.
+A report over two whole contexts
 carries one result per concept pair plus, for each practice concept, its
 best framework match: the highest similarity, ties going to the relation
 that comes first in :data:`RELATIONS` and then to the smaller name.  So a
@@ -36,7 +38,7 @@ from .concepts import (
 from .corpus import AnnotationTable
 from .errors import EmptyContextError, NoAttributesError
 from .lta import EMPTY_LEXICON, Lexicon, StatementScorer
-from .matching import DEFAULT_THRESHOLD, MatchSet, candidate_pairs, max_matching
+from .matching import DEFAULT_THRESHOLD, CandidatePair, MatchSet, candidate_pairs, max_matching
 
 #: Each relation with its predicate, in precedence order; ``related`` and
 #: ``independent`` cover every pair, so some predicate always holds.
@@ -104,6 +106,18 @@ def classify(c1: Concept, c2: Concept, match: MatchSet) -> str:
             return label
 
 
+def pair_result(context1: str, c1: Concept, context2: str, c2: Concept,
+                candidates: list[CandidatePair]) -> MappingResult:
+    """Match, measure and classify one concept pair from its ``candidate_pairs``."""
+    if not c1.attributes:
+        raise NoAttributesError(f"concept {context1}/{c1.name} has no attributes")
+    if not c2.attributes:
+        raise NoAttributesError(f"concept {context2}/{c2.name} has no attributes")
+    match = max_matching(candidates, len(c1.attributes), len(c2.attributes))
+    return MappingResult(f"{context1}/{c1.name}", f"{context2}/{c2.name}", match,
+                         similarity(c1, c2, match), classify(c1, c2, match))
+
+
 def map_pair(
     context1: str,
     c1: Concept,
@@ -112,27 +126,16 @@ def map_pair(
     config: MapConfig,
     scorer: Optional[StatementScorer] = None,
 ) -> MappingResult:
-    """Score, match and classify a single concept pair.
+    """Score, match and classify one concept pair: ``candidate_pairs``, then :func:`pair_result`.
 
     ``scorer`` defaults to ``config.make_scorer()``, which holds no concept
     and so scores every cell; a caller mapping many pairs passes one built
     over their contexts, which profiles each concept once and scores only
     the cells that can reach the threshold.
     """
-    if not c1.attributes:
-        raise NoAttributesError(f"concept {context1}/{c1.name} has no attributes")
-    if not c2.attributes:
-        raise NoAttributesError(f"concept {context2}/{c2.name} has no attributes")
     scorer = scorer if scorer is not None else config.make_scorer()
     candidates = candidate_pairs(context1, c1, context2, c2, scorer, config.threshold)
-    match = max_matching(candidates, len(c1.attributes), len(c2.attributes))
-    return MappingResult(
-        left=f"{context1}/{c1.name}",
-        right=f"{context2}/{c2.name}",
-        match_set=match,
-        similarity_pct=similarity(c1, c2, match),
-        relation=classify(c1, c2, match),
-    )
+    return pair_result(context1, c1, context2, c2, candidates)
 
 
 def map_contexts(

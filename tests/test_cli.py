@@ -138,19 +138,25 @@ _MODE_ARGS = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(_MODE_ARGS))
-def test_score_case_study_matches_golden(mode, scrum, essence, capsys):
+# Each score golden: its file stem and the options after the pair and its files.
+# At threshold 3 the case-study pair has no candidate, so that golden pins the empty view.
+_SCORE_GOLDENS = {**{f"score-{mode}": args for mode, args in _MODE_ARGS.items()},
+                  "score-heuristic-t3": [*_MODE_ARGS["heuristic"], "--threshold", "3"]}
+
+
+@pytest.mark.parametrize("golden", sorted(_SCORE_GOLDENS), ids=lambda stem: stem.removeprefix("score-"))
+def test_score_case_study_matches_golden(golden, scrum, essence, capsys):
     argv = ["score", "--left", "Scrum/ProductBacklog", "--right", "EF/Requirements",
-            "--practice", str(scrum), "--framework", str(essence), *_MODE_ARGS[mode]]
+            "--practice", str(scrum), "--framework", str(essence), *_SCORE_GOLDENS[golden]]
     assert main(argv) == EXIT_OK
     out, err = capsys.readouterr()
-    assert out == (GOLDEN / f"score-{mode}.txt").read_text(encoding="utf-8")
+    assert out == (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
     assert err == ""
 
 
 def test_score_scores_each_cell_once_for_its_listing(scrum, essence, monkeypatch, capsys):
     # 36 cells for the level matrix, which also gives the candidate listing,
-    # plus 36 for map_pair: annotated mode scores every cell, so that a gap raises
+    # plus 36 for candidate_pairs: annotated mode scores every cell, so that a gap raises
     from essencemap.lta import StatementScorer
 
     calls = []
@@ -170,7 +176,7 @@ def test_score_scores_each_cell_once_for_its_listing(scrum, essence, monkeypatch
 
 @pytest.mark.parametrize("mode", sorted(_MODE_ARGS))
 def test_score_splits_each_statement_once(mode, scrum, essence, monkeypatch, capsys):
-    # 6 + 6 attributes: map_pair and the level matrix read the same rows.
+    # 6 + 6 attributes: candidate_pairs and the level matrix read the same rows.
     from essencemap import lta
 
     calls = []
@@ -186,6 +192,73 @@ def test_score_splits_each_statement_once(mode, scrum, essence, monkeypatch, cap
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / f"score-{mode}.txt").read_text(encoding="utf-8")
     assert len(calls) == 12
+
+
+_AGREE_PRACTICE = """context: P
+concept: Alpha
+attr a1: the team reviews the backlog
+end
+concept: Beta
+attr b1: the owner orders the backlog items
+attr b2: the team plans the sprint goal
+end
+concept: Gamma
+attr g1: the team reviews the product backlog
+attr g2: the team plans the sprint
+attr g3: the developers build the increment
+end
+"""
+_AGREE_FRAMEWORK = """context: F
+concept: Xeno
+attr x1: the team plans the sprint
+end
+concept: Yarn
+attr y1: the owner orders the backlog items
+attr y2: the stakeholders inspect the increment
+end
+concept: Zeta
+attr z1: the team reviews the backlog
+attr z2: the owner orders the product backlog
+attr z3: the developers build the increment
+attr z4: the stakeholders approve the release
+end
+"""
+# A partial table: a1-z1 falls from 3 to 1, b2-y2 rises to 3, and g3-x1 rises to a candidate
+# that the matching passes over for g2-x1.
+_AGREE_ANNOTATIONS = """pair: P/Alpha.a1 F/Zeta.z1 = 1
+pair: P/Beta.b2 F/Yarn.y2 = 3
+pair: P/Gamma.g3 F/Xeno.x1 = 2
+"""
+
+
+def test_score_agrees_with_map_on_every_pair(tmp_path, capsys):
+    files = {"practice": _AGREE_PRACTICE, "framework": _AGREE_FRAMEWORK, "annotations": _AGREE_ANNOTATIONS,
+             "lexicon": "verb: reviews, orders, plans, build, inspect, approve\n"}
+    corpus = []
+    for option, text in files.items():
+        (tmp_path / option).write_text(text, encoding="utf-8")
+        corpus += [f"--{option}", str(tmp_path / option)]
+    sizes = {c.name: len(c.attributes) for path in ("practice", "framework")
+             for c in load_concepts(tmp_path / path).concepts}
+    relations = set()
+    for mode in ("heuristic", "hybrid"):
+        for threshold in ("1", "2", "3"):
+            options = [*corpus, "--mode", mode, "--threshold", threshold]
+            assert main(["map", *options]) == EXIT_OK
+            rows = capsys.readouterr().out.split("\n")[2:11]
+            for row in rows:
+                left, _, right = row.split("  ")[0].split()
+                assert main(["score", "--left", f"P/{left}", "--right", f"F/{right}", *options]) == EXIT_OK
+                out = capsys.readouterr().out.splitlines()
+                line, _, bracket = row.rpartition("  [")
+                assert out[-1] == line
+                matching = next(o for o in out if o.startswith("matching: ")).removeprefix("matching: ")
+                assert matching.replace("(empty)", "-") == bracket.rstrip("]")
+                similarity = next(o for o in out if o.startswith("similarity: "))
+                k, union = map(int, similarity.split()[1].split("/"))
+                assert union == sizes[left] + sizes[right] - k
+                relations.update(o for o in out if o.endswith(": yes"))
+    assert {"sub-concept: yes", "super-concept: yes"} <= relations
 
 
 @pytest.mark.parametrize("mode", sorted(_MODE_ARGS))
