@@ -19,16 +19,10 @@ from typing import Optional
 from . import __version__
 from .concepts import Concept, SemanticContext
 from .corpus import load_annotations, load_concepts, load_lexicon
-from .errors import (
-    CorpusSyntaxError,
-    EmptyContextError,
-    NoAttributesError,
-    UnannotatedPairError,
-    UnknownReferenceError,
-)
+from .errors import EssenceMapError, UnannotatedPairError, UnknownReferenceError
 from .lta import EMPTY_LEXICON, MODES, extract_spo
 from .mapper import RELATIONS, MapConfig, MappingReport, map_contexts, pair_result
-from .matching import DEFAULT_THRESHOLD, THRESHOLDS, candidate_pairs
+from .matching import DEFAULT_THRESHOLD, THRESHOLDS, MatchSet, candidate_pairs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,8 +48,9 @@ def format_pct(value: Fraction) -> str:
     return f"{scaled // 10}.{scaled % 10}"
 
 
-def _matches_cell(result) -> str:
-    return ",".join(f"{p.left.attr}-{p.right.attr}" for p in result.match_set.pairs)
+def _match_labels(match: MatchSet) -> list[str]:
+    """``<left attr>-<right attr>`` for each matched pair, in match order."""
+    return [f"{p.left.attr}-{p.right.attr}" for p in match.pairs]
 
 
 def render_table(report: MappingReport) -> str:
@@ -67,7 +62,7 @@ def render_table(report: MappingReport) -> str:
     for result in report.results:
         left = result.left.partition("/")[2]
         right = result.right.partition("/")[2]
-        matches = " ".join(f"{p.left.attr}-{p.right.attr}" for p in result.match_set.pairs)
+        matches = " ".join(_match_labels(result.match_set))
         lines.append(
             f"{left} -> {right}  {format_pct(result.similarity_pct)}%"
             f"  {result.relation}  [{matches or '-'}]"
@@ -89,7 +84,7 @@ def render_tsv(report: MappingReport) -> str:
                     result.right,
                     format_pct(result.similarity_pct),
                     result.relation,
-                    _matches_cell(result),
+                    ",".join(_match_labels(result.match_set)),
                 )
             )
         )
@@ -110,7 +105,7 @@ def render_jsonl(report: MappingReport) -> str:
                     "right": result.right,
                     "similarity_pct": float(format_pct(result.similarity_pct)),
                     "relation": result.relation,
-                    "matches": [f"{p.left.attr}-{p.right.attr}" for p in result.match_set.pairs],
+                    "matches": _match_labels(result.match_set),
                 }
             )
         )
@@ -131,8 +126,13 @@ _RENDERERS = {"table": render_table, "tsv": render_tsv, "jsonl": render_jsonl}
 
 
 def _load_map_config(args: argparse.Namespace) -> tuple[SemanticContext, SemanticContext, MapConfig]:
+    # Each mode takes only the files it reads, and says so before any file is read.
     if args.mode == "annotated" and args.annotations is None:
         raise UsageError("--mode annotated requires --annotations")
+    if args.mode == "annotated" and args.lexicon is not None:
+        raise UsageError("--mode annotated reads no --lexicon")
+    if args.mode == "heuristic" and args.annotations is not None:
+        raise UsageError("--mode heuristic reads no --annotations")
     practice = framework = load_concepts(args.practice)
     if args.framework not in (None, args.practice):
         framework = load_concepts(args.framework)
@@ -141,30 +141,28 @@ def _load_map_config(args: argparse.Namespace) -> tuple[SemanticContext, Semanti
                 f"practice and framework both define context {practice.id!r} with different concepts"
             )
     lexicon = load_lexicon(args.lexicon) if args.lexicon else EMPTY_LEXICON
-    annotations = None
-    if args.annotations:
-        annotations = load_annotations(args.annotations, (practice, framework))
+    annotations = load_annotations(args.annotations, (practice, framework)) if args.annotations else None
     return practice, framework, MapConfig(lexicon, annotations, args.mode, args.threshold)
 
 
 def cmd_map(args: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
-    """Run the full pipeline; returns (rendered report, diagnostics)."""
+    """Run the full pipeline: the rendered report and its diagnostics."""
     practice, framework, map_config = _load_map_config(args)
     report = map_contexts(practice, framework, map_config)
     return _RENDERERS[args.out_format](report), report.diagnostics
 
 
-def cmd_parse(path: Path, show_spo: bool = False, lexicon_path: Optional[Path] = None) -> str:
+def cmd_parse(args: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
     """Validate a concept file; optionally show each statement's split."""
-    context = load_concepts(path)
-    lexicon = load_lexicon(lexicon_path) if lexicon_path else EMPTY_LEXICON
+    context = load_concepts(args.path)
+    lexicon = load_lexicon(args.lexicon) if args.lexicon else EMPTY_LEXICON
     n_concepts = len(context.concepts)
     n_attrs = sum(len(c.attributes) for c in context.concepts)
     lines = [
         f"{context.id}: {n_concepts} concept{'s' if n_concepts != 1 else ''},"
         f" {n_attrs} attribute{'s' if n_attrs != 1 else ''}"
     ]
-    if show_spo:
+    if args.show_spo:
         for concept in context.concepts:
             lines.append(f"concept {concept.name}")
             for attr in concept.attributes:
@@ -175,7 +173,7 @@ def cmd_parse(path: Path, show_spo: bool = False, lexicon_path: Optional[Path] =
                     f" | predicate={predicate}"
                     f" | object={' '.join(spo.object_part)}"
                 )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", ()
 
 
 def _resolve_concept(reference: str, contexts: dict[str, SemanticContext]) -> tuple[str, Concept]:
@@ -191,7 +189,7 @@ def _resolve_concept(reference: str, contexts: dict[str, SemanticContext]) -> tu
         raise UnknownReferenceError(f"unknown concept {name!r} in {reference!r}") from None
 
 
-def cmd_score(args: argparse.Namespace) -> str:
+def cmd_score(args: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
     """Detail view for one concept pair: matrix, matching, predicates."""
     practice, framework, map_config = _load_map_config(args)
     contexts = {practice.id: practice, framework.id: framework}
@@ -220,7 +218,7 @@ def cmd_score(args: argparse.Namespace) -> str:
         lines.append("(none)")
 
     match = result.match_set
-    rendered = " ".join(f"{p.left.attr}-{p.right.attr}" for p in match.pairs)
+    rendered = " ".join(_match_labels(match))
     lines.append("")
     lines.append(f"matching: {rendered or '(empty)'}")
 
@@ -238,7 +236,16 @@ def cmd_score(args: argparse.Namespace) -> str:
 
     lines.append("")
     lines.append(f"{left_concept.name} -> {right_concept.name}  {pct}%  {result.relation}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", ()
+
+
+def cmd_version(args: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
+    return f"essencemap {__version__}\n", ()
+
+
+#: Each command takes the parsed arguments and returns its output text and the
+#: notes for the error stream; :func:`main` alone writes them and picks the exit code.
+_COMMANDS = {"map": cmd_map, "parse": cmd_parse, "score": cmd_score, "version": cmd_version}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -289,34 +296,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError(parser.format_usage().rstrip())
-        if args.command == "version":
-            print(f"essencemap {__version__}")
-            return EXIT_OK
-        if args.command == "parse":
-            sys.stdout.write(cmd_parse(args.path, args.show_spo, args.lexicon))
-            return EXIT_OK
-        if args.command == "score":
-            sys.stdout.write(cmd_score(args))
-            return EXIT_OK
-        rendered, diagnostics = cmd_map(args)
-        for note in diagnostics:
+        text, notes = _COMMANDS[args.command](args)
+        for note in notes:
             print(note, file=sys.stderr)
-        if args.out is not None:
-            args.out.write_text(rendered, encoding="utf-8")
+        if getattr(args, "out", None) is not None:
+            args.out.write_text(text, encoding="utf-8")
         else:
-            sys.stdout.write(rendered)
+            sys.stdout.write(text)
         return EXIT_OK
-    except UsageError as exc:
+    except (UsageError, EssenceMapError, OSError) as exc:
         print(f"essencemap: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (UnknownReferenceError, UnannotatedPairError) as exc:
-        print(f"essencemap: {exc}", file=sys.stderr)
-        return EXIT_REFERENCE
-    except (CorpusSyntaxError, NoAttributesError, EmptyContextError) as exc:
-        print(f"essencemap: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"essencemap: {exc}", file=sys.stderr)
+        if isinstance(exc, UsageError):
+            return EXIT_USAGE
+        if isinstance(exc, (UnknownReferenceError, UnannotatedPairError)):
+            return EXIT_REFERENCE
         return EXIT_PARSE
 
 

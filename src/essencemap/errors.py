@@ -5,25 +5,11 @@ class EssenceMapError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class CorpusSyntaxError(EssenceMapError):
-    """Malformed corpus, lexicon or annotation file.
+class _SourcedError(EssenceMapError):
+    """An error that can carry the source name and 1-based line it was found at.
 
-    Carries the source name and 1-based line number so command-line
-    output can point at the offending line.
-    """
-
-    def __init__(self, message: str, *, source: str = "<input>", line: int = 0):
-        super().__init__(f"{source}:{line}: {message}")
-        self.source = source
-        self.line = line
-        self.reason = message
-
-
-class UnknownReferenceError(EssenceMapError):
-    """A context/concept/attribute reference does not resolve.
-
-    From a file it carries the source and line as :class:`CorpusSyntaxError`
-    does; without a source (a command-line argument) the message is the reason.
+    The message is ``<source>:<line>: <reason>``, or the bare reason when
+    ``source`` is ``None``, so command-line output can point at the line.
     """
 
     def __init__(self, message: str, *, source: str | None = None, line: int = 0):
@@ -31,6 +17,18 @@ class UnknownReferenceError(EssenceMapError):
         self.source = source
         self.line = line
         self.reason = message
+
+
+class CorpusSyntaxError(_SourcedError):
+    """Malformed corpus, lexicon or annotation file."""
+
+
+class UnknownReferenceError(_SourcedError):
+    """A context/concept/attribute reference does not resolve.
+
+    From a file it carries its source and line; from a command-line
+    argument it has no source, so the message is the reason.
+    """
 
 
 class UnannotatedPairError(EssenceMapError):

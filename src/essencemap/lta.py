@@ -148,12 +148,8 @@ class Lexicon(Checked, namedtuple("Lexicon", "synonym_groups extra_stopwords ext
         return BUILTIN_STOPWORDS | self.extra_stopwords
 
     @cached_property
-    def _verbs(self) -> frozenset[str]:
-        return BUILTIN_VERBS | self.extra_verbs
-
-    @cached_property
     def _verb_stems(self) -> frozenset[str]:
-        return frozenset(stem(v) for v in self._verbs)
+        return frozenset(stem(v) for v in BUILTIN_VERBS | self.extra_verbs)
 
     def canonical(self, stemmed_token: str) -> str:
         return self.synonym_map.get(stemmed_token, stemmed_token)
@@ -181,7 +177,7 @@ class Lexicon(Checked, namedtuple("Lexicon", "synonym_groups extra_stopwords ext
         """Verb lexicon membership, matching inflections through stems; memoized per token."""
         verdict = self._verdicts.get(token)
         if verdict is None:
-            verdict = self._verdicts[token] = token in self._verbs or stem(token) in self._verb_stems
+            verdict = self._verdicts[token] = stem(token) in self._verb_stems
         return verdict
 
 

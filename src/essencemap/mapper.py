@@ -4,7 +4,8 @@ For every concept pair, ``candidate_pairs`` keeps the attribute pairs at
 or above the threshold, and :func:`pair_result` selects the bijective
 matching, computes the similarity percentage and classifies the
 relationship by the first relation of :data:`RELATIONS` whose predicate
-holds; :func:`map_pair` and the ``score`` command both run the two.
+holds; :func:`map_pair`, :func:`map_contexts` and the ``score`` command
+all run the two.
 A report over two whole contexts
 carries one result per concept pair plus, for each practice concept, its
 best framework match: the highest similarity, ties going to the relation
@@ -118,30 +119,24 @@ def pair_result(context1: str, c1: Concept, context2: str, c2: Concept,
                          similarity(c1, c2, match), classify(c1, c2, match))
 
 
-def map_pair(
-    context1: str,
-    c1: Concept,
-    context2: str,
-    c2: Concept,
-    config: MapConfig,
-    scorer: Optional[StatementScorer] = None,
-) -> MappingResult:
+def map_pair(context1: str, c1: Concept, context2: str, c2: Concept, config: MapConfig) -> MappingResult:
     """Score, match and classify one concept pair: ``candidate_pairs``, then :func:`pair_result`.
 
-    ``scorer`` defaults to ``config.make_scorer()``, which holds no concept
-    and so scores every cell; a caller mapping many pairs passes one built
-    over their contexts, which profiles each concept once and scores only
-    the cells that can reach the threshold.
+    It scores with ``config.make_scorer()``, which holds no concept and so
+    scores every cell.
     """
-    scorer = scorer if scorer is not None else config.make_scorer()
-    candidates = candidate_pairs(context1, c1, context2, c2, scorer, config.threshold)
+    candidates = candidate_pairs(context1, c1, context2, c2, config.make_scorer(), config.threshold)
     return pair_result(context1, c1, context2, c2, candidates)
 
 
 def map_contexts(
     practice: SemanticContext, framework: SemanticContext, config: MapConfig
 ) -> MappingReport:
-    """Map every practice concept against every framework concept."""
+    """Map every practice concept against every framework concept.
+
+    One scorer built over both contexts profiles each concept once and
+    scores only the cells that can reach the threshold.
+    """
     if not practice.concepts:
         raise EmptyContextError(f"context {practice.id!r} has no concepts")
     if not framework.concepts:
@@ -157,7 +152,8 @@ def map_contexts(
     best_matches = []
     for p_concept in ordered[0]:
         row = [
-            map_pair(practice.id, p_concept, framework.id, f_concept, config, scorer)
+            pair_result(practice.id, p_concept, framework.id, f_concept,
+                        candidate_pairs(practice.id, p_concept, framework.id, f_concept, scorer, config.threshold))
             for f_concept in ordered[1]
         ]
         results.extend(row)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from essencemap import bundled_path, cli, load_concepts
+from essencemap import __version__, bundled_path, cli, load_concepts
 from essencemap.cli import EXIT_OK, EXIT_PARSE, EXIT_REFERENCE, EXIT_USAGE, format_pct, main
 from essencemap.lta import MODES
 
@@ -39,6 +39,43 @@ def test_parse_bundled_file(scrum, capsys):
 def test_missing_command_is_a_usage_error(capsys):
     assert main([]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("essencemap: usage:")
+
+
+_CASE_PAIR = ["--practice", str(bundled_path("scrum.concepts")), "--framework", str(bundled_path("essence.concepts"))]
+_SCORE_PAIR = ["score", "--left", "Scrum/ProductBacklog", "--right", "EF/Requirements", *_CASE_PAIR]
+
+# Each invocation with its exit code and the start of its first error line.  The argparse
+# messages are checked up to the choices, whose wording differs between Python versions.
+_COMMAND_PATHS = {
+    "version": (["version"], EXIT_OK, ""),
+    "unknown-flag": (["version", "--bogus"], EXIT_USAGE, "essencemap: unrecognized arguments: --bogus"),
+    "threshold-4": (["map", *_CASE_PAIR, "--threshold", "4"], EXIT_USAGE,
+                    "essencemap: argument --threshold: invalid choice: "),
+    "annotated-without-table": (["map", *_CASE_PAIR, "--mode", "annotated"], EXIT_USAGE,
+                                "essencemap: --mode annotated requires --annotations"),
+    "left-without-context": ([*_SCORE_PAIR[:2], "Scrum", *_SCORE_PAIR[3:]], EXIT_USAGE,
+                             "essencemap: expected <ctx>/<ConceptName>, got 'Scrum'"),
+    "left-in-unknown-context": ([*_SCORE_PAIR[:2], "Nope/ProductBacklog", *_SCORE_PAIR[3:]], EXIT_REFERENCE,
+                                "essencemap: unknown context 'Nope' in 'Nope/ProductBacklog'"),
+    # A mode given a file it never reads is refused before any file is read, so none need exist.
+    "heuristic-with-table": (["map", "--practice", "absent.concepts", "--framework", "absent.concepts",
+                              "--mode", "heuristic", "--annotations", "absent.ann"], EXIT_USAGE,
+                             "essencemap: --mode heuristic reads no --annotations"),
+    "annotated-with-lexicon": ([*_SCORE_PAIR, "--mode", "annotated", "--annotations", "absent.ann",
+                                "--lexicon", "absent.lex"], EXIT_USAGE,
+                               "essencemap: --mode annotated reads no --lexicon"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COMMAND_PATHS))
+def test_command_path_exits_with_its_code_and_message(case, capsys):
+    argv, code, first_line = _COMMAND_PATHS[case]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert (out, err) == (f"essencemap {__version__}\n", "")
+    else:
+        assert out == "" and err.startswith(first_line)
 
 
 def test_non_utf8_concept_file_exits_2_with_its_line(tmp_path, capsys):
@@ -234,16 +271,17 @@ pair: P/Gamma.g3 F/Xeno.x1 = 2
 def test_score_agrees_with_map_on_every_pair(tmp_path, capsys):
     files = {"practice": _AGREE_PRACTICE, "framework": _AGREE_FRAMEWORK, "annotations": _AGREE_ANNOTATIONS,
              "lexicon": "verb: reviews, orders, plans, build, inspect, approve\n"}
-    corpus = []
+    corpus = {}
     for option, text in files.items():
         (tmp_path / option).write_text(text, encoding="utf-8")
-        corpus += [f"--{option}", str(tmp_path / option)]
+        corpus[option] = [f"--{option}", str(tmp_path / option)]
     sizes = {c.name: len(c.attributes) for path in ("practice", "framework")
              for c in load_concepts(tmp_path / path).concepts}
     relations = set()
-    for mode in ("heuristic", "hybrid"):
+    for mode in ("heuristic", "hybrid"):  # heuristic mode reads no table, so it takes none
         for threshold in ("1", "2", "3"):
-            options = [*corpus, "--mode", mode, "--threshold", threshold]
+            options = [*corpus["practice"], *corpus["framework"], *corpus["lexicon"], "--mode", mode,
+                       "--threshold", threshold, *(corpus["annotations"] if mode == "hybrid" else ())]
             assert main(["map", *options]) == EXIT_OK
             rows = capsys.readouterr().out.split("\n")[2:11]
             for row in rows:
@@ -319,13 +357,13 @@ def clashing_files(tmp_path):
 @pytest.mark.parametrize("command", ["map", "map-annotated", "score"])
 def test_two_files_with_one_context_id_exit_3(command, clashing_files, capsys):
     alpha, beta, annotations = clashing_files
-    argv = ["--practice", str(alpha), "--framework", str(beta), "--mode", "heuristic"]
+    argv = ["--practice", str(alpha), "--framework", str(beta)]
     if command == "score":
-        argv = ["score", "--left", "S/Alpha", "--right", "S/Beta", *argv]
+        argv = ["score", "--left", "S/Alpha", "--right", "S/Beta", *argv, "--mode", "heuristic"]
+    elif command == "map-annotated":  # a mode that reads the table, so the clash is found with one given
+        argv = ["map", *argv, "--mode", "hybrid", "--annotations", str(annotations)]
     else:
-        argv = ["map", *argv]
-    if command == "map-annotated":
-        argv += ["--annotations", str(annotations)]
+        argv = ["map", *argv, "--mode", "heuristic"]
     assert main(argv) == EXIT_REFERENCE
     assert capsys.readouterr().err == (
         "essencemap: practice and framework both define context 'S' with different concepts\n"
@@ -360,13 +398,18 @@ def test_one_file_as_both_sides_maps(clashing_files, capsys):
     ("map", "context: P\nconcept: A\nend\n", "concept P/A has no attributes"),
     ("score", "context: P\nconcept: A\nend\n", "concept P/A has no attributes"),
     ("map", "context: P\n", "context 'P' has no concepts"),
+    ("score-right", "context: P\nconcept: A\nend\n", "concept P/A has no attributes"),
 ])
 def test_concept_or_context_with_nothing_to_map_exits_2_without_a_line(
         command, text, message, essence, tmp_path, capsys):
     # The files parse; the mapper rejects them, so the message names no source:line.
     practice = _write(tmp_path / "p.concepts", text)
     argv = ["--practice", str(practice), "--framework", str(essence), "--mode", "heuristic"]
-    argv = ["score", "--left", "P/A", "--right", "EF/Requirements", *argv] if command == "score" else ["map", *argv]
+    pairs = {"score": ("P/A", "EF/Requirements"), "score-right": ("EF/Requirements", "P/A")}
+    if command in pairs:
+        argv = ["score", "--left", pairs[command][0], "--right", pairs[command][1], *argv]
+    else:
+        argv = ["map", *argv]
     assert main(argv) == EXIT_PARSE
     assert capsys.readouterr().err == f"essencemap: {message}\n"
 

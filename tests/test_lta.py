@@ -27,6 +27,7 @@ from essencemap import (
 )
 from essencemap.corpus import AnnotationTable
 from essencemap.lta import EMPTY_LEXICON, MODES, add_synonym_group, stem, tokenize
+from essencemap.mapper import pair_result
 from essencemap.matching import THRESHOLDS
 
 from conftest import attribute, make_random_context
@@ -518,10 +519,12 @@ class TestScoringProperties:
             results, calls = [], []
             for other in (context, copy):
                 scorer = _CountingScorer(LEXICON, contexts=(context, other))
-                results.append([map_pair(context.id, c1, other.id, c2, config, scorer)
+                results.append([pair_result(context.id, c1, other.id, c2,
+                                            candidate_pairs(context.id, c1, other.id, c2, scorer, threshold))
                                 for c1 in context.concepts for c2 in other.concepts])
                 calls.append(scorer.calls)
-            assert results[0] == results[1]
+            assert results[0] == results[1] == [map_pair(context.id, c1, context.id, c2, config)
+                                                for c1 in context.concepts for c2 in context.concepts]
             assert calls[0] == calls[1] > 0
 
     @given(case=_scoring_case("annotated", complete=False))
@@ -613,7 +616,8 @@ class TestScorerOverItsContexts:
                         == _full_scan(table, mode, pool[i], pool[j], threshold))
             else:
                 config = MapConfig(LEXICON, table, mode, threshold)
-                assert map_pair(*pool[i], *pool[j], config, scorer) == map_pair(*pool[i], *pool[j], config)
+                candidates = candidate_pairs(*pool[i], *pool[j], scorer, threshold)
+                assert pair_result(*pool[i], *pool[j], candidates) == map_pair(*pool[i], *pool[j], config)
 
     def test_threshold_3_then_1_example_finds_the_level_1_cells(self):
         _, _, pool, _ = _THRESHOLD_3_THEN_1
