@@ -154,6 +154,8 @@ def cmd_map(args: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
 
 def cmd_parse(args: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
     """Validate a concept file; optionally show each statement's split."""
+    if args.lexicon is not None and not args.show_spo:  # refused before any file is read
+        raise UsageError("parse reads no --lexicon without --show-spo")
     context = load_concepts(args.path)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else EMPTY_LEXICON
     n_concepts = len(context.concepts)

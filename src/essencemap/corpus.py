@@ -59,16 +59,19 @@ _NO_LEVELS: Mapping = MappingProxyType({})
 class AnnotationTable:
     """Curated levels for unordered pairs of distinct attribute references.
 
-    Each reference keys a row dict from the other reference to the level, and
-    every pair sits in both rows, so a lookup in either orientation is two
-    dict lookups.  A row may be empty: :func:`parse_annotations` makes one
-    for every known reference before it reads a line, and a reference that
-    no line names keeps its empty row.  ``len`` counts the entries of all
-    rows, halved.
+    Each reference keys a row dict from another reference to the level.
+    :func:`parse_annotations` ranks its contexts in the order given and
+    holds a pair of two ranked contexts once, in the row of the reference
+    whose context ranks first; any other pair (within one context, or in a
+    table built without contexts) sits in both rows.  So :meth:`level_for`
+    reads the other row only on a miss.  A row may be empty: the parser
+    makes one for every known reference.  ``len`` counts the pairs.
     """
 
     def __init__(self, entries: Iterable[tuple[AttrRef, AttrRef, int]] = ()):
         self._rows: dict[AttrRef, dict[AttrRef, int]] = {}
+        self._ranks: dict[str, int] = {}  # context id -> rank; empty for a table built without contexts
+        self._size = 0
         for left, right, level in entries:
             self.add(left, right, level)
 
@@ -79,30 +82,38 @@ class AnnotationTable:
         if left == right:
             # Never read: StatementScorer.level scores a row 3 against its own reference.
             raise ValueError(f"cannot annotate {left} against itself")
-        rows = self._rows
-        left_row = rows.get(left)
-        if left_row is None:  # a new reference, so no duplicate: the checks are done
-            left_row = rows[left] = {}
-        elif right in left_row:
+        rows, rank = self._rows, self._ranks.get
+        if right in rows.get(left, _NO_LEVELS) or left in rows.get(right, _NO_LEVELS):
             raise ValueError(f"duplicate annotation for pair {left} / {right}")
-        left_row[right] = level
-        right_row = rows.get(right)
-        if right_row is None:
-            right_row = rows[right] = {}
-        right_row[left] = level
+        first, second = rank(left.context), rank(right.context)
+        if first is None or second is None or first <= second:
+            rows.setdefault(left, {})[right] = level
+        if first is None or second is None or first >= second:
+            rows.setdefault(right, {})[left] = level
+        self._size += 1
 
     def row(self, ref: AttrRef) -> Mapping[AttrRef, int]:
-        """Read-only view of the levels of ``ref``: other reference -> level."""
-        row = self._rows.get(ref)
+        """Read-only view of the levels of ``ref``: other reference -> level.
+
+        When ``ref``'s context ranks after another, a copy that adds the
+        levels of ``ref`` that earlier rows hold, found by a scan of every row.
+        """
+        rows, ranks = self._rows, self._ranks
+        row, rank = rows.get(ref), ranks.get(ref.context)
+        if rank:
+            row = dict(row or ())
+            for other, levels in rows.items():
+                if ref in levels and ranks.get(other.context, rank) < rank:
+                    row[other] = levels[ref]
         return _NO_LEVELS if row is None else MappingProxyType(row)
 
     def level_for(self, left: AttrRef, right: AttrRef) -> Optional[int]:
-        row = self._rows.get(left)
-        return None if row is None else row.get(right)
+        level = self._rows.get(left, _NO_LEVELS).get(right)
+        return self._rows.get(right, _NO_LEVELS).get(left) if level is None else level
 
     def __len__(self) -> int:
-        """The number of pairs; each sits in two rows."""
-        return sum(map(len, self._rows.values())) // 2
+        """The number of pairs, however many rows each sits in."""
+        return self._size
 
 
 # About how many characters :func:`_line_pieces` cuts at a time.
@@ -263,31 +274,35 @@ def parse_annotations(
 ) -> AnnotationTable:
     """Parse ``pair:`` lines, resolving every reference against ``contexts``.
 
-    When two contexts share an id, the last one wins.  A reference resolves
-    with one lookup in a map from ``str(ref)`` to ``ref`` and its row, over
-    every attribute of those contexts; since ``AttrRef.parse(str(ref)) ==
-    ref`` for every ref the model accepts, a hit is what the checked path
-    would return.  A miss names the part that does not resolve: as
-    ``str(AttrRef.parse(t)) == t``, the attribute when the context and
-    concept resolve.
+    Each context ranks where its id first comes in ``contexts`` (see
+    :class:`AnnotationTable`); when two share an id, the last one wins.  A
+    reference resolves with one lookup in a map from ``str(ref)`` to
+    ``ref``, its row and its context's rank, over every attribute of those
+    contexts; since ``AttrRef.parse(str(ref)) == ref`` for every ref the
+    model accepts, a hit is what the checked path would return.  A miss
+    names the part that does not resolve: as ``str(AttrRef.parse(t)) ==
+    t``, the attribute when the context and concept resolve.
 
     One loop reads the lines a piece at a time (:func:`_line_pieces`).  A
     line that splits on whitespace into exactly ``pair:``, two references
     that hit, ``=`` and a level text of :data:`_LEVEL_TEXTS` reads as the
-    checked path would read it; it writes its level and goes on when its
-    references differ and the left row grew, so the pair is new.  Any other
-    line that is not blank or a comment takes the checked path, which ends
-    in :meth:`AnnotationTable.add`, the only place that rejects a self pair
-    or a repeat, at its own line; a table a repeat wrote into is discarded.
+    checked path would read it.  It writes its level into the row of its
+    first-ranked reference, and the other row too when the ranks are equal,
+    and goes on when its references differ and that first row grew, so the
+    pair is new.  Any other line that is not blank or a comment takes the
+    checked path, which ends in :meth:`AnnotationTable.add`, the only place
+    that rejects a self pair or a repeat, at its own line; a table a repeat
+    wrote into is discarded.
     """
     by_id: Mapping[str, SemanticContext] = {ctx.id: ctx for ctx in contexts}
     table = AnnotationTable()
-    known: dict[str, tuple[AttrRef, dict[AttrRef, int]]] = {}
-    for context in by_id.values():
+    known: dict[str, tuple[AttrRef, dict[AttrRef, int], int]] = {}
+    for rank, context in enumerate(by_id.values()):
+        table._ranks[context.id] = rank
         for concept in context.concepts:
             for attr in concept.attributes:
                 ref = AttrRef(context.id, concept.name, attr.id)
-                known[str(ref)] = (ref, table._rows.setdefault(ref, {}))
+                known[str(ref)] = (ref, table._rows.setdefault(ref, {}), rank)
 
     def resolve(line: int, ref_text: str) -> AttrRef:
         found = known.get(ref_text)
@@ -305,7 +320,7 @@ def parse_annotations(
                 part = "concept"
         raise UnknownReferenceError(f"unknown {part} in reference {ref}", source=name, line=line)
 
-    end, hit, level_of = 0, known.get, _LEVEL_TEXTS.get
+    end, fast, hit, level_of = 0, 0, known.get, _LEVEL_TEXTS.get
     # Only the iterator of a piece is held, and it lets go of the piece's lines once read.
     for rest in map(iter, _line_pieces(text)):
         end += length_hint(rest)  # the number of the piece's last line
@@ -314,11 +329,15 @@ def parse_annotations(
             if len(fields) == 5 and fields[0] == "pair:" and fields[3] == "=":
                 left, right, level = hit(fields[1]), hit(fields[2]), level_of(fields[4])
                 if left is not None and right is not None and level is not None and left is not right:
+                    if left[2] > right[2]:
+                        left, right = right, left
                     row = left[1]
                     size = len(row)
                     row[right[0]] = level
                     if len(row) != size:
-                        right[1][left[0]] = level
+                        if left[2] == right[2]:
+                            right[1][left[0]] = level
+                        fast += 1
                         continue
             elif not fields or fields[0].startswith("#"):
                 continue
@@ -340,6 +359,7 @@ def parse_annotations(
                 table.add(resolve(number, ref_texts[0]), resolve(number, ref_texts[1]), level)
             except ValueError as exc:
                 raise CorpusSyntaxError(str(exc), source=name, line=number) from None
+    table._size += fast
     return table
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .concepts import AttrRef, Checked, Concept
@@ -92,8 +93,11 @@ def candidate_pairs(
     for a, b in scorer.cells(context1, c1, context2, c2, threshold):
         level = score(a, b)
         if level >= threshold:
-            found.append(CandidatePair(a.ref, b.ref, level))
-    found.sort(key=lambda p: (-p.level, p.left, p.right))
+            found.append(tuple.__new__(CandidatePair, (a.ref, b.ref, level)))
+    # No two candidates share both references, so the stable second sort
+    # leaves each level's candidates in (left, right) order.
+    found.sort()
+    found.sort(key=itemgetter(2), reverse=True)
     return found
 
 

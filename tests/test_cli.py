@@ -64,6 +64,8 @@ _COMMAND_PATHS = {
     "annotated-with-lexicon": ([*_SCORE_PAIR, "--mode", "annotated", "--annotations", "absent.ann",
                                 "--lexicon", "absent.lex"], EXIT_USAGE,
                                "essencemap: --mode annotated reads no --lexicon"),
+    "parse-lexicon-without-spo": (["parse", "absent.concepts", "--lexicon", "absent.lex"], EXIT_USAGE,
+                                  "essencemap: parse reads no --lexicon without --show-spo"),
 }
 
 
@@ -175,16 +177,20 @@ _MODE_ARGS = {
 }
 
 
-# Each score golden: its file stem and the options after the pair and its files.
+_FORWARD_PAIR = ["--left", "Scrum/ProductBacklog", "--right", "EF/Requirements"]
+
+# Each score golden: its file stem and the options besides its files.
 # At threshold 3 the case-study pair has no candidate, so that golden pins the empty view.
-_SCORE_GOLDENS = {**{f"score-{mode}": args for mode, args in _MODE_ARGS.items()},
-                  "score-heuristic-t3": [*_MODE_ARGS["heuristic"], "--threshold", "3"]}
+# The reversed golden reads the framework concept's levels from the practice rows.
+_SCORE_GOLDENS = {**{f"score-{mode}": [*_FORWARD_PAIR, *args] for mode, args in _MODE_ARGS.items()},
+                  "score-heuristic-t3": [*_FORWARD_PAIR, *_MODE_ARGS["heuristic"], "--threshold", "3"],
+                  "score-annotated-reversed": ["--left", "EF/Requirements", "--right", "Scrum/ProductBacklog",
+                                               *_MODE_ARGS["annotated"]]}
 
 
 @pytest.mark.parametrize("golden", sorted(_SCORE_GOLDENS), ids=lambda stem: stem.removeprefix("score-"))
 def test_score_case_study_matches_golden(golden, scrum, essence, capsys):
-    argv = ["score", "--left", "Scrum/ProductBacklog", "--right", "EF/Requirements",
-            "--practice", str(scrum), "--framework", str(essence), *_SCORE_GOLDENS[golden]]
+    argv = ["score", "--practice", str(scrum), "--framework", str(essence), *_SCORE_GOLDENS[golden]]
     assert main(argv) == EXIT_OK
     out, err = capsys.readouterr()
     assert out == (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
@@ -268,6 +274,13 @@ pair: P/Gamma.g3 F/Xeno.x1 = 2
 """
 
 
+_MIRRORED = {"sub-concept": "super-concept", "super-concept": "sub-concept"}
+
+
+def _field(out, prefix):
+    return next(o for o in out if o.startswith(prefix)).removeprefix(prefix)
+
+
 def test_score_agrees_with_map_on_every_pair(tmp_path, capsys):
     files = {"practice": _AGREE_PRACTICE, "framework": _AGREE_FRAMEWORK, "annotations": _AGREE_ANNOTATIONS,
              "lexicon": "verb: reviews, orders, plans, build, inspect, approve\n"}
@@ -290,12 +303,22 @@ def test_score_agrees_with_map_on_every_pair(tmp_path, capsys):
                 out = capsys.readouterr().out.splitlines()
                 line, _, bracket = row.rpartition("  [")
                 assert out[-1] == line
-                matching = next(o for o in out if o.startswith("matching: ")).removeprefix("matching: ")
+                matching = _field(out, "matching: ")
                 assert matching.replace("(empty)", "-") == bracket.rstrip("]")
-                similarity = next(o for o in out if o.startswith("similarity: "))
-                k, union = map(int, similarity.split()[1].split("/"))
+                similarity = _field(out, "similarity: ")
+                k, union = map(int, similarity.split()[0].split("/"))
                 assert union == sizes[left] + sizes[right] - k
                 relations.update(o for o in out if o.endswith(": yes"))
+                # With the framework concept on the left, hybrid mode reads its levels from the
+                # practice rows: the same pair, mirrored.
+                assert main(["score", "--left", f"F/{right}", "--right", f"P/{left}", *options]) == EXIT_OK
+                back = capsys.readouterr().out.splitlines()
+                labels = matching.replace("(empty)", "").split()
+                mirrored = sorted("-".join(label.split("-")[::-1]) for label in labels)
+                assert _field(back, "matching: ") == (" ".join(mirrored) or "(empty)")
+                assert _field(back, "similarity: ") == similarity
+                pct, relation = line.split("  ")[1:]
+                assert back[-1] == f"{right} -> {left}  {pct}  {_MIRRORED.get(relation, relation)}"
     assert {"sub-concept: yes", "super-concept: yes"} <= relations
 
 

@@ -360,38 +360,59 @@ def _levels(table):
     return {(left, right): table.level_for(left, right) for left in _TABLE_REFS for right in _TABLE_REFS}
 
 
+def _rows(table, refs):
+    return {ref: dict(table.row(ref)) for ref in refs}
+
+
+def _expected_rows(levels, refs):
+    """The row of each of ``refs`` under ``levels``, a dict keyed by unordered pairs."""
+    return {ref: {other: level for pair, level in levels.items() if ref in pair for other in pair - {ref}}
+            for ref in refs}
+
+
+# A table built without contexts holds every pair in both rows; one that parse_annotations
+# built over contexts Y then X holds a pair of X and Y in the row of its Y reference only.
+_TABLE_CONTEXTS = tuple(SemanticContext(ctx, (Concept(name, tuple(AttributeStatement(attr, "t") for attr in attrs)),))
+                        for ctx, name, attrs in (("Y", "B", ("b1", "b2")), ("X", "A", ("a1", "a2"))))
+_EMPTY_TABLES = (AnnotationTable, lambda: parse_annotations("", _TABLE_CONTEXTS))
+
+
 class TestAnnotationTableProperties:
     @settings(max_examples=300)
     @given(adds=st.lists(st.tuples(_table_refs, _table_refs,
                                    st.one_of(st.integers(-1, 4), st.sampled_from([True, 2.0, "2"]))),
                          max_size=12))
     def test_symmetric_counted_once_and_unchanged_by_a_failed_add(self, adds):
-        table, expected = AnnotationTable(), {}
-        for left, right, level in adds:
-            before = (len(table), _levels(table))
-            valid = (type(level) is int and 0 <= level <= 3 and left != right
-                     and frozenset((left, right)) not in expected)
-            try:
-                table.add(left, right, level)
-            except ValueError:
-                assert not valid
-                assert (len(table), _levels(table)) == before
-            else:
-                assert valid
-                expected[frozenset((left, right))] = level
-        levels = _levels(table)
-        assert all(levels[left, right] == levels[right, left] for left, right in levels)
-        assert levels == {pair: expected.get(frozenset(pair)) for pair in levels}
-        assert len(table) == len(expected)
+        for empty_table in _EMPTY_TABLES:
+            table, expected = empty_table(), {}
+            for left, right, level in adds:
+                before = (len(table), _levels(table), _rows(table, _TABLE_REFS))
+                valid = (type(level) is int and 0 <= level <= 3 and left != right
+                         and frozenset((left, right)) not in expected)
+                try:
+                    table.add(left, right, level)
+                except ValueError:
+                    assert not valid
+                    assert (len(table), _levels(table), _rows(table, _TABLE_REFS)) == before
+                else:
+                    assert valid
+                    expected[frozenset((left, right))] = level
+            levels = _levels(table)
+            assert all(levels[left, right] == levels[right, left] for left, right in levels)
+            assert levels == {pair: expected.get(frozenset(pair)) for pair in levels}
+            assert _rows(table, _TABLE_REFS) == _expected_rows(expected, _TABLE_REFS)
+            assert len(table) == len(expected)
 
     @given(left=_table_refs, right=_table_refs, first=st.integers(0, 3), second=st.integers(0, 3))
     def test_reversed_duplicate_raises_and_keeps_the_first_level(self, left, right, first, second):
         assume(left != right)
-        table = AnnotationTable(((left, right, first),))
-        with pytest.raises(ValueError) as info:
-            table.add(right, left, second)
-        assert str(info.value) == f"duplicate annotation for pair {right} / {left}"
-        assert (len(table), table.level_for(left, right), table.level_for(right, left)) == (1, first, first)
+        for empty_table in _EMPTY_TABLES:
+            table = empty_table()
+            table.add(left, right, first)
+            with pytest.raises(ValueError) as info:
+                table.add(right, left, second)
+            assert str(info.value) == f"duplicate annotation for pair {right} / {left}"
+            assert (len(table), table.level_for(left, right), table.level_for(right, left)) == (1, first, first)
 
 
 # '=' inside context and concept names, and a context shadowed by a later one with its id.
@@ -482,7 +503,41 @@ def _levels_as_reference(text):
     levels = {frozenset((left, right)): table.level_for(left, right)
               for left in _ORACLE_REFS for right in _ORACLE_REFS if table.level_for(left, right) is not None}
     assert (len(table), levels) == (len(expected), expected)
+    assert _rows(table, _ORACLE_REFS) == _expected_rows(expected, _ORACLE_REFS)
     return levels
+
+
+# The contexts of _ORACLE_CONTEXTS with Y= ranked first; X keeps its last concepts.
+_Y_FIRST = (_ORACLE_CONTEXTS[2], *_ORACLE_CONTEXTS[:2])
+
+
+@settings(max_examples=300)
+@given(y_first=st.booleans(),
+       lines=st.lists(st.tuples(st.sampled_from(_GOOD_REFS), st.sampled_from(_GOOD_REFS), st.sampled_from(_GOOD_LEVELS))
+                      .filter(lambda line: line[0] != line[1]), min_size=1, max_size=12,
+                      unique_by=lambda line: frozenset(line[:2])))
+def test_every_row_holds_the_levels_of_the_reference(y_first, lines):
+    # Same-context and cross-context pairs in either orientation, on the fast and the checked path.
+    text = "".join(f"pair: {left} {right} = {level}\n" for left, right, level in lines)
+    contexts = _Y_FIRST if y_first else _ORACLE_CONTEXTS
+    expected = reference_parse_annotations(text, contexts)
+    table = parse_annotations(text, contexts)
+    assert len(table) == len(expected) == len(lines)
+    assert _rows(table, _ORACLE_REFS) == _expected_rows(expected, _ORACLE_REFS)
+    assert all(table.level_for(left, right) == expected.get(frozenset((left, right)))
+               for left in _ORACLE_REFS for right in _ORACLE_REFS)
+
+
+# A pair of X and Y= repeated in the other orientation, on the fast path ("= 1") or the
+# checked path ("= 01"), after the first line took either path.
+@pytest.mark.parametrize("first, repeat", [("= 1", "= 01"), ("= 01", "= 1")], ids=["fast-then-checked",
+                                                                                  "checked-then-fast"])
+@pytest.mark.parametrize("left, right", [("X/A.a1", "Y=/E.e1"), ("Y=/E.e1", "X/A.a1")])
+def test_a_repeat_in_the_other_orientation_is_a_duplicate_at_its_line(first, repeat, left, right):
+    text = f"pair: {left} {right} {first}\npair: X/A.a2 Y=/E.e1 = 2\npair: {right} {left} {repeat}\n"
+    with pytest.raises(CorpusSyntaxError) as info:
+        _levels_as_reference(text)
+    assert (info.value.line, info.value.reason) == (3, f"duplicate annotation for pair {right} / {left}")
 
 
 # Fast-shaped lines that break the self-pair or duplicate rule; the first bad line is reported.
@@ -637,6 +692,9 @@ def test_a_load_holds_under_half_its_text_beyond_the_table():
     assert len(table) == len(pairs)
     # A list of every line alone would be about twice the text.
     assert peak - kept < len(text) / 2
+    # Each pair of P and F sits in the row of its P reference only: about 32 bytes a pair
+    # on CPython 3.11, where an entry in each of two rows took 60.
+    assert kept < 45 * len(pairs)
 
 class TestByteOrderMark:
     BOM = b"\xef\xbb\xbf"
