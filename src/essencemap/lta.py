@@ -32,6 +32,7 @@ import re
 from collections import namedtuple
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .concepts import AttrRef, AttributeStatement, Checked, Concept, SemanticContext
@@ -282,6 +283,9 @@ class AttrProfile(NamedTuple):
     has_verb: bool
 
 
+_BY_REF = itemgetter(0)  # sort key: a row's reference
+
+
 class StatementScorer:
     """Scoring front-end bundling lexicon, annotations and mode.
 
@@ -295,8 +299,11 @@ class StatementScorer:
     per pair; a row scores 3 against the row with its own reference.
 
     :meth:`cells` names the pairs of two concepts' rows worth scoring
-    against a threshold.  Outside annotated mode every held row has one
-    bit, and the scorer keeps, per part, a dict from canonical token to the
+    against a threshold, in (left reference, right reference) order.  Each
+    held concept's rows are put in reference order once, here.  Outside
+    annotated mode every held row has one bit, given in that order, so the
+    low-to-high walk of a mask visits a concept's rows by reference; and
+    the scorer keeps, per part, a dict from canonical token to the
     bitmask of the rows holding it, and a dict from each held row's
     reference to its bit.  ORing the masks of one row's tokens per part
     gives, bit by bit, the held rows whose part overlaps it, and the three
@@ -324,8 +331,10 @@ class StatementScorer:
         self.lexicon = lexicon
         self.mode = mode
         self._table = None if mode == "heuristic" else annotations
-        # (context id, name) -> (concept, its rows, the bit of its first row)
-        self._held: dict[tuple[str, str], tuple[Concept, tuple[AttrProfile, ...], int]] = {}
+        # (context id, name) -> (concept, its rows, the same rows in reference order,
+        # the bit of the first of those)
+        self._held: dict[tuple[str, str], tuple[Concept, tuple[AttrProfile, ...],
+                                                 tuple[AttrProfile, ...], int]] = {}
         self._masks: tuple[dict[str, int], ...] = ({}, {}, {})
         self._bits: dict[AttrRef, int] = {}  # reference of a held row -> its bit, as a mask
         self._sweeps: dict[tuple[str, str, int], tuple[tuple[int, ...], int]] = {}
@@ -335,11 +344,11 @@ class StatementScorer:
                 key = (context.id, concept.name)
                 if key not in self._held:
                     rows = self._rows(context.id, concept)
-                    self._held[key] = (concept, rows, size)
+                    self._held[key] = (concept, rows, tuple(sorted(rows, key=_BY_REF)), size)
                     size += len(rows)
         if mode != "annotated":  # annotated mode scans every cell, so that a gap raises
-            for _, rows, offset in self._held.values():
-                for index, row in enumerate(rows, offset):
+            for _, _, ordered, offset in self._held.values():
+                for index, row in enumerate(ordered, offset):
                     bit = self._bits[row.ref] = 1 << index
                     for part, by_token in zip((row.subject, row.predicate, row.object_part), self._masks):
                         for token in part:
@@ -357,7 +366,7 @@ class StatementScorer:
         return tuple(built)
 
     def _holding(self, context: str, concept: Concept):
-        """``(concept, rows, offset)`` held for ``concept`` or one equal to it, else ``None``."""
+        """The ``_held`` entry of ``concept`` or of one equal to it, else ``None``."""
         held = self._held.get((context, concept.name))
         return held if held is not None and held[0] == concept else None
 
@@ -366,22 +375,27 @@ class StatementScorer:
         held = self._holding(context, concept)
         return held[1] if held is not None else self._rows(context, concept)
 
+    def _by_ref(self, context: str, concept: Concept, held) -> Sequence[AttrProfile]:
+        """The rows of ``concept`` in reference order; ``held`` is what :meth:`_holding` gave."""
+        return held[2] if held is not None else sorted(self._rows(context, concept), key=_BY_REF)
+
     def cells(
         self, context1: str, c1: Concept, context2: str, c2: Concept, threshold: int
     ) -> Iterable[tuple[AttrProfile, AttrProfile]]:
         """The row pairs of ``c1`` x ``c2`` that can reach ``threshold`` (1 to 3).
 
         In annotated mode every pair, so that a pair the table lacks raises,
-        and so too for a concept the scorer does not hold.  Otherwise, row
-        by row of ``c1``, the pairs that share a reference, that have a
-        table level of at least ``threshold``, or that have no table level
-        and share at least ``threshold`` parts; a pair left out scores below
-        ``threshold``.
+        and so too for a concept the scorer does not hold.  Otherwise the
+        pairs that share a reference, that have a table level of at least
+        ``threshold``, or that have no table level and share at least
+        ``threshold`` parts; a pair left out scores below ``threshold``.
+        Every path yields its pairs in (left reference, right reference)
+        order.
         """
         held1, held2 = self._holding(context1, c1), self._holding(context2, c2)
         if self.mode == "annotated" or held1 is None or held2 is None:
-            return product(self.profile(context1, c1), self.profile(context2, c2))
-        (_, rows1, offset1), (_, rows2, offset2) = held1, held2
+            return product(self._by_ref(context1, c1, held1), self._by_ref(context2, c2, held2))
+        (_, _, rows1, offset1), (_, _, rows2, offset2) = held1, held2
         key = (context1, c1.name, threshold)
         swept = self._sweeps.get(key)
         if swept is None:

@@ -84,7 +84,9 @@ def candidate_pairs(
     Sorted by level descending, then left and right reference ascending.
     Scoring errors (for instance an unannotated pair in annotated mode)
     propagate.  The cells scored are those ``scorer.cells`` names, each
-    by ``scorer.level``, so the result equals a scan of every cell.
+    by ``scorer.level``, so the result equals a scan of every cell.  The
+    cells come in (left, right) reference order, so one sort by level
+    orders the result.
     """
     if threshold not in THRESHOLDS:
         raise ValueError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
@@ -94,9 +96,8 @@ def candidate_pairs(
         level = score(a, b)
         if level >= threshold:
             found.append(tuple.__new__(CandidatePair, (a.ref, b.ref, level)))
-    # No two candidates share both references, so the stable second sort
-    # leaves each level's candidates in (left, right) order.
-    found.sort()
+    # ``cells`` yields (left, right) reference order, which this stable
+    # sort keeps within each level.
     found.sort(key=itemgetter(2), reverse=True)
     return found
 

@@ -197,6 +197,27 @@ def test_score_case_study_matches_golden(golden, scrum, essence, capsys):
     assert err == ""
 
 
+def test_score_out_of_order_concept_matches_golden(capsys):
+    # Ids a1..a12 are declared out of reference order ("a10" < "a2"): the level
+    # matrix keeps declaration order, the candidate listing (level, left, right).
+    argv = ["score", "--left", "Team/Sprint", "--right", "Kernel/Work",
+            "--practice", str(GOLDEN / "out-of-order-practice.concepts"),
+            "--framework", str(GOLDEN / "out-of-order-framework.concepts"),
+            "--mode", "heuristic", "--threshold", "1"]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / "score-out-of-order.txt").read_text(encoding="utf-8")
+    assert err == ""
+    sections = out.split("\n\n")
+    matrix = [line.split() for line in sections[1].splitlines()[1:]]
+    declared = [f"a{i}" for i in range(1, 13)]
+    assert [(a, b) for a, b, _ in matrix] == [(a, b) for a in declared for b in declared]
+    listing = [line.split() for line in sections[2].splitlines()[1:]]
+    assert listing == sorted(listing, key=lambda cell: (-int(cell[2]), cell[0], cell[1]))
+    lefts = list(dict.fromkeys(a for a, _, level in listing if level == "1"))
+    assert lefts[:5] == ["a1", "a10", "a11", "a12", "a2"]
+
+
 def test_score_scores_each_cell_once_for_its_listing(scrum, essence, monkeypatch, capsys):
     # 36 cells for the level matrix, which also gives the candidate listing,
     # plus 36 for candidate_pairs: annotated mode scores every cell, so that a gap raises

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from essencemap import (
@@ -641,3 +641,77 @@ class TestScorerOverItsContexts:
                         for c1 in sorted(practice.concepts, key=lambda c: c.name)
                         for c2 in sorted(framework.concepts, key=lambda c: c.name)]
             assert list(map_contexts(practice, framework, config).results) == expected
+
+
+@st.composite
+def _shuffled_concept(draw, name):
+    """A concept with ids a1..aN, N from 10 to 12, declared in a drawn order.
+
+    Reference order is a1, a10, a11, ..., a2, ..., so no natural order of
+    the ids is reference order, and a drawn one only by chance.
+    """
+    n = draw(st.integers(10, 12))
+    order = draw(st.permutations(range(1, n + 1)))
+    texts = draw(st.lists(_texts, min_size=n, max_size=n))
+    return Concept(name, tuple(AttributeStatement(f"a{i}", text) for i, text in zip(order, texts)))
+
+
+@st.composite
+def _out_of_order_case(draw, mode, kind):
+    """(table, held contexts, side1, side2) for two concepts of shuffled ids.
+
+    The scorer holds the first side.  By ``kind`` the second is held too,
+    a concept of a context it was not built over, or a twin of the first
+    (its context and name, other texts), which it does not hold.  Annotated
+    mode gets a level for every distinct pair, hybrid mode for some of them.
+    """
+    c1 = draw(_shuffled_concept("Alpha"))
+    if kind == "twin":
+        ctx2, c2 = "X", draw(_shuffled_concept("Alpha"))
+    else:
+        ctx2, c2 = "Y", draw(_shuffled_concept("Beta"))
+    held = [SemanticContext("X", (c1,))] + ([SemanticContext("Y", (c2,))] if kind == "held" else [])
+    table = None
+    if mode != "heuristic":
+        pairs = sorted({frozenset(pair) for pair in itertools.product(_attr_refs("X", c1), _attr_refs(ctx2, c2))
+                        if pair[0] != pair[1]}, key=sorted)
+        levels = st.integers(0, 3) if mode == "annotated" else st.none() | st.integers(0, 3)
+        drawn = draw(st.lists(levels, min_size=len(pairs), max_size=len(pairs)))
+        table = AnnotationTable((*sorted(pair), level) for pair, level in zip(pairs, drawn) if level is not None)
+    return table, held, ("X", c1), (ctx2, c2)
+
+
+@pytest.mark.parametrize("kind", ("held", "unheld", "twin"))
+@pytest.mark.parametrize("mode", MODES)
+class TestOutOfOrderIds:
+    """Concepts whose ids are declared out of reference order, each side in both orientations."""
+
+    @settings(max_examples=20)
+    @given(data=st.data(), threshold=st.integers(1, 3))
+    def test_candidate_pairs_equal_a_sorted_full_scan(self, mode, kind, data, threshold):
+        table, held, *sides = data.draw(_out_of_order_case(mode, kind))
+        scorer = StatementScorer(LEXICON, table, mode, held)
+        for side1, side2 in (sides, sides[::-1]):
+            full = [CandidatePair(a.ref, b.ref, level)
+                    for a, b in itertools.product(scorer.profile(*side1), scorer.profile(*side2))
+                    if (level := scorer.level(a, b)) >= threshold]
+            full.sort(key=lambda p: (-p.level, p.left, p.right))
+            assert candidate_pairs(*side1, *side2, scorer, threshold) == full
+
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_cells_yield_reference_order_and_profile_keeps_declaration_order(self, mode, kind, data):
+        table, held, *sides = data.draw(_out_of_order_case(mode, kind))
+        scorer = StatementScorer(LEXICON, table, mode, held)
+        for context, concept in sides:
+            declared = [attr.id for attr in concept.attributes]
+            assert [row.ref.attr for row in scorer.profile(context, concept)] == declared
+        # The sweep when both sides are held outside annotated mode (a twin
+        # equal to the first side is held), else every cell.
+        swept = mode != "annotated" and (kind == "held" or sides[0] == sides[1])
+        for side1, side2 in (sides, sides[::-1]):
+            for threshold in THRESHOLDS:
+                refs = [(a.ref, b.ref) for a, b in scorer.cells(*side1, *side2, threshold)]
+                assert refs == sorted(refs)
+                if not swept:
+                    assert len(refs) == len(side1[1].attributes) * len(side2[1].attributes)
