@@ -165,7 +165,7 @@ def parse_concepts(text: str, name: str = "<input>") -> SemanticContext:
     concept_names: set[str] = set()
     current: Optional[Concept] = None  # the open block, holding only its name
     opened_at = 0
-    parts: dict[str, list] = {}
+    parts: dict[str, dict] = {}  # field -> {id: item} of the open block, in line order
 
     for number, line in _logical_lines(text):
         try:
@@ -181,11 +181,11 @@ def parse_concepts(text: str, name: str = "<input>") -> SemanticContext:
                 current = Concept(line[len("concept:"):])
                 if current.name in concept_names:
                     raise ValueError(f"duplicate concept name {current.name!r}")
-                opened_at, parts = number, {field: [] for field in _BLOCK_FIELDS.values()}
+                opened_at, parts = number, {field: {} for field in _BLOCK_FIELDS.values()}
             elif line == "end":
                 if current is None:
                     raise ValueError("'end' without an open concept block")
-                concepts.append(Concept(current.name, **parts))
+                concepts.append(Concept(current.name, **{f: items.values() for f, items in parts.items()}))
                 concept_names.add(current.name)
                 current = None
             elif line.startswith("attr ") or line.startswith("obj "):
@@ -199,9 +199,9 @@ def parse_concepts(text: str, name: str = "<input>") -> SemanticContext:
                 make, what = (AttributeStatement, "attribute") if kind == "attr" else (ObjectInstance, "object")
                 item = make(ident, body)
                 siblings = parts[_BLOCK_FIELDS[kind]]
-                if any(other.id == item.id for other in siblings):
+                if item.id in siblings:
                     raise ValueError(f"duplicate {what} id {item.id!r}")
-                siblings.append(item)
+                siblings[item.id] = item
             else:
                 raise ValueError("unrecognized line; expected one of context:, concept:, attr, obj, end")
         except ValueError as exc:

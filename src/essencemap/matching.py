@@ -26,7 +26,9 @@ smaller ``(context, concept)`` on the left, sorts the cells once to build
 the solve's adjacency lists in rank order, and reads the chosen cells back
 in the caller's orientation, so swapping the two concepts mirrors the
 result.  A conflict-free candidate set, where no attribute appears twice,
-is its own unique optimum and skips the solve.
+is its own unique optimum and skips the solve.  At most one cell or pair
+is already in order and conflict-free, so it needs no sort, no conflict
+sets and no solve.
 
 ``candidate_pairs`` scores only the cells that
 :meth:`~essencemap.lta.StatementScorer.cells` names for the threshold.
@@ -44,6 +46,7 @@ from .lta import StatementScorer
 
 DEFAULT_THRESHOLD = 2
 THRESHOLDS = (1, 2, 3)
+_LEVEL = itemgetter(2)
 
 
 class CandidatePair(NamedTuple):
@@ -55,17 +58,23 @@ class CandidatePair(NamedTuple):
 
 
 class MatchSet(Checked, namedtuple("MatchSet", "pairs left_size right_size")):
-    """A bijective attribute pairing between two concepts; ``pairs`` is kept sorted."""
+    """A bijective attribute pairing between two concepts; ``pairs`` is kept sorted.
+
+    One pair is already sorted and bijective, so only two or more are
+    sorted and checked for bijectivity; the size checks hold for every set.
+    """
 
     __slots__ = ()
 
     def __new__(cls, pairs: Iterable[CandidatePair], left_size: int, right_size: int):
-        pairs = tuple(sorted(pairs))
+        pairs = tuple(pairs)
         if left_size < 0 or right_size < 0:
             raise ValueError("attribute set sizes must be non-negative")
         if pairs:  # with no pairs these checks cannot fail
-            if not len({p.left for p in pairs}) == len({p.right for p in pairs}) == len(pairs):
-                raise ValueError("match set must be bijective")
+            if len(pairs) > 1:
+                pairs = tuple(sorted(pairs))
+                if not len({p.left for p in pairs}) == len({p.right for p in pairs}) == len(pairs):
+                    raise ValueError("match set must be bijective")
             if len(pairs) > min(left_size, right_size):
                 raise ValueError("match set exceeds the smaller attribute set")
         return tuple.__new__(cls, (pairs, left_size, right_size))
@@ -86,7 +95,7 @@ def candidate_pairs(
     propagate.  The cells scored are those ``scorer.cells`` names, each
     by ``scorer.level``, so the result equals a scan of every cell.  The
     cells come in (left, right) reference order, so one sort by level
-    orders the result.
+    orders the result; a list of at most one candidate is already in order.
     """
     if threshold not in THRESHOLDS:
         raise ValueError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
@@ -96,9 +105,10 @@ def candidate_pairs(
         level = score(a, b)
         if level >= threshold:
             found.append(tuple.__new__(CandidatePair, (a.ref, b.ref, level)))
-    # ``cells`` yields (left, right) reference order, which this stable
-    # sort keeps within each level.
-    found.sort(key=itemgetter(2), reverse=True)
+    if len(found) > 1:
+        # ``cells`` yields (left, right) reference order, which this stable
+        # sort keeps within each level.
+        found.sort(key=_LEVEL, reverse=True)
     return found
 
 
@@ -161,13 +171,16 @@ def max_matching(
     swapping the two sides (the mirrored input yields the mirrored output).
     When no attribute appears in two of the distinct cells, all of them
     together form the unique optimum, so they are returned without an
-    assignment solve.
+    assignment solve.  At most one distinct cell is trivially conflict-free,
+    so it is returned before the conflict sets are built.
     """
     best: dict[tuple[AttrRef, AttrRef], CandidatePair] = {}
     for pair in candidates:
         key = pair[:2]
         if best.get(key, pair).level <= pair.level:
             best[key] = pair
+    if len(best) < 2:
+        return MatchSet(tuple(best.values()), left_size, right_size)
     lefts, rights = {l for l, _ in best}, {r for _, r in best}
     if len(lefts) == len(best) == len(rights):
         return MatchSet(tuple(best.values()), left_size, right_size)

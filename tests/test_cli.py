@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from essencemap import __version__, bundled_path, cli, load_concepts
-from essencemap.cli import EXIT_OK, EXIT_PARSE, EXIT_REFERENCE, EXIT_USAGE, format_pct, main
+from essencemap import __version__, bundled_path, cli, load_concepts, parse_concepts, serialize_concepts
+from essencemap.cli import EXIT_OK, EXIT_PARSE, EXIT_REFERENCE, EXIT_USAGE, OUTPUT_FORMATS, format_pct, main
 from essencemap.lta import MODES
+from essencemap.matching import THRESHOLDS
 
 
 def _map_argv(practice, framework, lexicon, *extra):
@@ -562,3 +563,151 @@ def test_format_pct_rounds_like_exact_fractions(value):
     tenths = value * 10 + Fraction(1, 2)
     scaled = tenths.numerator // tenths.denominator
     assert format_pct(value) == f"{scaled // 10}.{scaled % 10}"
+
+
+_TWO_CONTEXTS = {
+    "practice": (
+        "context: P\n"
+        "concept: Backlog\n"
+        "attr a1: the product owner orders the backlog items by value\n"
+        "attr a2: the team estimates each backlog item\n"
+        "attr a3: backlog items are refined before the sprint\n"
+        "attr a4: the backlog holds every planned requirement\n"
+        "obj o1: release backlog\n"
+        "end\n"
+        "concept: Sprint\n"
+        "attr a1: the team plans the sprint goal\n"
+        "attr a2: the sprint delivers a working increment\n"
+        "attr a3: the team reviews the increment with stakeholders\n"
+        "end\n"
+        "concept: Team\n"
+        "attr a1: the team organizes its own work\n"
+        "attr a2: the team holds the skills to deliver the increment\n"
+        "end\n"
+    ),
+    "framework": (
+        "context: F\n"
+        "concept: Requirements\n"
+        "attr b1: requirements are ordered by value\n"
+        "attr b2: the team estimates each requirement\n"
+        "attr b3: requirements evolve as stakeholders learn\n"
+        "end\n"
+        "concept: Work\n"
+        "attr b1: the team plans the work\n"
+        "attr b2: the work delivers a working system\n"
+        "attr b3: the team reviews progress with stakeholders\n"
+        "attr b4: work is organized by the team\n"
+        "end\n"
+        "concept: Stakeholders\n"
+        "attr b1: stakeholders review the system\n"
+        "attr b2: stakeholders provide the requirements\n"
+        "end\n"
+    ),
+    "lexicon": (
+        "syn: backlog, requirement\n"
+        "syn: increment, system, product\n"
+        "syn: plans, orders, organizes\n"
+        "stop: each, every, own, by\n"
+        "verb: refined, holds, learn\n"
+    ),
+}
+
+
+def _cross_table(practice: str, framework: str, keep) -> str:
+    """``pair:`` lines for the cross cells ``keep(i, j)`` selects, with levels 0..3 spread over them."""
+    lefts = [f"P/{c.name}.{a.id}" for c in parse_concepts(practice).concepts for a in c.attributes]
+    rights = [f"F/{c.name}.{a.id}" for c in parse_concepts(framework).concepts for a in c.attributes]
+    return "".join(f"pair: {left} {right} = {(3 * i + j) % 4}\n"
+                   for i, left in enumerate(lefts) for j, right in enumerate(rights) if keep(i, j))
+
+
+_TWO_CONTEXTS["annotated"] = _cross_table(_TWO_CONTEXTS["practice"], _TWO_CONTEXTS["framework"],
+                                          lambda i, j: True)
+_TWO_CONTEXTS["hybrid"] = _cross_table(_TWO_CONTEXTS["practice"], _TWO_CONTEXTS["framework"],
+                                       lambda i, j: (i + j) % 3 == 0)
+_REORDER_CORPORA = {
+    "case-study": {
+        "practice": bundled_path("scrum.concepts").read_text(encoding="utf-8"),
+        "framework": bundled_path("essence.concepts").read_text(encoding="utf-8"),
+        "lexicon": bundled_path("paper.lex").read_text(encoding="utf-8"),
+        "annotated": bundled_path("paper-table1.ann").read_text(encoding="utf-8"),
+        "hybrid": bundled_path("paper-table1.ann").read_text(encoding="utf-8"),
+    },
+    "two-context": _TWO_CONTEXTS,
+}
+
+
+def _shuffled_concepts(text, rng):
+    """``text`` with its concept blocks, and the attribute and object lines of each block, shuffled."""
+    context = parse_concepts(text)
+    concepts = [concept._replace(attributes=rng.sample(concept.attributes, len(concept.attributes)),
+                                 objects=rng.sample(concept.objects, len(concept.objects)))
+                for concept in context.concepts]
+    rng.shuffle(concepts)
+    return serialize_concepts(context._replace(concepts=concepts))
+
+
+def _shuffled_table(text, rng):
+    """The ``pair:`` lines of ``text`` shuffled, each with its two references swapped or not."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("pair:"):
+            key, left, right, eq, level = line.split()
+            if rng.random() < 0.5:
+                left, right = right, left
+            lines.append(f"{key} {left} {right} {eq} {level}\n")
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
+def _shuffled_lexicon(text, rng):
+    """The ``syn:``/``stop:``/``verb:`` lines of ``text`` shuffled, and the tokens within each line."""
+    lines = []
+    for line in text.splitlines():
+        if line.strip() and not line.startswith("#"):
+            key, _, rest = line.partition(":")
+            tokens = [token.strip() for token in rest.split(",")]
+            rng.shuffle(tokens)
+            lines.append(f"{key}: {', '.join(tokens)}\n")
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
+# The files each mode reads beyond the two concept files; the table's role is its mode.
+_MODE_FILES = {"heuristic": ("lexicon",), "annotated": ("annotated",), "hybrid": ("lexicon", "hybrid")}
+
+
+def _map_report(files, mode, threshold, out_format):
+    """The stdout of ``map`` over ``files`` (file role -> text); the run must exit 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for role in ("practice", "framework", *_MODE_FILES[mode]):
+            paths[role] = Path(tmp) / role
+            paths[role].write_text(files[role], encoding="utf-8")
+        argv = ["map", "--practice", str(paths["practice"]), "--framework", str(paths["framework"]),
+                "--mode", mode, "--threshold", str(threshold), "--format", out_format]
+        if "lexicon" in paths:
+            argv += ["--lexicon", str(paths["lexicon"])]
+        if mode in paths:
+            argv += ["--annotations", str(paths[mode])]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code == EXIT_OK, err.getvalue()
+    return out.getvalue()
+
+
+_SHUFFLERS = {"practice": _shuffled_concepts, "framework": _shuffled_concepts, "lexicon": _shuffled_lexicon,
+              "annotated": _shuffled_table, "hybrid": _shuffled_table}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("corpus", sorted(_REORDER_CORPORA))
+@settings(derandomize=True, database=None, max_examples=25)
+@given(rng=st.randoms(use_true_random=False), threshold=st.sampled_from(THRESHOLDS),
+       out_format=st.sampled_from(OUTPUT_FORMATS))
+def test_reordering_the_inputs_leaves_the_map_report_unchanged(corpus, mode, rng, threshold, out_format):
+    files = _REORDER_CORPORA[corpus]
+    shuffled = {role: _SHUFFLERS[role](files[role], rng) for role in ("practice", "framework", *_MODE_FILES[mode])}
+    report = _map_report(files, mode, threshold, out_format)
+    assert report and _map_report(shuffled, mode, threshold, out_format) == report

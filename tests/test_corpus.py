@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 from unittest import mock
 
@@ -99,6 +100,15 @@ class TestParseConcepts:
             parse_concepts(text, name="bad.concepts")
         assert info.value.line == line
         assert info.value.source == "bad.concepts"
+
+    def test_a_20000_attribute_concept_parses_in_under_3_seconds(self):
+        # A duplicate-id check that scans the block takes about 17 s on this block.
+        ids = [f"a{i}" for i in range(20_000)]
+        text = "context: EF\nconcept: X\n" + "".join(f"attr {i}: statement {i}\n" for i in ids) + "end\n"
+        started = time.perf_counter()
+        concept = parse_concepts(text).concept("X")
+        assert time.perf_counter() - started < 3.0
+        assert [a.id for a in concept.attributes] == ids
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# leading comment\n\ncontext: EF\n  # indented comment\nconcept: X\nattr a1: t\nend\n"
@@ -818,6 +828,10 @@ _B1 ="Scrum/ProductBacklog.b1"
         ("concepts", "context: EF\nconcept: X\nattr a1: x\nattr a1: y\nend\n", 4,
          "duplicate attribute id 'a1'"),
         ("concepts", "context: EF\nconcept: X\nobj o1: x\nobj o1: y\nend\n", 4,
+         "duplicate object id 'o1'"),
+        ("concepts", "context: EF\nconcept: X\nattr a1: x\nobj o1: y\nattr a2: z\n# note\nattr a1: w\nend\n", 7,
+         "duplicate attribute id 'a1'"),
+        ("concepts", "context: EF\nconcept: X\nobj o1: x\nattr a1: y\n\nobj o2: z\nobj o1: w\nend\n", 7,
          "duplicate object id 'o1'"),
         ("concepts", "context: EF\nrel-out: EF/X\n", 2,
          "unrecognized line; expected one of context:, concept:, attr, obj, end"),

@@ -2,14 +2,17 @@ import contextlib
 import random
 import signal
 import time
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from essencemap import (
+    AttributeStatement,
     AttrRef,
     CandidatePair,
+    Concept,
     MatchSet,
     StatementScorer,
     candidate_pairs,
@@ -95,6 +98,29 @@ def instances(draw, max_side=6):
     return pairs, n_left, n_right
 
 
+@st.composite
+def few_cell_instances(draw):
+    """(candidates, left size, right size): 0-3 candidates over at most two distinct cells.
+
+    The cells lie over a1..a3 and b1..b3, so two of them may share an
+    attribute; a cell may repeat at any level; each side has 0-3 attributes.
+    """
+    left_context = draw(st.sampled_from(["L", "S"]))
+    cell = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    cells = draw(st.lists(cell, min_size=1, max_size=2))
+    drawn = draw(st.lists(st.tuples(st.sampled_from(cells), st.integers(1, 3)), max_size=3))
+    pairs = [CandidatePair(AttrRef(left_context, "Left", f"a{i}"), ref_r(j), level) for (i, j), level in drawn]
+    return pairs, draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+
+def outcome(matcher, candidates, left_size, right_size):
+    """The match set ``matcher`` returns, or the message of the ``ValueError`` it raises."""
+    try:
+        return matcher(candidates, left_size, right_size)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestCandidatePairs:
     def test_annotated_case_study_candidates(
         self, essence_context, scrum_context, table1_annotations
@@ -140,6 +166,18 @@ class TestCandidatePairs:
         found = candidate_pairs("EF", concept, "EF", concept, scorer, threshold=1)
         keys = [(-p.level, p.left, p.right) for p in found]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    def test_zero_or_one_candidate_is_returned_as_scored(self, threshold):
+        left = Concept("A", (AttributeStatement("a1", "the backlog is an ordered list"),
+                             AttributeStatement("a2", "budget approvals take weeks")))
+        right = Concept("B", (AttributeStatement("b1", "weather changes daily"),
+                              AttributeStatement("b2", "the backlog is an ordered list")))
+        scorer = StatementScorer(mode="heuristic")
+        assert candidate_pairs("X", left, "Y", right, scorer, threshold) == [
+            CandidatePair(AttrRef("X", "A", "a1"), AttrRef("Y", "B", "b2"), 3)]
+        unmatched = right._replace(attributes=right.attributes[:1])
+        assert candidate_pairs("X", left, "Y", unmatched, scorer, threshold) == []
 
 
 class TestMaxMatching:
@@ -230,6 +268,21 @@ class TestMaxMatching:
         pairs, n_left, n_right = instance
         selected = max_matching(pairs, n_left, n_right)
         assert len(selected.pairs) <= min(n_left, n_right)
+
+
+class TestAtMostOneCell:
+    """``max_matching`` returns at most one distinct cell before it builds conflict sets."""
+
+    @settings(max_examples=300)
+    @given(few_cell_instances())
+    @example(([cand(1, 1, 1), cand(1, 1, 3), cand(1, 1, 2)], 1, 1))
+    @example(([cand(2, 1, 2), cand(2, 1, 1)], 0, 2))
+    @example(([cand(1, 1, 2), cand(1, 2, 3), cand(1, 1, 3)], 1, 2))
+    def test_agrees_with_the_oracle_in_every_input_order(self, instance):
+        pairs, n_left, n_right = instance
+        expected = outcome(brute_force_matching, pairs, n_left, n_right)
+        for order in permutations(pairs):
+            assert outcome(max_matching, list(order), n_left, n_right) == expected
 
 
 class TestConflictFreeShortcut:

@@ -130,6 +130,13 @@ def test_attributes_cannot_be_assigned_or_deleted(value):
         delattr(value, value._fields[0])
 
 
+def test_a_one_pair_match_set_keeps_its_pair():
+    pair = CandidatePair(AttrRef("Y", "B", "b1"), AttrRef("X", "A", "a1"), 2)
+    for pairs in ([pair], (pair,), iter([pair])):
+        match = MatchSet(pairs, 1, 1)
+        assert match.pairs == (pair,) and match.pairs[0] is pair
+
+
 def test_lexicon_memo_is_private_and_not_assignable():
     lexicon = Lexicon((("plan", "roadmap"),))
     assert lexicon.fold("roadmaps") == "plan"
