@@ -312,9 +312,13 @@ class StatementScorer:
     levels once: the cells with a level drop their heuristic bits, and
     those whose level reaches the threshold set theirs.  One sweep per row
     thus picks out the cells that can reach a threshold, and each concept
-    pair reads its slice.  A pair with a concept that is not held names
-    every cell, and so does annotated mode, where a cell the table lacks
-    must reach :meth:`level` to raise.
+    pair reads its slice.  The sweep of a left concept at a threshold is
+    kept as one record: the concept object swept, its rows in reference
+    order, each row's hit mask and the union of those masks.  A pair whose
+    left concept is that very object reads its rows from the record, so
+    only the right concept is looked up.  A pair with a concept that is
+    not held names every cell, and so does annotated mode, where a cell
+    the table lacks must reach :meth:`level` to raise.
     """
 
     def __init__(
@@ -337,7 +341,10 @@ class StatementScorer:
                                                  tuple[AttrProfile, ...], int]] = {}
         self._masks: tuple[dict[str, int], ...] = ({}, {}, {})
         self._bits: dict[AttrRef, int] = {}  # reference of a held row -> its bit, as a mask
-        self._sweeps: dict[tuple[str, str, int], tuple[tuple[int, ...], int]] = {}
+        # (context id, name, threshold) -> (the concept swept, its rows in reference
+        # order, each row's hit mask, the union of those masks)
+        self._sweeps: dict[tuple[str, str, int],
+                           tuple[Concept, tuple[AttrProfile, ...], tuple[int, ...], int]] = {}
         size = 0
         for context in contexts:
             for concept in context.concepts:
@@ -391,14 +398,24 @@ class StatementScorer:
         ``threshold`` parts; a pair left out scores below ``threshold``.
         Every path yields its pairs in (left reference, right reference)
         order.
+
+        The sweep record of ``(context1, c1.name, threshold)`` holds the
+        concept object it was swept for.  When ``c1`` is that object, its
+        rows come from the record and only ``c2`` goes through
+        :meth:`_holding`.  Any other ``c1``, an equal copy or a twin too,
+        is looked up as well, and a held one reuses the record's masks.
         """
-        held1, held2 = self._holding(context1, c1), self._holding(context2, c2)
-        if self.mode == "annotated" or held1 is None or held2 is None:
-            return product(self._by_ref(context1, c1, held1), self._by_ref(context2, c2, held2))
-        (_, _, rows1, offset1), (_, _, rows2, offset2) = held1, held2
         key = (context1, c1.name, threshold)
         swept = self._sweeps.get(key)
+        held2 = self._holding(context2, c2)
+        if swept is None or swept[0] is not c1:  # only the very object swept skips the lookup
+            held1 = self._holding(context1, c1)
+            if self.mode == "annotated" or held1 is None or held2 is None:
+                return product(self._by_ref(context1, c1, held1), self._by_ref(context2, c2, held2))
+        elif held2 is None:
+            return product(swept[1], self._by_ref(context2, c2, held2))
         if swept is None:
+            _, _, rows1, offset1 = held1
             subjects, predicates, objects = self._masks
             table, bits = self._table, self._bits
             found = []
@@ -428,12 +445,14 @@ class StatementScorer:
                 mask |= 1 << bit  # the row with a's own reference is a
                 found.append(mask)
                 union |= mask
-            swept = self._sweeps[key] = (tuple(found), union)
+            swept = self._sweeps[key] = (c1, rows1, tuple(found), union)
+        _, rows1, found, union = swept
+        _, _, rows2, offset2 = held2
         width = (1 << len(rows2)) - 1
-        if not (swept[1] >> offset2) & width:  # no row of c1 hits c2
+        if not (union >> offset2) & width:  # no row of c1 hits c2
             return []
         pairs = []
-        for a, hits in zip(rows1, swept[0]):
+        for a, hits in zip(rows1, found):
             hits = (hits >> offset2) & width
             while hits:
                 low = hits & -hits

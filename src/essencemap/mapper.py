@@ -12,9 +12,13 @@ best framework match: the highest similarity, ties going to the relation
 that comes first in :data:`RELATIONS` and then to the smaller name.  So a
 concept mapped against its own context picks itself unless a concept with
 a smaller name is equivalent to it too, as one with the same attribute
-texts and objects is.  The report also carries, once per
-run, a sorted note for each statement of either context in which no verb
-was found (none in annotated mode, where the text is never scored).
+texts and objects is.  Two similarities are compared as integers, not as
+``Fraction`` objects: results holding the same cached ``Fraction`` are
+equal, and otherwise ``a.numerator * b.denominator`` against
+``b.numerator * a.denominator`` decides, which is exact.  The report also
+carries, once per run, a sorted note for each statement of either context
+in which no verb was found (none in annotated mode, where the text is
+never scored).
 Everything is deterministic: identical inputs and configuration produce
 identical reports.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .concepts import (
@@ -115,8 +120,18 @@ def pair_result(context1: str, c1: Concept, context2: str, c2: Concept,
     if not c2.attributes:
         raise NoAttributesError(f"concept {context2}/{c2.name} has no attributes")
     match = max_matching(candidates, len(c1.attributes), len(c2.attributes))
-    return MappingResult(f"{context1}/{c1.name}", f"{context2}/{c2.name}", match,
+    return MappingResult(_qualified(context1, c1.name), _qualified(context2, c2.name), match,
                          similarity(c1, c2, match), classify(c1, c2, match))
+
+
+@lru_cache(maxsize=None)
+def _qualified(context: str, name: str) -> str:
+    """``context/name``, one shared string per argument pair.
+
+    The cache is never pruned; it holds one entry per distinct concept a
+    process maps, as ``concepts._percentage`` holds one per similarity.
+    """
+    return f"{context}/{name}"
 
 
 def map_pair(context1: str, c1: Concept, context2: str, c2: Concept, config: MapConfig) -> MappingResult:
@@ -151,15 +166,21 @@ def map_contexts(
     results = []
     best_matches = []
     for p_concept in ordered[0]:
-        row = [
-            pair_result(practice.id, p_concept, framework.id, f_concept,
-                        candidate_pairs(practice.id, p_concept, framework.id, f_concept, scorer, config.threshold))
-            for f_concept in ordered[1]
-        ]
-        results.extend(row)
-        # ``max`` keeps the first of equal keys and ``row`` is in name order,
-        # so a tie goes to the earlier relation, then to the smaller name.
-        top = max(row, key=lambda r: (r.similarity_pct, -_RANK[r.relation]))
+        top = None
+        for f_concept in ordered[1]:
+            result = pair_result(practice.id, p_concept, framework.id, f_concept,
+                                 candidate_pairs(practice.id, p_concept, framework.id, f_concept,
+                                                 scorer, config.threshold))
+            results.append(result)
+            if top is None:
+                top = result
+                continue
+            # Only a strictly better result replaces ``top``, and the row is in
+            # name order, so a tie goes to the earlier relation, then the smaller name.
+            new, old = result.similarity_pct, top.similarity_pct
+            gain = 0 if new is old else new.numerator * old.denominator - old.numerator * new.denominator
+            if gain > 0 or not gain and _RANK[result.relation] < _RANK[top.relation]:
+                top = result
         best_matches.append(
             BestMatch(
                 practice=p_concept.name,

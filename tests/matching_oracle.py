@@ -8,6 +8,9 @@ bijective subset, and mirror the choice back.  It refuses sides above ten.
 :func:`dense_reference_matching` has no such bound: it solves the same
 weights as one dense assignment problem over a square profit matrix padded
 with zeros, an O(n**3) Hungarian solve that visits every cell.
+
+Both check their own result (:func:`_match_set`) and build it without the
+checks of ``MatchSet``, so a fault in those checks shows as a disagreement.
 """
 
 from __future__ import annotations
@@ -34,6 +37,18 @@ def mirror(match: MatchSet) -> MatchSet:
     return MatchSet(tuple(map(flip, match.pairs)), match.right_size, match.left_size)
 
 
+def _match_set(pairs: Iterable[CandidatePair], left_size: int, right_size: int) -> MatchSet:
+    """``pairs`` sorted into a ``MatchSet``, checked here with ``MatchSet``'s rules and messages."""
+    pairs = tuple(sorted(pairs))
+    if left_size < 0 or right_size < 0:
+        raise ValueError("attribute set sizes must be non-negative")
+    if len({p.left for p in pairs}) != len(pairs) or len({p.right for p in pairs}) != len(pairs):
+        raise ValueError("match set must be bijective")
+    if len(pairs) > min(left_size, right_size):
+        raise ValueError("match set exceeds the smaller attribute set")
+    return tuple.__new__(MatchSet, (pairs, left_size, right_size))
+
+
 def brute_force_matching(
     candidates: Iterable[CandidatePair], left_size: int, right_size: int
 ) -> MatchSet:
@@ -53,7 +68,7 @@ def brute_force_matching(
         key = (pair.left, pair.right)
         levels[key] = max(pair.level, levels.get(key, pair.level))
     if not levels:
-        return MatchSet((), left_size, right_size)
+        return _match_set((), left_size, right_size)
     left_key = min((left.context, left.concept) for left, _ in levels)
     right_key = min((right.context, right.concept) for _, right in levels)
     flipped = right_key < left_key
@@ -61,7 +76,6 @@ def brute_force_matching(
         CandidatePair(right, left, level) if flipped else CandidatePair(left, right, level)
         for (left, right), level in levels.items()
     ]
-    sizes = (right_size, left_size) if flipped else (left_size, right_size)
 
     lefts = sorted({p.left for p in oriented})
     adjacency = {
@@ -96,8 +110,7 @@ def brute_force_matching(
             used_rights.remove(pair.right)
 
     visit(0, set(), [])
-    chosen = MatchSet(tuple(best), *sizes)
-    return mirror(chosen) if flipped else chosen
+    return _match_set(map(flip, best) if flipped else best, left_size, right_size)
 
 
 def _hungarian_max(profit: list[list[int]]) -> list[int]:
@@ -200,11 +213,9 @@ def dense_reference_matching(
     for left, right, level in candidates:
         best[left, right] = max(level, best.get((left, right), level))
     if not best:
-        return MatchSet((), left_size, right_size)
+        return _match_set((), left_size, right_size)
     flipped = (min((r.context, r.concept) for _, r in best)
                < min((l.context, l.concept) for l, _ in best))
     chosen = _select(sorted(CandidatePair(r, l, level) if flipped else CandidatePair(l, r, level)
                             for (l, r), level in best.items()))
-    if flipped:
-        chosen = [flip(p) for p in chosen]
-    return MatchSet(tuple(chosen), left_size, right_size)
+    return _match_set(map(flip, chosen) if flipped else chosen, left_size, right_size)

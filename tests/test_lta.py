@@ -597,11 +597,18 @@ _THRESHOLD_3_THEN_1 = (
     # One sweep of Alpha against Y at threshold 3, then one at threshold 1; Y/Beta's twin is loose.
     [("candidates", 0, 1, 3), ("candidates", 0, 1, 1), ("map", 0, 2, 1), ("candidates", 1, 1, 2)],
 )
+# Y/Beta is swept at threshold 1, then its loose twin comes on the left at that
+# threshold: the twin has its own rows, not those of the sweep record.
+_LEFT_TWIN_AFTER_ITS_SWEEP = (
+    *_THRESHOLD_3_THEN_1[:3],
+    [("candidates", 1, 0, 1), ("candidates", 2, 0, 1), ("map", 2, 0, 1), ("candidates", 1, 0, 1)],
+)
 
 
 class TestScorerOverItsContexts:
     @given(session=_scorer_session())
     @example(session=_THRESHOLD_3_THEN_1)
+    @example(session=_LEFT_TWIN_AFTER_ITS_SWEEP)
     def test_interleaved_calls_equal_fresh_full_scans(self, session):
         mode, table, pool, calls = session
         scorer = StatementScorer(LEXICON, table, mode, _held_contexts(pool))

@@ -304,6 +304,45 @@ class TestMapContexts:
                                           r.right.partition("/")[2]))
             assert (best.framework, best.similarity_pct) == (top.right.partition("/")[2], top.similarity_pct)
 
+    # Each text shares no word with another, and an ``is`` statement scores 2
+    # against its own text (subject and object), so at threshold 2 exactly
+    # the equal texts match.
+    _SOLO = ("team is small", "product is fast", "sailor is brave", "river is deep", "castle is old",
+             "garden is green", "engine is loud", "window is clear", "forest is dark")
+
+    @pytest.mark.parametrize("practice, framework, expected", [
+        pytest.param(
+            # 50% as 1 of 2 (Beta, sub-concept) and as 2 of 4 (Alpha, super-concept):
+            # the relation beats the smaller name.
+            (0, 1), {"Alpha": (0, 1, 2, 3), "Beta": (0,), "Gamma": (0, 4)},
+            ("Beta", Fraction(50), {"Alpha": "super-concept", "Beta": "sub-concept"}),
+            id="relation-decides"),
+        pytest.param(
+            # 25% as 2 of 8 (Alpha) and as 1 of 4 (Beta), both related: the smaller name wins.
+            (0, 1, 2), {"Alpha": (0, 1, 3, 4, 5, 6, 7), "Beta": (0, 3), "Gamma": (0, 3, 4, 5, 6)},
+            ("Alpha", Fraction(25), {"Alpha": "related", "Beta": "related"}),
+            id="name-decides"),
+    ])
+    def test_best_match_compares_equal_similarities_with_different_terms(self, practice, framework,
+                                                                         expected):
+        # Gamma is at 100/3% or 100/7%: below the tie, but with the larger numerator.
+        def texts(picks):
+            return [self._SOLO[i] for i in picks]
+
+        report = map_contexts(
+            SemanticContext("P", (simple_concept("Plan", texts(practice)),)),
+            SemanticContext("F", tuple(simple_concept(name, texts(picks), prefix="b")
+                                       for name, picks in framework.items())),
+            MapConfig(mode="heuristic", threshold=2),
+        )
+        framework_name, pct, relations = expected
+        row = {r.right.partition("/")[2]: r for r in report.results}
+        assert {name: row[name].relation for name in relations} == relations
+        alpha, beta = row["Alpha"].similarity_pct, row["Beta"].similarity_pct
+        assert alpha == beta == pct and alpha is not beta
+        assert row["Gamma"].similarity_pct < pct and row["Gamma"].similarity_pct.numerator > pct.numerator
+        assert [(b.framework, b.similarity_pct) for b in report.best_matches] == [(framework_name, pct)]
+
     def test_empty_context_rejected(self):
         empty = SemanticContext("E")
         other = SemanticContext("O", (simple_concept("X", ["is x"]),))
