@@ -39,7 +39,6 @@ from .errors import (
     EmptyContextError,
     EssenceMapError,
     NoAttributesError,
-    UnannotatedPairError,
     UnknownReferenceError,
 )
 from .lta import (
@@ -72,7 +71,6 @@ __all__ = [
     "SemanticContext",
     "SpoTriple",
     "StatementScorer",
-    "UnannotatedPairError",
     "UnknownReferenceError",
     "bundled_path",
     "candidate_pairs",

@@ -19,7 +19,7 @@ from typing import Optional
 from . import __version__
 from .concepts import Concept, SemanticContext
 from .corpus import load_annotations, load_concepts, load_lexicon
-from .errors import EssenceMapError, UnannotatedPairError, UnknownReferenceError
+from .errors import EssenceMapError, UnknownReferenceError
 from .lta import EMPTY_LEXICON, MODES, extract_spo
 from .mapper import RELATIONS, MapConfig, MappingReport, map_contexts, pair_result
 from .matching import DEFAULT_THRESHOLD, THRESHOLDS, MatchSet, candidate_pairs
@@ -310,7 +310,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"essencemap: {exc}", file=sys.stderr)
         if isinstance(exc, UsageError):
             return EXIT_USAGE
-        if isinstance(exc, (UnknownReferenceError, UnannotatedPairError)):
+        if isinstance(exc, UnknownReferenceError):
             return EXIT_REFERENCE
         return EXIT_PARSE
 

@@ -31,12 +31,8 @@ class UnknownReferenceError(_SourcedError):
     """
 
 
-class UnannotatedPairError(EssenceMapError):
-    """Annotated scoring asked for a pair that is not in the table."""
-
-
 class NoAttributesError(EssenceMapError):
-    """Similarity is undefined when both attribute sets are empty."""
+    """A concept pair cannot be mapped: one of its concepts has no attributes."""
 
 
 class EmptyContextError(EssenceMapError):

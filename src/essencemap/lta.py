@@ -9,8 +9,9 @@ stopwords, strips inflection suffixes and folds synonym groups.  A
 statement with no verb gets an empty predicate, which overlaps nothing.
 
 Scoring runs in one of three modes: ``heuristic`` (computed from the text
-alone), ``annotated`` (levels read from a curated table, errors on gaps)
-and ``hybrid`` (annotation wins when present, heuristic otherwise).
+alone), ``annotated`` (levels read from a curated table, a pair the table
+lacks reading as 0) and ``hybrid`` (annotation wins when present,
+heuristic otherwise).
 
 A :class:`StatementScorer` is built over the contexts it maps: it splits
 and canonicalizes the statements of each of their concepts once, holding
@@ -21,9 +22,9 @@ vocabulary, not with the number of times a token occurs.  The reference
 is a row's identity: a row scores 3 against the row with its own
 reference, whatever its text.  :meth:`StatementScorer.cells` names the
 cells of a concept pair that can reach a threshold, read from a bitmask
-index over the rows the scorer holds and, in hybrid mode, from the table
-levels of those rows; annotated mode, and a concept the scorer was not
-built over, are scanned in full.
+index over the rows the scorer holds and, outside heuristic mode, from
+the table levels of those rows; a concept the scorer was not built over is
+scanned in full.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .concepts import AttrRef, AttributeStatement, Checked, Concept, SemanticContext
-from .errors import UnannotatedPairError
 
 if TYPE_CHECKING:
     from .corpus import AnnotationTable
@@ -300,25 +300,24 @@ class StatementScorer:
 
     :meth:`cells` names the pairs of two concepts' rows worth scoring
     against a threshold, in (left reference, right reference) order.  Each
-    held concept's rows are put in reference order once, here.  Outside
-    annotated mode every held row has one bit, given in that order, so the
-    low-to-high walk of a mask visits a concept's rows by reference; and
-    the scorer keeps, per part, a dict from canonical token to the
-    bitmask of the rows holding it, and a dict from each held row's
-    reference to its bit.  ORing the masks of one row's tokens per part
-    gives, bit by bit, the held rows whose part overlaps it, and the three
-    results add up to the heuristic level of each cell.  In hybrid mode a
-    table level replaces that level, so the sweep reads the row's table
-    levels once: the cells with a level drop their heuristic bits, and
-    those whose level reaches the threshold set theirs.  One sweep per row
-    thus picks out the cells that can reach a threshold, and each concept
-    pair reads its slice.  The sweep of a left concept at a threshold is
-    kept as one record: the concept object swept, its rows in reference
-    order, each row's hit mask and the union of those masks.  A pair whose
-    left concept is that very object reads its rows from the record, so
-    only the right concept is looked up.  A pair with a concept that is
-    not held names every cell, and so does annotated mode, where a cell
-    the table lacks must reach :meth:`level` to raise.
+    held concept's rows are put in reference order once, here.  Every held
+    row has one bit, given in that order, so the low-to-high walk of a mask
+    visits a concept's rows by reference, and the scorer keeps a dict from
+    each held row's reference to its bit.  Outside annotated mode it also
+    keeps, per part, a dict from canonical token to the bitmask of the rows
+    holding it.  ORing the masks of one row's tokens per part gives, bit by
+    bit, the held rows whose part overlaps it, and the three results add up
+    to the heuristic level of each cell; annotated mode has no such masks,
+    so every cell starts at 0.  Outside heuristic mode a table level
+    replaces that level, so the sweep reads the row's table levels once:
+    the cells with a level drop their heuristic bits, and those whose level
+    reaches the threshold set theirs.  One sweep per row thus picks out the
+    cells that can reach a threshold, and each concept pair reads its slice.
+    The sweep of a left concept at a threshold is kept as one record: the
+    concept object swept, its rows in reference order, each row's hit mask
+    and the union of those masks.  A pair whose left concept is that very
+    object reads its rows from the record, so only the right concept is
+    looked up.  A pair with a concept that is not held names every cell.
     """
 
     def __init__(
@@ -353,13 +352,13 @@ class StatementScorer:
                     rows = self._rows(context.id, concept)
                     self._held[key] = (concept, rows, tuple(sorted(rows, key=_BY_REF)), size)
                     size += len(rows)
-        if mode != "annotated":  # annotated mode scans every cell, so that a gap raises
-            for _, _, ordered, offset in self._held.values():
-                for index, row in enumerate(ordered, offset):
-                    bit = self._bits[row.ref] = 1 << index
-                    for part, by_token in zip((row.subject, row.predicate, row.object_part), self._masks):
-                        for token in part:
-                            by_token[token] = by_token.get(token, 0) | bit
+        masks = () if mode == "annotated" else self._masks  # annotated mode has no heuristic levels
+        for _, _, ordered, offset in self._held.values():
+            for index, row in enumerate(ordered, offset):
+                bit = self._bits[row.ref] = 1 << index
+                for part, by_token in zip((row.subject, row.predicate, row.object_part), masks):
+                    for token in part:
+                        by_token[token] = by_token.get(token, 0) | bit
 
     def _rows(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
         built = []
@@ -391,13 +390,12 @@ class StatementScorer:
     ) -> Iterable[tuple[AttrProfile, AttrProfile]]:
         """The row pairs of ``c1`` x ``c2`` that can reach ``threshold`` (1 to 3).
 
-        In annotated mode every pair, so that a pair the table lacks raises,
-        and so too for a concept the scorer does not hold.  Otherwise the
-        pairs that share a reference, that have a table level of at least
-        ``threshold``, or that have no table level and share at least
-        ``threshold`` parts; a pair left out scores below ``threshold``.
-        Every path yields its pairs in (left reference, right reference)
-        order.
+        The pairs that share a reference, that have a table level of at
+        least ``threshold``, or, outside annotated mode, that have no table
+        level and share at least ``threshold`` parts; a pair left out
+        scores below ``threshold``.  A concept the scorer does not hold
+        gets every pair.  Every path yields its pairs in (left reference,
+        right reference) order.
 
         The sweep record of ``(context1, c1.name, threshold)`` holds the
         concept object it was swept for.  When ``c1`` is that object, its
@@ -410,7 +408,7 @@ class StatementScorer:
         held2 = self._holding(context2, c2)
         if swept is None or swept[0] is not c1:  # only the very object swept skips the lookup
             held1 = self._holding(context1, c1)
-            if self.mode == "annotated" or held1 is None or held2 is None:
+            if held1 is None or held2 is None:
                 return product(self._by_ref(context1, c1, held1), self._by_ref(context2, c2, held2))
         elif held2 is None:
             return product(swept[1], self._by_ref(context2, c2, held2))
@@ -464,9 +462,9 @@ class StatementScorer:
         """Level of one attribute pair; symmetric in ``a`` and ``b``.
 
         A row scores 3 against the row with its own reference.  Otherwise
-        the table, outside heuristic mode, answers first (a gap is an error
-        in annotated mode), then each part whose canonical sets overlap
-        scores one point.
+        the table, outside heuristic mode, answers first; in annotated mode
+        a pair the table lacks scores 0, and elsewhere each part whose
+        canonical sets overlap scores one point.
         """
         if a.ref == b.ref:
             return 3
@@ -475,7 +473,7 @@ class StatementScorer:
             if level is not None:
                 return level
             if self.mode == "annotated":
-                raise UnannotatedPairError(f"unannotated pair: {a.ref} / {b.ref}")
+                return 0
         return (
             (not a.subject.isdisjoint(b.subject))
             + (not a.predicate.isdisjoint(b.predicate))

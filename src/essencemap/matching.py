@@ -91,8 +91,7 @@ def candidate_pairs(
     """Score the attribute pairs that can qualify, keep those at or above the threshold.
 
     Sorted by level descending, then left and right reference ascending.
-    Scoring errors (for instance an unannotated pair in annotated mode)
-    propagate.  The cells scored are those ``scorer.cells`` names, each
+    The cells scored are those ``scorer.cells`` names, each
     by ``scorer.level``, so the result equals a scan of every cell.  The
     cells come in (left, right) reference order, so one sort by level
     orders the result; a list of at most one candidate is already in order.

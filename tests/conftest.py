@@ -49,6 +49,19 @@ def make_random_context(rng: random.Random, index: int = 0) -> SemanticContext:
     return SemanticContext(f"ctx{index}", tuple(concepts))
 
 
+def cross_refs(*contexts: SemanticContext) -> list[list[str]]:
+    """The attribute references of each context as text, one list per context."""
+    return [[f"{context.id}/{concept.name}.{attr.id}" for concept in context.concepts for attr in concept.attributes]
+            for context in contexts]
+
+
+def fill_gaps(table: str, lefts: list[str], rights: list[str]) -> str:
+    """Annotation ``table`` text plus a ``= 0`` line for each ``lefts`` x ``rights`` pair it lacks."""
+    written = {frozenset(line.split()[1:3]) for line in table.splitlines() if line.startswith("pair:")}
+    return table + "".join(f"pair: {left} {right} = 0\n" for left in lefts for right in rights
+                           if frozenset((left, right)) not in written)
+
+
 def attribute(concept: Concept, attr_id: str) -> AttributeStatement:
     """The attribute of ``concept`` with id ``attr_id``."""
     (attr,) = (a for a in concept.attributes if a.id == attr_id)

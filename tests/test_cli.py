@@ -28,7 +28,7 @@ from essencemap.cli import EXIT_OK, EXIT_PARSE, EXIT_REFERENCE, EXIT_USAGE, OUTP
 from essencemap.lta import EMPTY_LEXICON, MODES
 from essencemap.matching import THRESHOLDS
 
-from conftest import make_random_context
+from conftest import cross_refs, fill_gaps, make_random_context
 
 
 def _map_argv(practice, framework, lexicon, *extra):
@@ -195,10 +195,12 @@ _MODE_ARGS = {
 _FORWARD_PAIR = ["--left", "Scrum/ProductBacklog", "--right", "EF/Requirements"]
 
 # Each score golden: its file stem and the options besides its files.
-# At threshold 3 the case-study pair has no candidate, so that golden pins the empty view.
+# At threshold 3 the case-study pair has no candidate, so that golden pins the empty view;
+# at threshold 1 every published level of Table 1 is a candidate.
 # The reversed golden reads the framework concept's levels from the practice rows.
 _SCORE_GOLDENS = {**{f"score-{mode}": [*_FORWARD_PAIR, *args] for mode, args in _MODE_ARGS.items()},
                   "score-heuristic-t3": [*_FORWARD_PAIR, *_MODE_ARGS["heuristic"], "--threshold", "3"],
+                  "score-annotated-t1": [*_FORWARD_PAIR, *_MODE_ARGS["annotated"], "--threshold", "1"],
                   "score-annotated-reversed": ["--left", "EF/Requirements", "--right", "Scrum/ProductBacklog",
                                                *_MODE_ARGS["annotated"]]}
 
@@ -234,8 +236,8 @@ def test_score_out_of_order_concept_matches_golden(capsys):
 
 
 def test_score_scores_each_cell_once_for_its_listing(scrum, essence, monkeypatch, capsys):
-    # 36 cells for the level matrix, which also gives the candidate listing,
-    # plus 36 for candidate_pairs: annotated mode scores every cell, so that a gap raises
+    # 36 cells for the level matrix, which also gives the candidate listing, plus 3
+    # for candidate_pairs: the sweep names only the table cells at level 2 or more
     from essencemap.lta import StatementScorer
 
     calls = []
@@ -250,7 +252,7 @@ def test_score_scores_each_cell_once_for_its_listing(scrum, essence, monkeypatch
             "--practice", str(scrum), "--framework", str(essence), *_MODE_ARGS["annotated"]]
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / "score-annotated.txt").read_text(encoding="utf-8")
-    assert len(calls) == 72
+    assert len(calls) == 39
 
 
 @pytest.mark.parametrize("mode", sorted(_MODE_ARGS))
@@ -691,15 +693,15 @@ def _shuffled_lexicon(text, rng):
 _MODE_FILES = {"heuristic": ("lexicon",), "annotated": ("annotated",), "hybrid": ("lexicon", "hybrid")}
 
 
-def _map_report(files, mode, threshold, out_format):
-    """The stdout of ``map`` over ``files`` (file role -> text); the run must exit 0."""
+def _report(command, files, mode, threshold):
+    """The stdout of ``command`` (a list) over ``files`` (file role -> text); the run must exit 0."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for role in ("practice", "framework", *_MODE_FILES[mode]):
             paths[role] = Path(tmp) / role
             paths[role].write_text(files[role], encoding="utf-8")
-        argv = ["map", "--practice", str(paths["practice"]), "--framework", str(paths["framework"]),
-                "--mode", mode, "--threshold", str(threshold), "--format", out_format]
+        argv = [*command, "--practice", str(paths["practice"]), "--framework", str(paths["framework"]),
+                "--mode", mode, "--threshold", str(threshold)]
         if "lexicon" in paths:
             argv += ["--lexicon", str(paths["lexicon"])]
         if mode in paths:
@@ -709,6 +711,10 @@ def _map_report(files, mode, threshold, out_format):
             code = main(argv)
     assert code == EXIT_OK, err.getvalue()
     return out.getvalue()
+
+
+def _map_report(files, mode, threshold, out_format):
+    return _report(["map", "--format", out_format], files, mode, threshold)
 
 
 _SHUFFLERS = {"practice": _shuffled_concepts, "framework": _shuffled_concepts, "lexicon": _shuffled_lexicon,
@@ -725,6 +731,45 @@ def test_reordering_the_inputs_leaves_the_map_report_unchanged(corpus, mode, rng
     shuffled = {role: _SHUFFLERS[role](files[role], rng) for role in ("practice", "framework", *_MODE_FILES[mode])}
     report = _map_report(files, mode, threshold, out_format)
     assert report and _map_report(shuffled, mode, threshold, out_format) == report
+
+
+def _gap_reports(files, mode, threshold, pair):
+    """The ``map --format tsv`` report of ``files``, then ``score`` of ``pair`` in both orientations."""
+    left, right = pair
+    return [_map_report(files, mode, threshold, "tsv"),
+            *(_report(["score", "--left", one, "--right", other], files, mode, threshold)
+              for one, other in ((left, right), (right, left)))]
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+def test_a_table_gap_reads_as_an_explicit_0(threshold):
+    # The bundled table holds the six published levels; the filled one adds the other 30 cells at 0.
+    files = _REORDER_CORPORA["case-study"]
+    table = fill_gaps(files["annotated"], *cross_refs(*(parse_concepts(files[role])
+                                                        for role in ("practice", "framework"))))
+    assert table.count("= 0\n") == 30
+    filled = {**files, "annotated": table, "hybrid": table}
+    pair = ("Scrum/ProductBacklog", "EF/Requirements")
+    assert _gap_reports(files, "annotated", threshold, pair) == _gap_reports(filled, "annotated", threshold, pair)
+    # In hybrid mode a gap falls back to the heuristic, so score's level matrix differs; the
+    # case study's map report does not.
+    assert _map_report(files, "hybrid", threshold, "tsv") == _map_report(filled, "hybrid", threshold, "tsv")
+
+
+@settings(derandomize=True, database=None, max_examples=25)
+@given(rng=st.randoms(use_true_random=False), coverage=st.sampled_from(("all", "part", "none")),
+       data=st.data())
+def test_a_drawn_table_gap_reads_as_an_explicit_0(rng, coverage, data):
+    contexts = [make_random_context(rng)._replace(id=context_id) for context_id in "PF"]
+    files = {role: serialize_concepts(context) for role, context in zip(("practice", "framework"), contexts)}
+    lefts, rights = cross_refs(*contexts)
+    files["annotated"] = "".join(
+        f"pair: {left} {right} = {data.draw(st.integers(0, 3))}\n" for left in lefts for right in rights
+        if coverage == "all" or coverage == "part" and data.draw(st.booleans()))
+    filled = {**files, "annotated": fill_gaps(files["annotated"], lefts, rights)}
+    pair = ("P/Concept1", "F/Concept1")
+    for threshold in THRESHOLDS:
+        assert _gap_reports(files, "annotated", threshold, pair) == _gap_reports(filled, "annotated", threshold, pair)
 
 
 def _seeded_corpus(seed):

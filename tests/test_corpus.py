@@ -228,7 +228,7 @@ class TestParseLexicon:
 
 class TestParseAnnotations:
     def test_bundled_table(self, table1_annotations):
-        assert len(table1_annotations) == 36
+        assert len(table1_annotations) == 6
         left = AttrRef("EF", "Requirements", "a3")
         right = AttrRef("Scrum", "ProductBacklog", "b3")
         assert table1_annotations.level_for(left, right) == 2
@@ -283,9 +283,6 @@ class TestParseAnnotations:
             parse_annotations(text, (essence_context, scrum_context), name="self.ann")
         assert (info.value.source, info.value.line) == ("self.ann", 2)
 
-    def test_table_holds_36_pairs(self, table1_annotations):
-        assert len(table1_annotations) == 36
-
     def test_shared_context_id_resolves_against_the_last(self):
         def context(concept_name, attr_id):
             attr = AttributeStatement(attr_id, "the team refines the backlog")
@@ -300,7 +297,7 @@ class TestParseAnnotations:
     def test_contexts_may_be_a_generator(self, essence_context, scrum_context):
         text = bundled_path("paper-table1.ann").read_text(encoding="utf-8")
         table = parse_annotations(text, (ctx for ctx in (essence_context, scrum_context)))
-        assert len(table) == 36
+        assert len(table) == 6
         left = AttrRef("EF", "Requirements", "a3")
         right = AttrRef("Scrum", "ProductBacklog", "b3")
         assert table.level_for(left, right) == 2
@@ -723,7 +720,7 @@ class TestByteOrderMark:
         table = load_annotations(path, (essence_context, scrum_context))
         refs = [AttrRef(ctx.id, concept.name, attr.id) for ctx in (essence_context, scrum_context)
                 for concept in ctx.concepts for attr in concept.attributes]
-        assert len(table) == len(table1_annotations) == 36
+        assert len(table) == len(table1_annotations) == 6
         assert all(table.level_for(left, right) == table1_annotations.level_for(left, right)
                    for left in refs for right in refs)
 
@@ -752,7 +749,7 @@ class TestByteOrderMark:
         if filename.endswith(".ann"):
             refs = [AttrRef(ctx.id, concept.name, attr.id) for ctx in contexts
                     for concept in ctx.concepts for attr in concept.attributes]
-            assert len(with_bom) == len(without) == 36
+            assert len(with_bom) == len(without) == 6
             assert all(with_bom.level_for(left, right) == without.level_for(left, right)
                        for left in refs for right in refs)
         else:

@@ -15,7 +15,6 @@ from essencemap import (
     ObjectInstance,
     SemanticContext,
     StatementScorer,
-    UnannotatedPairError,
     bundled_path,
     candidate_pairs,
     canonicalize_part,
@@ -30,7 +29,7 @@ from essencemap.lta import EMPTY_LEXICON, MODES, add_synonym_group, stem, tokeni
 from essencemap.mapper import pair_result
 from essencemap.matching import THRESHOLDS
 
-from conftest import attribute, make_random_context
+from conftest import attribute, cross_refs, fill_gaps, make_random_context
 from lexicon_oracle import reference_canonicalize_part, reference_extract_spo, reference_is_verb
 
 
@@ -262,13 +261,15 @@ class TestScorePair:
         left, right = _refs("a1", "b1")
         assert score_pair(left, a1, right, b1, annotations=table1_annotations, mode="annotated") == 1
 
-    def test_annotated_mode_gap_raises(self):
+    def test_annotated_mode_gap_reads_0(self):
         left = AttrRef("X", "A", "a1")
-        right = AttrRef("Y", "B", "b1")
+        right, other = AttrRef("Y", "B", "b1"), AttrRef("Y", "B", "b2")
         statement = AttributeStatement("a1", "is something")
-        table = AnnotationTable(())
-        with pytest.raises(UnannotatedPairError, match="unannotated pair"):
-            score_pair(left, statement, right, statement, annotations=table, mode="annotated")
+        table = AnnotationTable(((left, other, 2),))
+        # Equal texts share every part, yet only the table speaks in annotated mode.
+        assert score_pair(left, statement, right, statement, annotations=table, mode="annotated") == 0
+        assert score_pair(left, statement, other, statement, annotations=table, mode="annotated") == 2
+        assert score_pair(left, statement, left, statement, annotations=table, mode="annotated") == 3
 
     def test_hybrid_falls_back_to_heuristic(self):
         left = AttrRef("X", "Thing", "a1")
@@ -382,18 +383,17 @@ def _attr_refs(context, concept):
 
 
 @st.composite
-def _scoring_case(draw, mode, complete=True):
+def _scoring_case(draw, mode):
     """(table, (context, concept) x 2) for ``mode``.
 
     The second side is sometimes the first concept itself, an equal but
     distinct copy of it, or a concept of the same context and name with
     other texts; in each, a row scores 3 against the row with its own
-    reference.  Annotated mode gets a level for every distinct pair unless
-    ``complete`` is false (then one pair of two distinct concepts is left
-    out), hybrid mode a random subset, heuristic mode no table.
+    reference.  Annotated and hybrid mode get levels for a random subset of
+    the distinct pairs, heuristic mode no table.
     """
     c1 = draw(_concept("Alpha", "a"))
-    side2 = draw(st.sampled_from(("other", "same", "equal", "twin"))) if complete else "other"
+    side2 = draw(st.sampled_from(("other", "same", "equal", "twin")))
     if side2 == "other":
         ctx2, c2 = "Y", draw(_concept("Beta", "b"))
     elif side2 == "twin":
@@ -403,13 +403,9 @@ def _scoring_case(draw, mode, complete=True):
     keys = {frozenset((r1, r2)): (r1, r2)
             for r1 in _attr_refs("X", c1) for r2 in _attr_refs(ctx2, c2) if r1 != r2}
     pairs = [keys[k] for k in sorted(keys, key=sorted)]
-    if mode == "hybrid":
-        pairs = [p for p in pairs if draw(st.booleans())]
-    elif mode == "annotated" and not complete:
-        del pairs[draw(st.integers(0, len(pairs) - 1))]
     table = None
     if mode != "heuristic":
-        table = AnnotationTable((l, r, draw(st.integers(0, 3))) for l, r in pairs)
+        table = AnnotationTable((l, r, draw(st.integers(0, 3))) for l, r in pairs if draw(st.booleans()))
     return table, ("X", c1), (ctx2, c2)
 
 
@@ -488,14 +484,17 @@ class TestScoringProperties:
         scorer = _CountingScorer(LEXICON, contexts=(scrum_context, essence_context))
         _assert_scores_only_qualifying_cells(scorer, scrum_context, essence_context, 2)
 
-    @pytest.mark.parametrize("threshold", (1, 2))  # no cell of the case study reaches 3 in hybrid mode
-    def test_hybrid_prefilter_scores_only_qualifying_cells(self, scrum_context, essence_context, threshold):
-        # Every other pair of the case-study table, so both table and heuristic levels decide cells.
+    @pytest.mark.parametrize("threshold", (1, 2))  # no cell of the case study reaches 3 outside heuristic mode
+    @pytest.mark.parametrize("mode", ("hybrid", "annotated"))
+    def test_hybrid_prefilter_scores_only_qualifying_cells(self, scrum_context, essence_context, mode, threshold):
+        # Every other pair of the case-study table with its gaps written as 0, so that in
+        # hybrid mode table levels (zeros among them) and heuristic levels both decide cells.
         text = bundled_path("paper-table1.ann").read_text(encoding="utf-8")
+        text = fill_gaps(text, *cross_refs(essence_context, scrum_context))
         pairs = [line for line in text.splitlines() if line.startswith("pair:")]
         contexts = (scrum_context, essence_context)
         table = parse_annotations("\n".join(pairs[::2]), contexts)
-        scorer = _CountingScorer(LEXICON, table, "hybrid", contexts)
+        scorer = _CountingScorer(LEXICON, table, mode, contexts)
         _assert_scores_only_qualifying_cells(scorer, scrum_context, essence_context, threshold)
 
     def test_same_reference_scores_3_whatever_the_concept_object(self):
@@ -527,14 +526,21 @@ class TestScoringProperties:
                                                 for c1 in context.concepts for c2 in context.concepts]
             assert calls[0] == calls[1] > 0
 
-    @given(case=_scoring_case("annotated", complete=False))
-    def test_unannotated_pair_raises_in_annotated_mode(self, case):
+    @given(case=_scoring_case("annotated"), threshold=st.integers(1, 3))
+    def test_gap_reads_0_in_annotated_mode(self, case, threshold):
         table, (ctx1, c1), (ctx2, c2) = case
-        # Built over neither side, then over both, so a prefilter that skipped the gap would fail.
+        # The rule from the table's own entries: 3 for one reference, else the table level, else 0.
+        expected = []
+        for left in _attr_refs(ctx1, c1):
+            for right in _attr_refs(ctx2, c2):
+                level = 3 if left == right else table.level_for(left, right) or 0
+                if level >= threshold:
+                    expected.append(CandidatePair(left, right, level))
+        expected.sort(key=lambda p: (-p.level, p.left, p.right))
+        # Built over neither side (every cell scanned), then over both (the sweep).
         for contexts in ((), (SemanticContext(ctx1, (c1,)), SemanticContext(ctx2, (c2,)))):
             scorer = StatementScorer(LEXICON, table, "annotated", contexts)
-            with pytest.raises(UnannotatedPairError, match="unannotated pair"):
-                candidate_pairs(ctx1, c1, ctx2, c2, scorer, 1)
+            assert candidate_pairs(ctx1, c1, ctx2, c2, scorer, threshold) == expected
 
 
 def _full_scan(table, mode, side1, side2, threshold):
@@ -555,9 +561,8 @@ def _scorer_session(draw):
     texts) both occur; the scorer holds the first concept under each
     ``(context, name)`` and leaves the twins loose.  A call profiles one
     concept, or takes the candidates of or maps one ordered pair at a
-    threshold.  Some concepts reuse the texts of an earlier one.  Hybrid
-    mode gets levels for a random subset of the distinct pairs, annotated
-    mode for all of them.
+    threshold.  Some concepts reuse the texts of an earlier one.  Annotated
+    and hybrid mode get levels for a random subset of the distinct pairs.
     """
     pool = []
     for _ in range(draw(st.integers(3, 6))):
@@ -576,7 +581,7 @@ def _scorer_session(draw):
         refs = {ref for context, concept in pool for ref in _attr_refs(context, concept)}
         pairs = sorted({frozenset(pair) for pair in itertools.combinations(sorted(refs), 2)}, key=sorted)
         table = AnnotationTable((*sorted(pair), draw(st.integers(0, 3))) for pair in pairs
-                                if mode == "annotated" or draw(st.booleans()))
+                                if draw(st.booleans()))
     return mode, table, pool, calls
 
 
@@ -670,7 +675,7 @@ def _out_of_order_case(draw, mode, kind):
     The scorer holds the first side.  By ``kind`` the second is held too,
     a concept of a context it was not built over, or a twin of the first
     (its context and name, other texts), which it does not hold.  Annotated
-    mode gets a level for every distinct pair, hybrid mode for some of them.
+    and hybrid mode get levels for some of the distinct pairs.
     """
     c1 = draw(_shuffled_concept("Alpha"))
     if kind == "twin":
@@ -682,7 +687,7 @@ def _out_of_order_case(draw, mode, kind):
     if mode != "heuristic":
         pairs = sorted({frozenset(pair) for pair in itertools.product(_attr_refs("X", c1), _attr_refs(ctx2, c2))
                         if pair[0] != pair[1]}, key=sorted)
-        levels = st.integers(0, 3) if mode == "annotated" else st.none() | st.integers(0, 3)
+        levels = st.none() | st.integers(0, 3)
         drawn = draw(st.lists(levels, min_size=len(pairs), max_size=len(pairs)))
         table = AnnotationTable((*sorted(pair), level) for pair, level in zip(pairs, drawn) if level is not None)
     return table, held, ("X", c1), (ctx2, c2)
@@ -713,9 +718,9 @@ class TestOutOfOrderIds:
         for context, concept in sides:
             declared = [attr.id for attr in concept.attributes]
             assert [row.ref.attr for row in scorer.profile(context, concept)] == declared
-        # The sweep when both sides are held outside annotated mode (a twin
-        # equal to the first side is held), else every cell.
-        swept = mode != "annotated" and (kind == "held" or sides[0] == sides[1])
+        # The sweep when both sides are held (a twin equal to the first side
+        # is held), else every cell.
+        swept = kind == "held" or sides[0] == sides[1]
         for side1, side2 in (sides, sides[::-1]):
             for threshold in THRESHOLDS:
                 refs = [(a.ref, b.ref) for a, b in scorer.cells(*side1, *side2, threshold)]
