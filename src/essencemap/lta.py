@@ -14,11 +14,13 @@ lacks reading as 0) and ``hybrid`` (annotation wins when present,
 heuristic otherwise).
 
 A :class:`StatementScorer` is built over the contexts it maps: it splits
-and canonicalizes the statements of each of their concepts once, holding
-one row of part sets per attribute; scoring a pair is then three
-set-overlap tests.  A :class:`Lexicon` folds and verb-tests each distinct
-token once and memoizes the answers, so the per-token work grows with the
-vocabulary, not with the number of times a token occurs.  The reference
+and canonicalizes the statements of each of their concepts once (none in
+annotated mode, which reads only references and table levels), holding
+one row of part sets per attribute with its position in reference order;
+scoring a pair is then three set-overlap tests.  A :class:`Lexicon` folds
+and verb-tests each distinct token once and memoizes the answers, so the
+per-token work grows with the vocabulary, not with the number of times a
+token occurs.  The reference
 is a row's identity: a row scores 3 against the row with its own
 reference, whatever its text.  :meth:`StatementScorer.cells` names the
 cells of a concept pair that can reach a threshold, read from a bitmask
@@ -33,7 +35,6 @@ import re
 from collections import namedtuple
 from functools import cached_property
 from itertools import product
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .concepts import AttrRef, AttributeStatement, Checked, Concept, SemanticContext
@@ -274,36 +275,44 @@ def canonicalize_part(
 
 
 class AttrProfile(NamedTuple):
-    """One attribute as the scorer compares it: its canonical part sets."""
+    """One attribute as the scorer compares it: its canonical part sets.
+
+    ``position`` is the row's index in its concept's reference order.  In
+    annotated mode no text is split: the parts are empty, ``has_verb`` true.
+    """
 
     ref: AttrRef
+    position: int
     subject: frozenset[str]
     predicate: frozenset[str]
     object_part: frozenset[str]
     has_verb: bool
 
 
-_BY_REF = itemgetter(0)  # sort key: a row's reference
+_UNSPLIT = (frozenset(), frozenset(), frozenset(), True)  # parts of an annotated-mode row
 
 
 class StatementScorer:
     """Scoring front-end bundling lexicon, annotations and mode.
 
     The scorer is built over the contexts it will map: its constructor
-    splits and canonicalizes every concept of ``contexts`` once and holds
-    the rows under ``(context id, concept name)``, the first concept under
-    a key being the one held.  :meth:`profile` returns the held rows of
-    that concept or of one equal to it, and builds fresh rows for any other
-    concept: one the scorer was not built over, or a twin (another concept
-    under a key it holds).  :meth:`level` compares two rows with no parsing
-    per pair; a row scores 3 against the row with its own reference.
+    splits and canonicalizes every concept of ``contexts`` once, outside
+    annotated mode, and holds the rows under ``(context id, concept name)``,
+    the first concept under a key being the one held.  :meth:`profile`
+    returns the held rows of that concept or of one equal to it, and builds
+    fresh rows for any other concept: one the scorer was not built over, or
+    a twin (another concept under a key it holds).  :meth:`level` compares
+    two rows with no parsing per pair; a row scores 3 against the row with
+    its own reference.
 
     :meth:`cells` names the pairs of two concepts' rows worth scoring
-    against a threshold, in (left reference, right reference) order.  Each
-    held concept's rows are put in reference order once, here.  Every held
-    row has one bit, given in that order, so the low-to-high walk of a mask
-    visits a concept's rows by reference, and the scorer keeps a dict from
-    each held row's reference to its bit.  Outside annotated mode it also
+    against a threshold, in (left reference, right reference) order.  One
+    sort of a concept's attribute ids gives each row its ``position``, the
+    index that puts the rows in reference order, and ``candidate_pairs``
+    hands positions on to ``max_matching``.  Every held row has one bit,
+    given in that order, so the low-to-high walk of a mask visits a
+    concept's rows by reference, and the scorer keeps a dict from each held
+    row's reference to its bit.  Outside annotated mode it also
     keeps, per part, a dict from canonical token to the bitmask of the rows
     holding it.  ORing the masks of one row's tokens per part gives, bit by
     bit, the held rows whose part overlaps it, and the three results add up
@@ -349,8 +358,8 @@ class StatementScorer:
             for concept in context.concepts:
                 key = (context.id, concept.name)
                 if key not in self._held:
-                    rows = self._rows(context.id, concept)
-                    self._held[key] = (concept, rows, tuple(sorted(rows, key=_BY_REF)), size)
+                    rows, ordered = self._rows(context.id, concept)
+                    self._held[key] = (concept, rows, ordered, size)
                     size += len(rows)
         masks = () if mode == "annotated" else self._masks  # annotated mode has no heuristic levels
         for _, _, ordered, offset in self._held.values():
@@ -360,16 +369,21 @@ class StatementScorer:
                     for token in part:
                         by_token[token] = by_token.get(token, 0) | bit
 
-    def _rows(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
-        built = []
-        for attr in concept.attributes:
-            ref = AttrRef(context, concept.name, attr.id)
-            spo = extract_spo(attr, concept.name, self.lexicon)
-            parts = (spo.subject, spo.predicate, spo.object_part)
-            built.append(AttrProfile(
-                ref, *(canonicalize_part(part, self.lexicon) for part in parts), spo.has_verb
-            ))
-        return tuple(built)
+    def _rows(self, context: str, concept: Concept) -> tuple[tuple[AttrProfile, ...], tuple[AttrProfile, ...]]:
+        """The rows of ``concept`` in attribute order and in reference order, which gives ``position``."""
+        attrs = concept.attributes
+        order = sorted(range(len(attrs)), key=lambda k: attrs[k].id)  # attribute indices by reference
+        rows: list = [None] * len(attrs)
+        for position, k in enumerate(order):
+            attr = attrs[k]
+            if self.mode == "annotated":
+                parts = _UNSPLIT
+            else:
+                spo = extract_spo(attr, concept.name, self.lexicon)
+                parts = (*(canonicalize_part(part, self.lexicon)
+                           for part in (spo.subject, spo.predicate, spo.object_part)), spo.has_verb)
+            rows[k] = AttrProfile(AttrRef(context, concept.name, attr.id), position, *parts)
+        return tuple(rows), tuple(rows[k] for k in order)
 
     def _holding(self, context: str, concept: Concept):
         """The ``_held`` entry of ``concept`` or of one equal to it, else ``None``."""
@@ -379,11 +393,11 @@ class StatementScorer:
     def profile(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
         """One row per attribute of ``concept``, in attribute order."""
         held = self._holding(context, concept)
-        return held[1] if held is not None else self._rows(context, concept)
+        return held[1] if held is not None else self._rows(context, concept)[0]
 
     def _by_ref(self, context: str, concept: Concept, held) -> Sequence[AttrProfile]:
         """The rows of ``concept`` in reference order; ``held`` is what :meth:`_holding` gave."""
-        return held[2] if held is not None else sorted(self._rows(context, concept), key=_BY_REF)
+        return held[2] if held is not None else self._rows(context, concept)[1]
 
     def cells(
         self, context1: str, c1: Concept, context2: str, c2: Concept, threshold: int

@@ -21,17 +21,20 @@ displace an earlier one.  Private columns keep potential 0, and a search
 stops no later than the private column of any row it reaches, so no row
 potential rises above 0 and every reduced cost stays non-negative.
 
-``max_matching`` keeps the highest level per cell, puts the side with the
-smaller ``(context, concept)`` on the left, sorts the cells once to build
-the solve's adjacency lists in rank order, and reads the chosen cells back
-in the caller's orientation, so swapping the two concepts mirrors the
-result.  A conflict-free candidate set, where no attribute appears twice,
-is its own unique optimum and skips the solve.  At most one cell or pair
-is already in order and conflict-free, so it needs no sort, no conflict
-sets and no solve.
-
-``candidate_pairs`` scores only the cells that
-:meth:`~essencemap.lta.StatementScorer.cells` names for the threshold.
+The solve reads cells ``(row, column, pair)``: rows are the side with the
+smaller ``(context, concept)``, and each side's positions order its
+attributes by reference.  ``candidate_pairs`` scores only the cells that
+:meth:`~essencemap.lta.StatementScorer.cells` names for the threshold; a
+result of two or more candidates carries its solve cells, built from the
+``position`` of the scorer's rows.  ``max_matching`` reads them while the
+list still equals what ``candidate_pairs`` returned.  Any other input, a
+hand-built or changed list, falls back to ranking the references: the
+highest level per cell, each side indexed by its sorted references.  Both
+then share one tail.  A conflict-free set, where no row or column appears
+twice, is its own unique optimum and skips the solve; otherwise one sort
+of the cells gives the adjacency lists in rank order, and the chosen
+cells are read back as the caller's pairs, so swapping the two concepts
+mirrors the result.  A list of at most one candidate is its own optimum.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .lta import StatementScorer
 
 DEFAULT_THRESHOLD = 2
 THRESHOLDS = (1, 2, 3)
-_LEVEL = itemgetter(2)
+_THIRD = itemgetter(2)  # a candidate's level, a solve cell's candidate
 
 
 class CandidatePair(NamedTuple):
@@ -80,6 +83,12 @@ class MatchSet(Checked, namedtuple("MatchSet", "pairs left_size right_size")):
         return tuple.__new__(cls, (pairs, left_size, right_size))
 
 
+class _Candidates(list):
+    """Two or more candidates with ``_cells``, their solve cells, and ``_items``, the list as returned."""
+
+    __slots__ = ("_cells", "_items")
+
+
 def candidate_pairs(
     context1: str,
     c1: Concept,
@@ -95,20 +104,27 @@ def candidate_pairs(
     by ``scorer.level``, so the result equals a scan of every cell.  The
     cells come in (left, right) reference order, so one sort by level
     orders the result; a list of at most one candidate is already in order.
+    A longer one also carries the cells :func:`max_matching` solves, built
+    in the same loop from the rows' ``position``.
     """
     if threshold not in THRESHOLDS:
         raise ValueError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
+    flipped = (context2, c2.name) < (context1, c1.name)  # rows are c2's
     found = []
     score = scorer.level
     for a, b in scorer.cells(context1, c1, context2, c2, threshold):
         level = score(a, b)
         if level >= threshold:
-            found.append(tuple.__new__(CandidatePair, (a.ref, b.ref, level)))
-    if len(found) > 1:
-        # ``cells`` yields (left, right) reference order, which this stable
-        # sort keeps within each level.
-        found.sort(key=_LEVEL, reverse=True)
-    return found
+            pair = tuple.__new__(CandidatePair, (a.ref, b.ref, level))
+            found.append((b.position, a.position, pair) if flipped else (a.position, b.position, pair))
+    if len(found) < 2:
+        return [found[0][2]] if found else []
+    # ``cells`` yields (left, right) reference order, which this stable
+    # sort keeps within each level.
+    result = _Candidates(map(_THIRD, found))
+    result.sort(key=_THIRD, reverse=True)
+    result._cells, result._items = found, result[:]
+    return result
 
 
 def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -> list[int]:
@@ -125,6 +141,8 @@ def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -
     u = [0] * len(adjacency)
     v = [0] * columns
     for root in range(len(adjacency)):
+        if not adjacency[root]:  # a row with no cells keeps its private column
+            continue
         heap = [(-weight - v[j], j, root) for j, weight in adjacency[root]]
         heapify(heap)
         done: dict[int, tuple[int, int]] = {}  # scanned column -> (distance, row it came from)
@@ -161,6 +179,22 @@ def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -
     return col_of
 
 
+def _ranked(candidates: Iterable[CandidatePair]) -> list[tuple[int, int, CandidatePair]]:
+    """The solve cells of any candidates: the highest level per cell, indices by sorted reference."""
+    best: dict[tuple[AttrRef, AttrRef], CandidatePair] = {}
+    for pair in candidates:
+        key = pair[:2]
+        if best.get(key, pair).level <= pair.level:
+            best[key] = pair
+    if not best:
+        return []
+    lefts, rights = sorted({l for l, _ in best}), sorted({r for _, r in best})
+    flipped = rights[0][:2] < lefts[0][:2]
+    row = {ref: i for i, ref in enumerate(rights if flipped else lefts)}
+    col = {ref: j for j, ref in enumerate(lefts if flipped else rights)}
+    return [(row[r], col[l], pair) if flipped else (row[l], col[r], pair) for (l, r), pair in best.items()]
+
+
 def max_matching(
     candidates: Iterable[CandidatePair], left_size: int, right_size: int
 ) -> MatchSet:
@@ -168,38 +202,25 @@ def max_matching(
 
     Invariant under permutation of the candidate list, and symmetric under
     swapping the two sides (the mirrored input yields the mirrored output).
-    When no attribute appears in two of the distinct cells, all of them
-    together form the unique optimum, so they are returned without an
-    assignment solve.  At most one distinct cell is trivially conflict-free,
-    so it is returned before the conflict sets are built.
+    A :func:`candidate_pairs` result that still equals what it returned is
+    solved from the cells it carries; any other input of two or more
+    candidates is ranked by :func:`_ranked`.
     """
-    best: dict[tuple[AttrRef, AttrRef], CandidatePair] = {}
-    for pair in candidates:
-        key = pair[:2]
-        if best.get(key, pair).level <= pair.level:
-            best[key] = pair
-    if len(best) < 2:
-        return MatchSet(tuple(best.values()), left_size, right_size)
-    lefts, rights = {l for l, _ in best}, {r for _, r in best}
-    if len(lefts) == len(best) == len(rights):
-        return MatchSet(tuple(best.values()), left_size, right_size)
-    lefts, rights = sorted(lefts), sorted(rights)
-    # Orient so the side with the smaller (context, concept) is on the left.
-    flipped = rights[0][:2] < lefts[0][:2]
-    if flipped:
-        lefts, rights = rights, lefts
-    row = {ref: i for i, ref in enumerate(lefts)}
-    col = {ref: j for j, ref in enumerate(rights)}
-    # (row, column) indices order the cells as their sorted (left, right) refs do.
-    cells = sorted((row[r], col[l], pair.level) if flipped else (row[l], col[r], pair.level)
-                   for (l, r), pair in best.items())
+    if isinstance(candidates, list) and len(candidates) < 2:
+        return MatchSet(tuple(candidates), left_size, right_size)
+    if type(candidates) is _Candidates and candidates == candidates._items:
+        cells = candidates._cells
+    else:
+        cells = _ranked(candidates)
+    rows, columns = {i for i, _, _ in cells}, {j for _, j, _ in cells}
+    if len(rows) == len(cells) == len(columns):
+        return MatchSet([pair for _, _, pair in cells], left_size, right_size)
+    # Positions order the cells as their (row, column) references do.
+    cells = sorted(cells)
     count = len(cells)
     bonus = (3 * count + 2) << count
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in lefts]
-    for rank, (i, j, level) in enumerate(cells):
-        adjacency[i].append((j, bonus + (level << count) + (1 << (count - 1 - rank))))
-    chosen = []
-    for i, j in enumerate(_max_weight_matching(adjacency, len(rights))):
-        if j >= 0:
-            chosen.append(best[(rights[j], lefts[i]) if flipped else (lefts[i], rights[j])])
-    return MatchSet(tuple(chosen), left_size, right_size)
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(max(rows) + 1)]
+    for rank, (i, j, pair) in enumerate(cells):
+        adjacency[i].append((j, bonus + (pair.level << count) + (1 << (count - 1 - rank))))
+    col_of = _max_weight_matching(adjacency, max(columns) + 1)
+    return MatchSet([pair for i, j, pair in cells if col_of[i] == j], left_size, right_size)

@@ -258,6 +258,7 @@ def test_score_scores_each_cell_once_for_its_listing(scrum, essence, monkeypatch
 @pytest.mark.parametrize("mode", sorted(_MODE_ARGS))
 def test_score_splits_each_statement_once(mode, scrum, essence, monkeypatch, capsys):
     # 6 + 6 attributes: candidate_pairs and the level matrix read the same rows.
+    # Annotated mode reads only references and table levels, so it splits none.
     from essencemap import lta
 
     calls = []
@@ -272,7 +273,27 @@ def test_score_splits_each_statement_once(mode, scrum, essence, monkeypatch, cap
             "--practice", str(scrum), "--framework", str(essence), *_MODE_ARGS[mode]]
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / f"score-{mode}.txt").read_text(encoding="utf-8")
-    assert len(calls) == 12
+    assert len(calls) == {"heuristic": 12, "annotated": 0}[mode]
+
+
+@pytest.mark.parametrize("command", ["map", "score"])
+def test_annotated_mode_neither_splits_nor_canonicalizes(command, scrum, essence, monkeypatch, capsys):
+    from essencemap import lta
+
+    calls = []
+    for name in ("extract_spo", "canonicalize_part"):
+        def counting(*args, _name=name, _function=getattr(lta, name), **kwargs):
+            calls.append(_name)
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(lta, name, counting)
+    argv, golden = {"map": (["map", "--format", "table"], "case-study-annotated.table"),
+                    "score": (["score", *_FORWARD_PAIR], "score-annotated.txt")}[command]
+    assert main([*argv, "--practice", str(scrum), "--framework", str(essence), *_MODE_ARGS["annotated"]]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+    assert err == ""
+    assert calls == []
 
 
 _AGREE_PRACTICE = """context: P

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,6 +20,7 @@ from essencemap import (
     candidate_pairs,
     canonicalize_part,
     extract_spo,
+    load_concepts,
     load_lexicon,
     map_contexts,
     map_pair,
@@ -712,6 +714,22 @@ class TestOutOfOrderIds:
 
     @settings(max_examples=20)
     @given(data=st.data())
+    def test_position_is_the_index_in_reference_order(self, mode, kind, data):
+        # Held rows, a twin's or unheld concept's fresh rows, and the rows of a
+        # scorer over no contexts, as ``MapConfig.make_scorer()`` builds it.
+        table, held, *sides = data.draw(_out_of_order_case(mode, kind))
+        for scorer in (StatementScorer(LEXICON, table, mode, held), StatementScorer(LEXICON, table, mode)):
+            for context, concept in sides:
+                refs = sorted(_attr_refs(context, concept))
+                assert [row.position for row in scorer.profile(context, concept)] == [
+                    refs.index(ref) for ref in _attr_refs(context, concept)]
+            for side1, side2 in (sides, sides[::-1]):
+                refs1, refs2 = sorted(_attr_refs(*side1)), sorted(_attr_refs(*side2))
+                for a, b in scorer.cells(*side1, *side2, 1):
+                    assert (a.position, b.position) == (refs1.index(a.ref), refs2.index(b.ref))
+
+    @settings(max_examples=20)
+    @given(data=st.data())
     def test_cells_yield_reference_order_and_profile_keeps_declaration_order(self, mode, kind, data):
         table, held, *sides = data.draw(_out_of_order_case(mode, kind))
         scorer = StatementScorer(LEXICON, table, mode, held)
@@ -727,3 +745,15 @@ class TestOutOfOrderIds:
                 assert refs == sorted(refs)
                 if not swept:
                     assert len(refs) == len(side1[1].attributes) * len(side2[1].attributes)
+
+
+def test_position_of_the_out_of_order_fixture(tuned_lexicon):
+    # Ids a1..a12 in reference order: a1, a10, a11, a12, a2, ..., a9.
+    practice = load_concepts(Path(__file__).parent / "golden" / "out-of-order-practice.concepts")
+    sprint = practice.concept("Sprint")
+    twin = sprint._replace(attributes=sprint.attributes[::-1])
+    expected = {attr: position for position, attr in enumerate(sorted(f"a{i}" for i in range(1, 13)))}
+    assert expected["a10"] == 1 and expected["a2"] == 4
+    held = StatementScorer(tuned_lexicon, contexts=[practice])
+    for scorer, concept in ((held, sprint), (held, twin), (StatementScorer(tuned_lexicon), sprint)):
+        assert {row.ref.attr: row.position for row in scorer.profile("Team", concept)} == expected

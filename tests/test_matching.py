@@ -13,12 +13,17 @@ from essencemap import (
     AttrRef,
     CandidatePair,
     Concept,
+    MapConfig,
     MatchSet,
+    SemanticContext,
     StatementScorer,
     candidate_pairs,
     matching,
     max_matching,
 )
+from essencemap.corpus import AnnotationTable
+from essencemap.lta import MODES
+from essencemap.matching import THRESHOLDS
 from matching_oracle import (
     OracleBoundError,
     brute_force_matching,
@@ -306,6 +311,109 @@ class TestConflictFreeShortcut:
     def test_conflicting_candidates_reach_the_solver(self, candidates):
         with pytest.raises(self.SolverCalled):
             max_matching(candidates, 2, 2)
+
+
+_CHANNEL_TEXTS = st.lists(st.sampled_from(("the", "team", "owner", "backlog", "sprint", "goal", "is", "provides")),
+                          min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def _mapped_contexts(draw, mode):
+    """(table, practice, framework) of small drawn contexts for ``mode``.
+
+    The practice id sorts before or after the framework's, so both
+    orientations occur, and each concept takes up to five ids of a1..a12 in
+    a drawn order, so declaration order is seldom reference order.  A small
+    vocabulary gives conflicting candidates.  Annotated and hybrid mode get
+    levels for a drawn subset of the cross pairs.
+    """
+    contexts = []
+    for context_id, prefix in ((draw(st.sampled_from("AZ")), "P"), ("M", "F")):
+        concepts = []
+        for k in range(draw(st.integers(1, 2))):
+            ids = draw(st.permutations(range(1, 13)))[:draw(st.integers(1, 5))]
+            concepts.append(Concept(f"{prefix}{k}", tuple(AttributeStatement(f"a{i}", draw(_CHANNEL_TEXTS))
+                                                          for i in ids)))
+        contexts.append(SemanticContext(context_id, tuple(concepts)))
+    table = None
+    if mode != "heuristic":
+        lefts, rights = ([AttrRef(c.id, concept.name, a.id) for concept in c.concepts for a in concept.attributes]
+                         for c in contexts)
+        table = AnnotationTable((l, r, draw(st.integers(0, 3))) for l in lefts for r in rights if draw(st.booleans()))
+    return (table, *contexts)
+
+
+def _agrees_with_ranked_refs_and_the_oracle(candidates, n_left, n_right):
+    expected = brute_force_matching(list(candidates), n_left, n_right)
+    assert max_matching(candidates, n_left, n_right) == max_matching(list(candidates), n_left, n_right) == expected
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["held", "unheld"])
+@pytest.mark.parametrize("mode", MODES)
+class TestCarriedCells:
+    """``max_matching`` of a ``candidate_pairs`` result, solved from the cells it carries."""
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_agrees_with_ranked_refs_and_the_oracle_also_after_mutation(self, mode, held, data):
+        # A held scorer sweeps; one over no contexts, as ``make_scorer()`` builds
+        # for the oracle probe of the benchmark, gives fresh rows.
+        table, practice, framework = data.draw(_mapped_contexts(mode))
+        config = MapConfig(annotations=table, mode=mode)
+        scorer = config.make_scorer(practice, framework) if held else config.make_scorer()
+        pairs = [(context1, c1, context2, c2)
+                 for context1, context2 in ((practice, framework), (framework, practice), (practice, practice))
+                 for c1 in context1.concepts for c2 in context2.concepts]
+        for threshold in THRESHOLDS:
+            for context1, c1, context2, c2 in pairs:
+                candidates = candidate_pairs(context1.id, c1, context2.id, c2, scorer, threshold)
+                sizes = len(c1.attributes), len(c2.attributes)
+                _agrees_with_ranked_refs_and_the_oracle(candidates, *sizes)
+                if len(candidates) < 2:
+                    continue
+                low = candidates[-1]  # the lowest level
+                candidates.append(low._replace(level=min(low.level + 1, 3)))
+                _agrees_with_ranked_refs_and_the_oracle(candidates, *sizes)
+                candidates.pop()
+                _agrees_with_ranked_refs_and_the_oracle(candidates, *sizes)
+                candidates.reverse()
+                _agrees_with_ranked_refs_and_the_oracle(candidates, *sizes)
+
+    def test_only_a_changed_result_ranks_its_refs(self, mode, held, monkeypatch):
+        left = Concept("A", (AttributeStatement("a2", "the backlog is the goal"),
+                             AttributeStatement("a1", "the backlog is the goal")))
+        right = Concept("B", (AttributeStatement("b1", "the backlog is the goal"),))
+        a1, a2, b1 = AttrRef("X", "A", "a1"), AttrRef("X", "A", "a2"), AttrRef("Y", "B", "b1")
+        config = MapConfig(annotations=AnnotationTable([(a1, b1, 3), (a2, b1, 3)]), mode=mode)
+        contexts = (SemanticContext("X", (left,)), SemanticContext("Y", (right,))) if held else ()
+        candidates = candidate_pairs("X", left, "Y", right, config.make_scorer(*contexts), 3)
+        assert candidates == [CandidatePair(a1, b1, 3), CandidatePair(a2, b1, 3)]
+        ranked = []
+        rank = matching._ranked
+        monkeypatch.setattr(matching, "_ranked", lambda candidates: ranked.append(1) or rank(candidates))
+        assert max_matching(candidates, 2, 1).pairs == (CandidatePair(a1, b1, 3),) and not ranked
+        candidates.reverse()
+        assert max_matching(candidates, 2, 1).pairs == (CandidatePair(a1, b1, 3),) and ranked == [1]
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["held", "unheld"])
+@pytest.mark.parametrize("left_context,expected", [
+    ("L", [(1, 2), (2, 3), (3, 1)]),  # "L" < "R": the tie-break reads the a-side
+    ("S", [(1, 3), (2, 1), (3, 2)]),  # "R" < "S": it reads the b-side
+])
+def test_carried_cells_read_the_tie_break_from_the_side_with_the_smaller_context(left_context, expected, held):
+    # The cells of test_tie_break_reads_the_side_with_the_smaller_context, as
+    # table levels of concepts declared out of reference order.
+    left = Concept("Left", tuple(AttributeStatement(f"a{i}", "x") for i in (3, 1, 2)))
+    right = Concept("Right", tuple(AttributeStatement(f"b{j}", "y") for j in (2, 3, 1)))
+    cells = [(1, 2), (2, 3), (3, 1), (1, 3), (2, 1), (3, 2)]
+    table = AnnotationTable((AttrRef(left_context, "Left", f"a{i}"), ref_r(j), 2) for i, j in cells)
+    contexts = (SemanticContext(left_context, (left,)), SemanticContext("R", (right,))) if held else ()
+    scorer = MapConfig(annotations=table, mode="annotated").make_scorer(*contexts)
+    candidates = candidate_pairs(left_context, left, "R", right, scorer, 2)
+    assert len(candidates) == 6
+    selected = max_matching(candidates, 3, 3)
+    assert [(p.left.attr, p.right.attr) for p in selected.pairs] == [(f"a{i}", f"b{j}") for i, j in expected]
 
 
 class TestBruteForceOracle:
