@@ -25,8 +25,10 @@ is a row's identity: a row scores 3 against the row with its own
 reference, whatever its text.  :meth:`StatementScorer.cells` names the
 cells of a concept pair that can reach a threshold, read from a bitmask
 index over the rows the scorer holds and, outside heuristic mode, from
-the table levels of those rows; a concept the scorer was not built over is
-scanned in full.
+the table levels of those rows, read once per row: each cell it names
+carries the table level the sweep read for it, so :meth:`~StatementScorer.level`
+scores only the cells the table does not answer.  A concept the scorer
+was not built over is scanned in full.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import re
 from collections import namedtuple
 from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .concepts import AttrRef, AttributeStatement, Checked, Concept, SemanticContext
 
@@ -290,6 +292,7 @@ class AttrProfile(NamedTuple):
 
 
 _UNSPLIT = (frozenset(), frozenset(), frozenset(), True)  # parts of an annotated-mode row
+_NO_LEVEL = (None,)  # the level ``cells`` hands each cell of an unswept concept pair
 
 
 class StatementScorer:
@@ -319,14 +322,18 @@ class StatementScorer:
     to the heuristic level of each cell; annotated mode has no such masks,
     so every cell starts at 0.  Outside heuristic mode a table level
     replaces that level, so the sweep reads the row's table levels once:
-    the cells with a level drop their heuristic bits, and those whose level
-    reaches the threshold set theirs.  One sweep per row thus picks out the
-    cells that can reach a threshold, and each concept pair reads its slice.
-    The sweep of a left concept at a threshold is kept as one record: the
-    concept object swept, its rows in reference order, each row's hit mask
-    and the union of those masks.  A pair whose left concept is that very
-    object reads its rows from the record, so only the right concept is
-    looked up.  A pair with a concept that is not held names every cell.
+    the cells whose level is below the threshold drop their heuristic
+    bits, and those whose level reaches it set theirs.  One sweep per row
+    thus picks out the cells that can reach a threshold, and each concept
+    pair reads its slice.  The sweep of a left concept at a threshold is
+    kept as one record: the concept object swept, its rows in reference
+    order, each row's hit mask, the union of those masks and, outside
+    heuristic mode, each row's :meth:`~essencemap.corpus.AnnotationTable.row`
+    view as the table gave it, not copied.  The cells of a pair hand on the
+    level that view holds for their right reference.  A pair whose left
+    concept is that very object reads its rows from the record, so only
+    the right concept is looked up.  A pair with a concept that is not held
+    names every cell, with no level.
     """
 
     def __init__(
@@ -350,9 +357,11 @@ class StatementScorer:
         self._masks: tuple[dict[str, int], ...] = ({}, {}, {})
         self._bits: dict[AttrRef, int] = {}  # reference of a held row -> its bit, as a mask
         # (context id, name, threshold) -> (the concept swept, its rows in reference
-        # order, each row's hit mask, the union of those masks)
+        # order, each row's hit mask, the union of those masks, each row's table
+        # row view or None in heuristic mode)
         self._sweeps: dict[tuple[str, str, int],
-                           tuple[Concept, tuple[AttrProfile, ...], tuple[int, ...], int]] = {}
+                           tuple[Concept, tuple[AttrProfile, ...], tuple[int, ...], int,
+                                 Optional[tuple[Mapping[AttrRef, int], ...]]]] = {}
         size = 0
         for context in contexts:
             for concept in context.concepts:
@@ -401,8 +410,8 @@ class StatementScorer:
 
     def cells(
         self, context1: str, c1: Concept, context2: str, c2: Concept, threshold: int
-    ) -> Iterable[tuple[AttrProfile, AttrProfile]]:
-        """The row pairs of ``c1`` x ``c2`` that can reach ``threshold`` (1 to 3).
+    ) -> Iterable[tuple[AttrProfile, AttrProfile, Optional[int]]]:
+        """The row pairs of ``c1`` x ``c2`` that can reach ``threshold`` (1 to 3), as ``(a, b, level)``.
 
         The pairs that share a reference, that have a table level of at
         least ``threshold``, or, outside annotated mode, that have no table
@@ -410,6 +419,12 @@ class StatementScorer:
         scores below ``threshold``.  A concept the scorer does not hold
         gets every pair.  Every path yields its pairs in (left reference,
         right reference) order.
+
+        ``level`` is the cell's table level, read in the sweep, and ``None``
+        when the sweep read none for it: always in heuristic mode, for a
+        cell the table has no level for, for the row's own reference and
+        for every cell of a concept the scorer does not hold.  A cell
+        handed ``None`` is scored by :meth:`level`.
 
         The sweep record of ``(context1, c1.name, threshold)`` holds the
         concept object it was swept for.  When ``c1`` is that object, its
@@ -423,14 +438,15 @@ class StatementScorer:
         if swept is None or swept[0] is not c1:  # only the very object swept skips the lookup
             held1 = self._holding(context1, c1)
             if held1 is None or held2 is None:
-                return product(self._by_ref(context1, c1, held1), self._by_ref(context2, c2, held2))
+                return product(self._by_ref(context1, c1, held1), self._by_ref(context2, c2, held2), _NO_LEVEL)
         elif held2 is None:
-            return product(swept[1], self._by_ref(context2, c2, held2))
+            return product(swept[1], self._by_ref(context2, c2, held2), _NO_LEVEL)
         if swept is None:
             _, _, rows1, offset1 = held1
             subjects, predicates, objects = self._masks
             table, bits = self._table, self._bits
             found = []
+            views = None if table is None else []
             union = 0
             for bit, a in enumerate(rows1, offset1):
                 m0 = m1 = m2 = 0
@@ -446,30 +462,43 @@ class StatementScorer:
                     mask = (m0 & m1) | (m0 & m2) | (m1 & m2)
                 else:
                     mask = m0 & m1 & m2
-                if table is not None:  # a table level replaces the heuristic one of its cell
-                    known = lifted = 0
-                    for ref, level in table.row(a.ref).items():
-                        cell = bits.get(ref, 0)
-                        known |= cell
+                if views is not None:  # a table level replaces the heuristic one of its cell
+                    view = table.row(a.ref)
+                    views.append(view)
+                    lifted = below = 0
+                    for ref, level in view.items():
                         if level >= threshold:
-                            lifted |= cell
-                    mask = (mask & ~known) | lifted
+                            lifted |= bits.get(ref, 0)
+                        else:
+                            below |= bits.get(ref, 0)
+                    mask = (mask & ~below) | lifted
                 mask |= 1 << bit  # the row with a's own reference is a
                 found.append(mask)
                 union |= mask
-            swept = self._sweeps[key] = (c1, rows1, tuple(found), union)
-        _, rows1, found, union = swept
+            swept = self._sweeps[key] = (c1, rows1, tuple(found), union,
+                                         None if views is None else tuple(views))
+        _, rows1, found, union, views = swept
         _, _, rows2, offset2 = held2
         width = (1 << len(rows2)) - 1
         if not (union >> offset2) & width:  # no row of c1 hits c2
             return []
         pairs = []
-        for a, hits in zip(rows1, found):
-            hits = (hits >> offset2) & width
-            while hits:
-                low = hits & -hits
-                hits ^= low
-                pairs.append((a, rows2[low.bit_length() - 1]))
+        if views is None:
+            for a, hits in zip(rows1, found):
+                hits = (hits >> offset2) & width
+                while hits:
+                    low = hits & -hits
+                    hits ^= low
+                    pairs.append((a, rows2[low.bit_length() - 1], None))
+        else:
+            for a, hits, view in zip(rows1, found, views):
+                hits = (hits >> offset2) & width
+                get = view.get
+                while hits:
+                    low = hits & -hits
+                    hits ^= low
+                    b = rows2[low.bit_length() - 1]
+                    pairs.append((a, b, get(b.ref)))
         return pairs
 
     def level(self, a: AttrProfile, b: AttrProfile) -> int:
@@ -479,6 +508,10 @@ class StatementScorer:
         the table, outside heuristic mode, answers first; in annotated mode
         a pair the table lacks scores 0, and elsewhere each part whose
         canonical sets overlap scores one point.
+
+        ``candidate_pairs`` calls it only for the cells :meth:`cells` hands
+        no table level; the ``score`` command calls it for every cell of
+        its level matrix.
         """
         if a.ref == b.ref:
             return 3

@@ -23,10 +23,12 @@ potential rises above 0 and every reduced cost stays non-negative.
 
 The solve reads cells ``(row, column, pair)``: rows are the side with the
 smaller ``(context, concept)``, and each side's positions order its
-attributes by reference.  ``candidate_pairs`` scores only the cells that
-:meth:`~essencemap.lta.StatementScorer.cells` names for the threshold; a
-result of two or more candidates carries its solve cells, built from the
-``position`` of the scorer's rows.  ``max_matching`` reads them while the
+attributes by reference.  ``candidate_pairs`` reads only the cells that
+:meth:`~essencemap.lta.StatementScorer.cells` names for the threshold,
+taking the table level each carries and scoring the others with
+:meth:`~essencemap.lta.StatementScorer.level`; a result of two or more
+candidates carries its solve cells, built from the ``position`` of the
+scorer's rows.  ``max_matching`` reads them while the
 list still equals what ``candidate_pairs`` returned.  Any other input, a
 hand-built or changed list, falls back to ranking the references: the
 highest level per cell, each side indexed by its sorted references.  Both
@@ -100,10 +102,11 @@ def candidate_pairs(
     """Score the attribute pairs that can qualify, keep those at or above the threshold.
 
     Sorted by level descending, then left and right reference ascending.
-    The cells scored are those ``scorer.cells`` names, each
-    by ``scorer.level``, so the result equals a scan of every cell.  The
-    cells come in (left, right) reference order, so one sort by level
-    orders the result; a list of at most one candidate is already in order.
+    The cells read are those ``scorer.cells`` names; a cell comes with its
+    table level or, when it has none, is scored by ``scorer.level``, so the
+    result equals a scan of every cell.  The cells come in (left, right)
+    reference order, so one sort by level orders the result; a list of at
+    most one candidate is already in order.
     A longer one also carries the cells :func:`max_matching` solves, built
     in the same loop from the rows' ``position``.
     """
@@ -112,8 +115,9 @@ def candidate_pairs(
     flipped = (context2, c2.name) < (context1, c1.name)  # rows are c2's
     found = []
     score = scorer.level
-    for a, b in scorer.cells(context1, c1, context2, c2, threshold):
-        level = score(a, b)
+    for a, b, level in scorer.cells(context1, c1, context2, c2, threshold):
+        if level is None:
+            level = score(a, b)
         if level >= threshold:
             pair = tuple.__new__(CandidatePair, (a.ref, b.ref, level))
             found.append((b.position, a.position, pair) if flipped else (a.position, b.position, pair))

@@ -236,8 +236,9 @@ def test_score_out_of_order_concept_matches_golden(capsys):
 
 
 def test_score_scores_each_cell_once_for_its_listing(scrum, essence, monkeypatch, capsys):
-    # 36 cells for the level matrix, which also gives the candidate listing, plus 3
-    # for candidate_pairs: the sweep names only the table cells at level 2 or more
+    # 36 cells for the level matrix, which also gives the candidate listing; none for
+    # candidate_pairs: the sweep names only the 3 table cells at level 2 or more, and
+    # hands each its table level
     from essencemap.lta import StatementScorer
 
     calls = []
@@ -252,7 +253,7 @@ def test_score_scores_each_cell_once_for_its_listing(scrum, essence, monkeypatch
             "--practice", str(scrum), "--framework", str(essence), *_MODE_ARGS["annotated"]]
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / "score-annotated.txt").read_text(encoding="utf-8")
-    assert len(calls) == 39
+    assert len(calls) == 36
 
 
 @pytest.mark.parametrize("mode", sorted(_MODE_ARGS))

@@ -424,8 +424,9 @@ class _CountingScorer(StatementScorer):
 
 
 def _assert_scores_only_qualifying_cells(scorer, practice, framework, threshold):
-    """Each concept pair's candidates equal a full scan, and each cell ``scorer`` scores is one of them."""
-    cells = 0
+    """Each concept pair's candidates equal a full scan, each named cell is one of them, and
+    ``scorer`` scores exactly the named cells handed no table level; returns how many were named."""
+    cells = named = 0
     for c1 in practice.concepts:
         for c2 in framework.concepts:
             full = [CandidatePair(a.ref, b.ref, level)
@@ -436,10 +437,14 @@ def _assert_scores_only_qualifying_cells(scorer, practice, framework, threshold)
             before = scorer.calls
             found = candidate_pairs(practice.id, c1, framework.id, c2, scorer, threshold)
             assert found == full
-            # The masks give each cell's level exactly, so every scored cell qualifies.
-            assert scorer.calls - before == len(found)
+            handed = list(scorer.cells(practice.id, c1, framework.id, c2, threshold))
+            # The masks give each cell's level exactly, so every named cell qualifies.
+            assert len(handed) == len(found)
+            assert scorer.calls - before == sum(level is None for _, _, level in handed)
+            named += len(handed)
             cells += len(c1.attributes) * len(c2.attributes)
-    assert 0 < scorer.calls < cells
+    assert 0 < named < cells
+    return named
 
 
 _any_mode_case = st.sampled_from(MODES).flatmap(lambda mode: st.tuples(st.just(mode), _scoring_case(mode)))
@@ -484,7 +489,8 @@ class TestScoringProperties:
 
     def test_prefilter_scores_only_qualifying_cells(self, scrum_context, essence_context):
         scorer = _CountingScorer(LEXICON, contexts=(scrum_context, essence_context))
-        _assert_scores_only_qualifying_cells(scorer, scrum_context, essence_context, 2)
+        named = _assert_scores_only_qualifying_cells(scorer, scrum_context, essence_context, 2)
+        assert scorer.calls == named  # heuristic mode hands no cell a level
 
     @pytest.mark.parametrize("threshold", (1, 2))  # no cell of the case study reaches 3 outside heuristic mode
     @pytest.mark.parametrize("mode", ("hybrid", "annotated"))
@@ -497,7 +503,13 @@ class TestScoringProperties:
         contexts = (scrum_context, essence_context)
         table = parse_annotations("\n".join(pairs[::2]), contexts)
         scorer = _CountingScorer(LEXICON, table, mode, contexts)
-        _assert_scores_only_qualifying_cells(scorer, scrum_context, essence_context, threshold)
+        named = _assert_scores_only_qualifying_cells(scorer, scrum_context, essence_context, threshold)
+        # Two contexts, so no cell pairs a row with its own reference: in annotated
+        # mode the table answers every named cell, in hybrid mode some of them.
+        if mode == "annotated":
+            assert scorer.calls == 0
+        else:
+            assert 0 < scorer.calls < named
 
     def test_same_reference_scores_3_whatever_the_concept_object(self):
         # A verbless row scores 2 against an equal text under another reference.
@@ -725,7 +737,7 @@ class TestOutOfOrderIds:
                     refs.index(ref) for ref in _attr_refs(context, concept)]
             for side1, side2 in (sides, sides[::-1]):
                 refs1, refs2 = sorted(_attr_refs(*side1)), sorted(_attr_refs(*side2))
-                for a, b in scorer.cells(*side1, *side2, 1):
+                for a, b, _ in scorer.cells(*side1, *side2, 1):
                     assert (a.position, b.position) == (refs1.index(a.ref), refs2.index(b.ref))
 
     @settings(max_examples=20)
@@ -741,10 +753,33 @@ class TestOutOfOrderIds:
         swept = kind == "held" or sides[0] == sides[1]
         for side1, side2 in (sides, sides[::-1]):
             for threshold in THRESHOLDS:
-                refs = [(a.ref, b.ref) for a, b in scorer.cells(*side1, *side2, threshold)]
+                refs = [(a.ref, b.ref) for a, b, _ in scorer.cells(*side1, *side2, threshold)]
                 assert refs == sorted(refs)
                 if not swept:
                     assert len(refs) == len(side1[1].attributes) * len(side2[1].attributes)
+
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_cells_hand_on_the_table_level_they_swept(self, mode, kind, data):
+        # Heuristic mode gets a table too, which its scorer drops.
+        table, held, *sides = data.draw(_out_of_order_case("hybrid" if mode == "heuristic" else mode, kind))
+        tables = [table]  # built without contexts: each pair sits in both rows
+        if kind != "twin":  # Y ranks first, so the rows of X's references are merged copies
+            lines = [f"pair: {left} {right} = {level}"
+                     for left, right in itertools.product(_attr_refs(*sides[0]), _attr_refs(*sides[1]))
+                     if (level := table.level_for(left, right)) is not None]
+            ranked = [SemanticContext(context, (concept,)) for context, concept in sides[::-1]]
+            tables.append(parse_annotations("\n".join(lines), ranked))
+        # The sweep when both sides are held, else every cell with no level.
+        swept = mode != "heuristic" and (kind == "held" or sides[0] == sides[1])
+        for table in tables:
+            scorer = StatementScorer(LEXICON, table, mode, held)
+            for side1, side2 in (sides, sides[::-1]):
+                for threshold in THRESHOLDS:
+                    for a, b, level in scorer.cells(*side1, *side2, threshold):
+                        known = None if a.ref == b.ref else table.level_for(a.ref, b.ref)
+                        assert level == (known if swept else None)
+                        assert level is None or level == scorer.level(a, b)
 
 
 def test_position_of_the_out_of_order_fixture(tuned_lexicon):

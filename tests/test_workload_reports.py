@@ -5,16 +5,18 @@ in-process with the options the benchmark passes, so a change that moves
 any report byte of the three workloads fails here, not only in the
 benchmark's own comparison.  Regenerate a hash only for an intended report
 change, such as the case-study work of ROADMAP item 2, and name the change
-and the new hash in CHANGES.md.
+and the new hash in CHANGES.md.  The annotated-hybrid corpus also pins
+how many of the cells its map reads come with a table level.
 """
 
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from essencemap import bundled_path
+from essencemap import StatementScorer, bundled_path, load_annotations, load_concepts, load_lexicon
 from essencemap.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -41,3 +43,17 @@ def test_seed_1_report_hash(workload, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()  # the no-verb diagnostics
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[workload]
+
+
+def test_annotated_hybrid_level_sources(tmp_path):
+    # A measurement of the seed-1 corpus: of the cells ``cells`` names for the
+    # map, how many come with their table level and how many the heuristic scores.
+    shape = corpora.SHAPES["annotated-hybrid"]
+    paths = corpora.write(corpora.generate(shape, 1), tmp_path)
+    contexts = practice, framework = load_concepts(paths["practice"]), load_concepts(paths["framework"])
+    table = load_annotations(paths["annotations"], contexts)
+    scorer = StatementScorer(load_lexicon(bundled_path("paper.lex")), table, shape.mode, contexts)
+    sources = Counter("heuristic" if level is None else "table"
+                      for c1 in practice.concepts for c2 in framework.concepts
+                      for _, _, level in scorer.cells(practice.id, c1, framework.id, c2, shape.threshold))
+    assert sources == {"table": 14274, "heuristic": 358}
