@@ -197,9 +197,7 @@ def cmd_score(args: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
     contexts = {practice.id: practice, framework.id: framework}
     left_ctx, left_concept = _resolve_concept(args.left, contexts)
     right_ctx, right_concept = _resolve_concept(args.right, contexts)
-    # One-concept contexts: the scorer profiles the pair once, for candidate_pairs and the matrix.
-    scorer = map_config.make_scorer(SemanticContext(left_ctx, (left_concept,)),
-                                    SemanticContext(right_ctx, (right_concept,)))
+    scorer = map_config.make_scorer()
     candidates = candidate_pairs(left_ctx, left_concept, right_ctx, right_concept, scorer, map_config.threshold)
     result = pair_result(left_ctx, left_concept, right_ctx, right_concept, candidates)
 

@@ -27,7 +27,8 @@ class UnknownReferenceError(_SourcedError):
     """A context/concept/attribute reference does not resolve.
 
     From a file it carries its source and line; from a command-line
-    argument it has no source, so the message is the reason.
+    argument or the API (two different concepts under one
+    ``context/name``) it has no source, so the message is the reason.
     """
 
 

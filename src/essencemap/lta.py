@@ -13,22 +13,14 @@ alone), ``annotated`` (levels read from a curated table, a pair the table
 lacks reading as 0) and ``hybrid`` (annotation wins when present,
 heuristic otherwise).
 
-A :class:`StatementScorer` is built over the contexts it maps: it splits
-and canonicalizes the statements of each of their concepts once (none in
-annotated mode, which reads only references and table levels), holding
-one row of part sets per attribute with its position in reference order;
-scoring a pair is then three set-overlap tests.  A :class:`Lexicon` folds
+A :class:`StatementScorer` holds each concept once, as one row of part
+sets per attribute (none split in annotated mode, which reads only
+references and table levels), so scoring a pair is three set-overlap
+tests; a reference names one statement, so a row scores 3 against the
+row with its own reference, whatever its text.  A :class:`Lexicon` folds
 and verb-tests each distinct token once and memoizes the answers, so the
 per-token work grows with the vocabulary, not with the number of times a
-token occurs.  The reference
-is a row's identity: a row scores 3 against the row with its own
-reference, whatever its text.  :meth:`StatementScorer.cells` names the
-cells of a concept pair that can reach a threshold, read from a bitmask
-index over the rows the scorer holds and, outside heuristic mode, from
-the table levels of those rows, read once per row: each cell it names
-carries the table level the sweep read for it, so :meth:`~StatementScorer.level`
-scores only the cells the table does not answer.  A concept the scorer
-was not built over is scanned in full.
+token occurs.
 """
 
 from __future__ import annotations
@@ -36,10 +28,10 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cached_property
-from itertools import product
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .concepts import AttrRef, AttributeStatement, Checked, Concept, SemanticContext
+from .errors import UnknownReferenceError
 
 if TYPE_CHECKING:
     from .corpus import AnnotationTable
@@ -292,48 +284,16 @@ class AttrProfile(NamedTuple):
 
 
 _UNSPLIT = (frozenset(), frozenset(), frozenset(), True)  # parts of an annotated-mode row
-_NO_LEVEL = (None,)  # the level ``cells`` hands each cell of an unswept concept pair
 
 
 class StatementScorer:
     """Scoring front-end bundling lexicon, annotations and mode.
 
-    The scorer is built over the contexts it will map: its constructor
-    splits and canonicalizes every concept of ``contexts`` once, outside
-    annotated mode, and holds the rows under ``(context id, concept name)``,
-    the first concept under a key being the one held.  :meth:`profile`
-    returns the held rows of that concept or of one equal to it, and builds
-    fresh rows for any other concept: one the scorer was not built over, or
-    a twin (another concept under a key it holds).  :meth:`level` compares
-    two rows with no parsing per pair; a row scores 3 against the row with
-    its own reference.
-
-    :meth:`cells` names the pairs of two concepts' rows worth scoring
-    against a threshold, in (left reference, right reference) order.  One
-    sort of a concept's attribute ids gives each row its ``position``, the
-    index that puts the rows in reference order, and ``candidate_pairs``
-    hands positions on to ``max_matching``.  Every held row has one bit,
-    given in that order, so the low-to-high walk of a mask visits a
-    concept's rows by reference, and the scorer keeps a dict from each held
-    row's reference to its bit.  Outside annotated mode it also
-    keeps, per part, a dict from canonical token to the bitmask of the rows
-    holding it.  ORing the masks of one row's tokens per part gives, bit by
-    bit, the held rows whose part overlaps it, and the three results add up
-    to the heuristic level of each cell; annotated mode has no such masks,
-    so every cell starts at 0.  Outside heuristic mode a table level
-    replaces that level, so the sweep reads the row's table levels once:
-    the cells whose level is below the threshold drop their heuristic
-    bits, and those whose level reaches it set theirs.  One sweep per row
-    thus picks out the cells that can reach a threshold, and each concept
-    pair reads its slice.  The sweep of a left concept at a threshold is
-    kept as one record: the concept object swept, its rows in reference
-    order, each row's hit mask, the union of those masks and, outside
-    heuristic mode, each row's :meth:`~essencemap.corpus.AnnotationTable.row`
-    view as the table gave it, not copied.  The cells of a pair hand on the
-    level that view holds for their right reference.  A pair whose left
-    concept is that very object reads its rows from the record, so only
-    the right concept is looked up.  A pair with a concept that is not held
-    names every cell, with no level.
+    The scorer holds every concept of ``contexts``, and any other concept
+    the first time it is handed one (:meth:`_hold`).  :meth:`profile`
+    gives a concept's rows, :meth:`cells` the cells of a concept pair that
+    can reach a threshold, and :meth:`level` scores one cell with no
+    parsing per pair.
     """
 
     def __init__(
@@ -354,7 +314,7 @@ class StatementScorer:
         # the bit of the first of those)
         self._held: dict[tuple[str, str], tuple[Concept, tuple[AttrProfile, ...],
                                                  tuple[AttrProfile, ...], int]] = {}
-        self._masks: tuple[dict[str, int], ...] = ({}, {}, {})
+        self._masks: tuple[dict[str, int], ...] = ({}, {}, {})  # per part: token -> mask of the rows holding it
         self._bits: dict[AttrRef, int] = {}  # reference of a held row -> its bit, as a mask
         # (context id, name, threshold) -> (the concept swept, its rows in reference
         # order, each row's hit mask, the union of those masks, each row's table
@@ -362,21 +322,9 @@ class StatementScorer:
         self._sweeps: dict[tuple[str, str, int],
                            tuple[Concept, tuple[AttrProfile, ...], tuple[int, ...], int,
                                  Optional[tuple[Mapping[AttrRef, int], ...]]]] = {}
-        size = 0
         for context in contexts:
             for concept in context.concepts:
-                key = (context.id, concept.name)
-                if key not in self._held:
-                    rows, ordered = self._rows(context.id, concept)
-                    self._held[key] = (concept, rows, ordered, size)
-                    size += len(rows)
-        masks = () if mode == "annotated" else self._masks  # annotated mode has no heuristic levels
-        for _, _, ordered, offset in self._held.values():
-            for index, row in enumerate(ordered, offset):
-                bit = self._bits[row.ref] = 1 << index
-                for part, by_token in zip((row.subject, row.predicate, row.object_part), masks):
-                    for token in part:
-                        by_token[token] = by_token.get(token, 0) | bit
+                self._hold(context.id, concept)
 
     def _rows(self, context: str, concept: Concept) -> tuple[tuple[AttrProfile, ...], tuple[AttrProfile, ...]]:
         """The rows of ``concept`` in attribute order and in reference order, which gives ``position``."""
@@ -394,19 +342,39 @@ class StatementScorer:
             rows[k] = AttrProfile(AttrRef(context, concept.name, attr.id), position, *parts)
         return tuple(rows), tuple(rows[k] for k in order)
 
-    def _holding(self, context: str, concept: Concept):
-        """The ``_held`` entry of ``concept`` or of one equal to it, else ``None``."""
+    def _hold(self, context: str, concept: Concept):
+        """The ``_held`` entry of ``concept``, which is held the first time it is seen.
+
+        A reference names one statement, so a concept other than the one
+        held under its ``(context, name)`` raises
+        :class:`~essencemap.errors.UnknownReferenceError`; an equal copy
+        gets the held entry.  Holding splits and canonicalizes the
+        concept's statements once (:meth:`_rows`) and gives its rows the
+        next free bits in reference order, so the low-to-high walk of a
+        mask visits a concept's rows by reference.  It ORs each row's
+        canonical tokens into the part masks (annotated rows have none)
+        and clears the sweep records of :meth:`cells`, whose masks lack
+        the new bits.
+        """
         held = self._held.get((context, concept.name))
-        return held if held is not None and held[0] == concept else None
+        if held is not None:
+            if held[0] is concept or held[0] == concept:  # ``is`` first: ``cells`` asks once per pair
+                return held
+            raise UnknownReferenceError(f"two different concepts are named {context}/{concept.name}")
+        rows, ordered = self._rows(context, concept)
+        offset = len(self._bits)
+        for index, row in enumerate(ordered, offset):
+            bit = self._bits[row.ref] = 1 << index
+            for part, by_token in zip((row.subject, row.predicate, row.object_part), self._masks):
+                for token in part:
+                    by_token[token] = by_token.get(token, 0) | bit
+        self._sweeps.clear()
+        held = self._held[context, concept.name] = (concept, rows, ordered, offset)
+        return held
 
     def profile(self, context: str, concept: Concept) -> tuple[AttrProfile, ...]:
-        """One row per attribute of ``concept``, in attribute order."""
-        held = self._holding(context, concept)
-        return held[1] if held is not None else self._rows(context, concept)[0]
-
-    def _by_ref(self, context: str, concept: Concept, held) -> Sequence[AttrProfile]:
-        """The rows of ``concept`` in reference order; ``held`` is what :meth:`_holding` gave."""
-        return held[2] if held is not None else self._rows(context, concept)[1]
+        """One row per attribute of ``concept``, in attribute order; the concept is held (:meth:`_hold`)."""
+        return self._hold(context, concept)[1]
 
     def cells(
         self, context1: str, c1: Concept, context2: str, c2: Concept, threshold: int
@@ -416,33 +384,31 @@ class StatementScorer:
         The pairs that share a reference, that have a table level of at
         least ``threshold``, or, outside annotated mode, that have no table
         level and share at least ``threshold`` parts; a pair left out
-        scores below ``threshold``.  A concept the scorer does not hold
-        gets every pair.  Every path yields its pairs in (left reference,
-        right reference) order.
+        scores below ``threshold``.  Both concepts are held first
+        (:meth:`_hold`), and the pairs come in (left reference, right
+        reference) order.  ``level`` is the table level the sweep read for
+        the cell, or ``None`` for a heuristic cell or a row's own
+        reference, which :meth:`level` then scores.
 
-        ``level`` is the cell's table level, read in the sweep, and ``None``
-        when the sweep read none for it: always in heuristic mode, for a
-        cell the table has no level for, for the row's own reference and
-        for every cell of a concept the scorer does not hold.  A cell
-        handed ``None`` is scored by :meth:`level`.
-
-        The sweep record of ``(context1, c1.name, threshold)`` holds the
-        concept object it was swept for.  When ``c1`` is that object, its
-        rows come from the record and only ``c2`` goes through
-        :meth:`_holding`.  Any other ``c1``, an equal copy or a twin too,
-        is looked up as well, and a held one reuses the record's masks.
+        The sweep of one left row ORs the part masks of its tokens: per
+        part, the held rows whose part overlaps it, and the three results
+        add up to the heuristic level of each cell (0 in annotated mode).
+        Outside heuristic mode a table level replaces that level, so the
+        sweep reads the row's :meth:`~essencemap.corpus.AnnotationTable.row`
+        view once: the cells whose level is below the threshold drop their
+        heuristic bits, and those whose level reaches it set theirs.  The
+        sweep of ``c1`` at ``threshold`` is kept as one record: the concept
+        object swept, its rows in reference order, each row's hit mask, the
+        union of those masks and each row's view as the table gave it, not
+        copied.  Each pair reads ``c2``'s slice of the masks, and one whose
+        left concept is that very object skips its lookup.
         """
+        _, _, rows2, offset2 = self._hold(context2, c2)  # before the record is read: holding clears it
         key = (context1, c1.name, threshold)
         swept = self._sweeps.get(key)
-        held2 = self._holding(context2, c2)
-        if swept is None or swept[0] is not c1:  # only the very object swept skips the lookup
-            held1 = self._holding(context1, c1)
-            if held1 is None or held2 is None:
-                return product(self._by_ref(context1, c1, held1), self._by_ref(context2, c2, held2), _NO_LEVEL)
-        elif held2 is None:
-            return product(swept[1], self._by_ref(context2, c2, held2), _NO_LEVEL)
+        if swept is None or swept[0] is not c1:
+            _, _, rows1, offset1 = self._hold(context1, c1)
         if swept is None:
-            _, _, rows1, offset1 = held1
             subjects, predicates, objects = self._masks
             table, bits = self._table, self._bits
             found = []
@@ -478,7 +444,6 @@ class StatementScorer:
             swept = self._sweeps[key] = (c1, rows1, tuple(found), union,
                                          None if views is None else tuple(views))
         _, rows1, found, union, views = swept
-        _, _, rows2, offset2 = held2
         width = (1 << len(rows2)) - 1
         if not (union >> offset2) & width:  # no row of c1 hits c2
             return []
@@ -505,9 +470,9 @@ class StatementScorer:
         """Level of one attribute pair; symmetric in ``a`` and ``b``.
 
         A row scores 3 against the row with its own reference.  Otherwise
-        the table, outside heuristic mode, answers first; in annotated mode
-        a pair the table lacks scores 0, and elsewhere each part whose
-        canonical sets overlap scores one point.
+        the table, outside heuristic mode, answers first, and then each part
+        whose canonical sets overlap scores one point; annotated rows have
+        no parts, so a pair the table lacks scores 0 there.
 
         ``candidate_pairs`` calls it only for the cells :meth:`cells` hands
         no table level; the ``score`` command calls it for every cell of
@@ -519,8 +484,6 @@ class StatementScorer:
             level = self._table.level_for(a.ref, b.ref)
             if level is not None:
                 return level
-            if self.mode == "annotated":
-                return 0
         return (
             (not a.subject.isdisjoint(b.subject))
             + (not a.predicate.isdisjoint(b.predicate))

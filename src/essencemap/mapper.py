@@ -137,8 +137,8 @@ def _qualified(context: str, name: str) -> str:
 def map_pair(context1: str, c1: Concept, context2: str, c2: Concept, config: MapConfig) -> MappingResult:
     """Score, match and classify one concept pair: ``candidate_pairs``, then :func:`pair_result`.
 
-    It scores with ``config.make_scorer()``, which holds no concept and so
-    scores every cell.
+    It scores with ``config.make_scorer()``, which holds each concept on
+    first sight and refuses two different concepts under one reference.
     """
     candidates = candidate_pairs(context1, c1, context2, c2, config.make_scorer(), config.threshold)
     return pair_result(context1, c1, context2, c2, candidates)

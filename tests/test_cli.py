@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from essencemap import (
@@ -597,6 +597,7 @@ _percentages = st.integers(1, 400).flatmap(
 
 
 @given(value=_percentages)
+@example(value=Fraction(25, 4))  # an exact half: 6.25% prints 6.3
 def test_format_pct_rounds_like_exact_fractions(value):
     tenths = value * 10 + Fraction(1, 2)
     scaled = tenths.numerator // tenths.denominator

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,13 @@ from essencemap import (
     CandidatePair,
     Concept,
     EmptyContextError,
+    EssenceMapError,
     MapConfig,
     MatchSet,
     NoAttributesError,
     ObjectInstance,
     SemanticContext,
+    UnknownReferenceError,
     equivalent,
     extract_spo,
     independent,
@@ -96,12 +99,16 @@ def _mapping_case(draw):
     """(practice, framework, config) over two drawn contexts, in every mode and at every threshold.
 
     The framework shares the practice's context id half the time, so a
-    framework concept can have the context and name of a practice concept
-    but other texts.  Annotated mode gets a level for every pair of
-    distinct references, hybrid mode for a random subset.
+    framework concept can have the context and name of a practice concept:
+    half of those times every such concept is the practice one, else it
+    keeps its own texts, a twin.  Annotated mode gets a level for every
+    pair of distinct references, hybrid mode for a random subset.
     """
     practice = draw(_contexts())
     framework = draw(_contexts())._replace(id=draw(st.sampled_from(("X", "Y"))))
+    if framework.id == practice.id and draw(st.booleans()):
+        shared = {concept.name: concept for concept in practice.concepts}
+        framework = framework._replace(concepts=tuple(shared.get(c.name, c) for c in framework.concepts))
     mode = draw(st.sampled_from(MODES))
     table = None
     if mode != "heuristic":
@@ -112,6 +119,21 @@ def _mapping_case(draw):
                                 if mode == "annotated" or draw(st.booleans()))
     return practice, framework, MapConfig(annotations=table, mode=mode,
                                           threshold=draw(st.sampled_from(THRESHOLDS)))
+
+
+def _refuses_twins(practice, framework, config):
+    """Whether the two contexts hold a twin, after checking that ``map_contexts`` refuses it both ways.
+
+    A twin is a framework concept with the context and name of a practice
+    concept but not equal to it.
+    """
+    twins = [f"{framework.id}/{c.name}" for c in framework.concepts if framework.id == practice.id
+             and any(p.name == c.name and p != c for p in practice.concepts)]
+    if twins:
+        for sides in ((practice, framework), (framework, practice)):
+            with pytest.raises(UnknownReferenceError, match="|".join(map(re.escape, twins))):
+                map_contexts(*sides, config)
+    return bool(twins)
 
 
 _NAMES = ("Alpha", "Beta", "Gamma", "Delta", "Epsilon")
@@ -149,11 +171,25 @@ def _practice_and_framework_file(draw):
 class TestMapPair:
     def test_annotated_same_reference_needs_no_table_row(self):
         c1 = Concept("C", (AttributeStatement("a1", "team builds the product"),))
-        c2 = Concept("C", (AttributeStatement("a1", "owner orders the backlog"),))
-        result = map_pair("X", c1, "X", c2, MapConfig(annotations=AnnotationTable(()), mode="annotated"))
+        result = map_pair("X", c1, "X", c1._replace(), MapConfig(annotations=AnnotationTable(()), mode="annotated"))
         ref = AttrRef("X", "C", "a1")
         assert result.match_set.pairs == (CandidatePair(ref, ref, 3),)
         assert (result.similarity_pct, result.relation) == (100, "equivalent")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_two_concepts_under_one_reference_are_refused(self, mode):
+        a = simple_concept("A", ["backlog items are ordered by value"])
+        twin = simple_concept("A", ["the team meets every morning"])
+        config = MapConfig(annotations=AnnotationTable(()), mode=mode)
+        for call in (lambda: map_contexts(SemanticContext("X", [a]), SemanticContext("X", [twin]), config),
+                     lambda: map_pair("X", a, "X", twin, config)):
+            with pytest.raises(UnknownReferenceError, match="X/A$") as refusal:
+                call()
+            assert isinstance(refusal.value, EssenceMapError)
+        # Under another context id the same pair shares nothing.
+        (result,) = map_contexts(SemanticContext("X", [a]), SemanticContext("Y", [twin]), config).results
+        assert result == map_pair("X", a, "Y", twin, config)
+        assert (result.similarity_pct, result.relation) == (0, "independent")
 
     def test_case_study_pair(self, essence_context, scrum_context, tuned_lexicon, table1_annotations):
         config = MapConfig(tuned_lexicon, table1_annotations, mode="annotated", threshold=2)
@@ -372,6 +408,8 @@ class TestMapContexts:
     @given(case=_mapping_case())
     def test_swap_mirrors_every_result_on_drawn_contexts(self, case):
         practice, framework, config = case
+        if _refuses_twins(practice, framework, config):
+            return
         swaps = {"sub-concept": "super-concept", "super-concept": "sub-concept"}
         mirrored = {(r.right, r.left, r.similarity_pct, swaps.get(r.relation, r.relation))
                     for r in map_contexts(framework, practice, config).results}
@@ -401,6 +439,8 @@ class TestMapContexts:
     @given(case=_mapping_case())
     def test_labels_agree_with_predicates_on_drawn_contexts(self, case):
         practice, framework, config = case
+        if _refuses_twins(practice, framework, config):
+            return
         for result in map_contexts(practice, framework, config).results:
             left = practice.concept(result.left.partition("/")[2])
             right = framework.concept(result.right.partition("/")[2])

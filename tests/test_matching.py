@@ -181,7 +181,7 @@ class TestCandidatePairs:
         scorer = StatementScorer(mode="heuristic")
         assert candidate_pairs("X", left, "Y", right, scorer, threshold) == [
             CandidatePair(AttrRef("X", "A", "a1"), AttrRef("Y", "B", "b2"), 3)]
-        unmatched = right._replace(attributes=right.attributes[:1])
+        unmatched = Concept("C", right.attributes[:1])  # held on first sight
         assert candidate_pairs("X", left, "Y", unmatched, scorer, threshold) == []
 
 
