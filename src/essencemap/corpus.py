@@ -29,9 +29,8 @@ each line builds its model object (:class:`SemanticContext`,
 ...), which raises ``ValueError`` as the shape checks do; one handler per
 parser loop turns that error into a :class:`CorpusSyntaxError` at that line.
 
-Every parser reads its text one piece of lines at a time, cut only after a
-``\\n`` about every 64 Ki characters, so the extra memory of a parse is
-about one piece, not a list of every line of the file.
+Every parser reads its text one piece of lines at a time
+(:func:`_line_pieces`), so the extra memory of a parse is about one piece.
 """
 
 from __future__ import annotations
@@ -50,10 +49,7 @@ from .concepts import (
     SemanticContext,
 )
 from .errors import CorpusSyntaxError, UnknownReferenceError
-from .lta import LEVEL_RANGE, Lexicon, add_synonym_group, check_one_token
-
-
-_NO_LEVELS: Mapping = MappingProxyType({})
+from .lta import LEVEL_RANGE, NO_LEVELS, Lexicon, add_synonym_group, check_one_token
 
 
 class AnnotationTable:
@@ -83,7 +79,7 @@ class AnnotationTable:
             # Never read: StatementScorer.level scores a row 3 against its own reference.
             raise ValueError(f"cannot annotate {left} against itself")
         rows, rank = self._rows, self._ranks.get
-        if right in rows.get(left, _NO_LEVELS) or left in rows.get(right, _NO_LEVELS):
+        if right in rows.get(left, NO_LEVELS) or left in rows.get(right, NO_LEVELS):
             raise ValueError(f"duplicate annotation for pair {left} / {right}")
         first, second = rank(left.context), rank(right.context)
         if first is None or second is None or first <= second:
@@ -105,11 +101,11 @@ class AnnotationTable:
             for other, levels in rows.items():
                 if ref in levels and ranks.get(other.context, rank) < rank:
                     row[other] = levels[ref]
-        return _NO_LEVELS if row is None else MappingProxyType(row)
+        return NO_LEVELS if row is None else MappingProxyType(row)
 
     def level_for(self, left: AttrRef, right: AttrRef) -> Optional[int]:
-        level = self._rows.get(left, _NO_LEVELS).get(right)
-        return self._rows.get(right, _NO_LEVELS).get(left) if level is None else level
+        level = self._rows.get(left, NO_LEVELS).get(right)
+        return self._rows.get(right, NO_LEVELS).get(left) if level is None else level
 
     def __len__(self) -> int:
         """The number of pairs, however many rows each sits in."""
@@ -141,12 +137,7 @@ def _line_pieces(text: str):
 
 
 def _logical_lines(text: str):
-    """Yield (line_number, trimmed_line) skipping blanks and comments.
-
-    Lines are numbered as ``str.splitlines`` numbers them, after one leading
-    byte-order mark (U+FEFF) is dropped, and are read one piece at a time
-    (:func:`_line_pieces`).
-    """
+    """Yield (line_number, trimmed_line) of the lines of :func:`_line_pieces`, skipping blanks and comments."""
     for number, raw in enumerate(chain.from_iterable(_line_pieces(text)), 1):
         line = raw.strip()
         if not line or line.startswith("#"):

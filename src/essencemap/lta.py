@@ -8,19 +8,10 @@ canonical token sets of the two sides overlap; canonicalization removes
 stopwords, strips inflection suffixes and folds synonym groups.  A
 statement with no verb gets an empty predicate, which overlaps nothing.
 
-Scoring runs in one of three modes: ``heuristic`` (computed from the text
-alone), ``annotated`` (levels read from a curated table, a pair the table
-lacks reading as 0) and ``hybrid`` (annotation wins when present,
-heuristic otherwise).
-
-A :class:`StatementScorer` holds each concept once, as one row of part
-sets per attribute (none split in annotated mode, which reads only
-references and table levels), so scoring a pair is three set-overlap
-tests; a reference names one statement, so a row scores 3 against the
-row with its own reference, whatever its text.  A :class:`Lexicon` folds
-and verb-tests each distinct token once and memoizes the answers, so the
-per-token work grows with the vocabulary, not with the number of times a
-token occurs.
+A :class:`StatementScorer` scores in one of three modes: ``heuristic``
+(computed from the text alone), ``annotated`` (levels read from a curated
+table, a pair the table lacks reading as 0) and ``hybrid`` (annotation
+wins when present, heuristic otherwise).
 """
 
 from __future__ import annotations
@@ -28,7 +19,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .concepts import AttrRef, AttributeStatement, Checked, Concept, SemanticContext
 from .errors import UnknownReferenceError
@@ -71,7 +63,7 @@ _MIN_STEMMABLE = 4
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, drop apostrophes, split on anything non-alphanumeric."""
+    """Lowercase, drop apostrophes, keep the runs of ASCII letters and digits ``[a-z0-9]``."""
     text = text.lower()
     if "'" in text or "’" in text:
         text = text.translate(_APOSTROPHES)
@@ -284,6 +276,7 @@ class AttrProfile(NamedTuple):
 
 
 _UNSPLIT = (frozenset(), frozenset(), frozenset(), True)  # parts of an annotated-mode row
+NO_LEVELS: Mapping = MappingProxyType({})  # the table row view of a reference with no levels
 
 
 class StatementScorer:
@@ -291,9 +284,8 @@ class StatementScorer:
 
     The scorer holds every concept of ``contexts``, and any other concept
     the first time it is handed one (:meth:`_hold`).  :meth:`profile`
-    gives a concept's rows, :meth:`cells` the cells of a concept pair that
-    can reach a threshold, and :meth:`level` scores one cell with no
-    parsing per pair.
+    gives a concept's rows, :meth:`cells` the cells of a concept pair
+    whose level reaches a threshold, and :meth:`level` scores one cell.
     """
 
     def __init__(
@@ -316,12 +308,10 @@ class StatementScorer:
                                                  tuple[AttrProfile, ...], int]] = {}
         self._masks: tuple[dict[str, int], ...] = ({}, {}, {})  # per part: token -> mask of the rows holding it
         self._bits: dict[AttrRef, int] = {}  # reference of a held row -> its bit, as a mask
-        # (context id, name, threshold) -> (the concept swept, its rows in reference
-        # order, each row's hit mask, the union of those masks, each row's table
-        # row view or None in heuristic mode)
+        # (context id, name, threshold) -> the sweep record of :meth:`cells`
         self._sweeps: dict[tuple[str, str, int],
-                           tuple[Concept, tuple[AttrProfile, ...], tuple[int, ...], int,
-                                 Optional[tuple[Mapping[AttrRef, int], ...]]]] = {}
+                           tuple[Concept, tuple[tuple[AttrProfile, int, Callable[[AttrRef], Optional[int]]], ...],
+                                 int]] = {}
         for context in contexts:
             for concept in context.concepts:
                 self._hold(context.id, concept)
@@ -379,28 +369,26 @@ class StatementScorer:
     def cells(
         self, context1: str, c1: Concept, context2: str, c2: Concept, threshold: int
     ) -> Iterable[tuple[AttrProfile, AttrProfile, Optional[int]]]:
-        """The row pairs of ``c1`` x ``c2`` that can reach ``threshold`` (1 to 3), as ``(a, b, level)``.
+        """The row pairs of ``c1`` x ``c2`` whose level reaches ``threshold`` (1 to 3), and no others.
 
-        The pairs that share a reference, that have a table level of at
-        least ``threshold``, or, outside annotated mode, that have no table
-        level and share at least ``threshold`` parts; a pair left out
-        scores below ``threshold``.  Both concepts are held first
-        (:meth:`_hold`), and the pairs come in (left reference, right
-        reference) order.  ``level`` is the table level the sweep read for
-        the cell, or ``None`` for a heuristic cell or a row's own
-        reference, which :meth:`level` then scores.
+        Each comes as ``(a, b, level)``, in (left reference, right
+        reference) order, after both concepts are held (:meth:`_hold`).
+        ``level`` is the table level the sweep read, or ``None`` for a
+        heuristic cell or a row against its own reference, which
+        :meth:`level` then scores.
 
         The sweep of one left row ORs the part masks of its tokens: per
-        part, the held rows whose part overlaps it, and the three results
+        part, the held rows whose part overlaps it, so the three results
         add up to the heuristic level of each cell (0 in annotated mode).
-        Outside heuristic mode a table level replaces that level, so the
-        sweep reads the row's :meth:`~essencemap.corpus.AnnotationTable.row`
-        view once: the cells whose level is below the threshold drop their
-        heuristic bits, and those whose level reaches it set theirs.  The
-        sweep of ``c1`` at ``threshold`` is kept as one record: the concept
-        object swept, its rows in reference order, each row's hit mask, the
-        union of those masks and each row's view as the table gave it, not
-        copied.  Each pair reads ``c2``'s slice of the masks, and one whose
+        Outside heuristic mode a table level replaces that level: the sweep
+        reads the row's :meth:`~essencemap.corpus.AnnotationTable.row` view
+        once, the cells whose level is below the threshold drop their
+        heuristic bits, and those whose level reaches it set theirs.  In
+        heuristic mode every row reads one shared empty view.  The sweep of
+        ``c1`` at ``threshold`` is kept as one record: the concept object
+        swept, each of its rows in reference order with its hit mask and
+        the ``get`` of its view, which is not copied, and the union of the
+        masks.  Each pair reads ``c2``'s slice of the masks, and one whose
         left concept is that very object skips its lookup.
         """
         _, _, rows2, offset2 = self._hold(context2, c2)  # before the record is read: holding clears it
@@ -411,8 +399,7 @@ class StatementScorer:
         if swept is None:
             subjects, predicates, objects = self._masks
             table, bits = self._table, self._bits
-            found = []
-            views = None if table is None else []
+            hit_rows = []
             union = 0
             for bit, a in enumerate(rows1, offset1):
                 m0 = m1 = m2 = 0
@@ -428,42 +415,29 @@ class StatementScorer:
                     mask = (m0 & m1) | (m0 & m2) | (m1 & m2)
                 else:
                     mask = m0 & m1 & m2
-                if views is not None:  # a table level replaces the heuristic one of its cell
-                    view = table.row(a.ref)
-                    views.append(view)
-                    lifted = below = 0
-                    for ref, level in view.items():
-                        if level >= threshold:
-                            lifted |= bits.get(ref, 0)
-                        else:
-                            below |= bits.get(ref, 0)
-                    mask = (mask & ~below) | lifted
-                mask |= 1 << bit  # the row with a's own reference is a
-                found.append(mask)
+                view = NO_LEVELS if table is None else table.row(a.ref)
+                lifted = below = 0
+                for ref, level in view.items():
+                    if level >= threshold:
+                        lifted |= bits.get(ref, 0)
+                    else:
+                        below |= bits.get(ref, 0)
+                mask = (mask & ~below) | lifted | (1 << bit)  # the row with a's own reference is a
+                hit_rows.append((a, mask, view.get))
                 union |= mask
-            swept = self._sweeps[key] = (c1, rows1, tuple(found), union,
-                                         None if views is None else tuple(views))
-        _, rows1, found, union, views = swept
+            swept = self._sweeps[key] = (c1, tuple(hit_rows), union)
+        _, hit_rows, union = swept
         width = (1 << len(rows2)) - 1
         if not (union >> offset2) & width:  # no row of c1 hits c2
             return []
         pairs = []
-        if views is None:
-            for a, hits in zip(rows1, found):
-                hits = (hits >> offset2) & width
-                while hits:
-                    low = hits & -hits
-                    hits ^= low
-                    pairs.append((a, rows2[low.bit_length() - 1], None))
-        else:
-            for a, hits, view in zip(rows1, found, views):
-                hits = (hits >> offset2) & width
-                get = view.get
-                while hits:
-                    low = hits & -hits
-                    hits ^= low
-                    b = rows2[low.bit_length() - 1]
-                    pairs.append((a, b, get(b.ref)))
+        for a, hits, get in hit_rows:
+            hits = (hits >> offset2) & width
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                b = rows2[low.bit_length() - 1]
+                pairs.append((a, b, get(b.ref)))
         return pairs
 
     def level(self, a: AttrProfile, b: AttrProfile) -> int:
@@ -473,10 +447,6 @@ class StatementScorer:
         the table, outside heuristic mode, answers first, and then each part
         whose canonical sets overlap scores one point; annotated rows have
         no parts, so a pair the table lacks scores 0 there.
-
-        ``candidate_pairs`` calls it only for the cells :meth:`cells` hands
-        no table level; the ``score`` command calls it for every cell of
-        its level matrix.
         """
         if a.ref == b.ref:
             return 3

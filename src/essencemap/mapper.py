@@ -5,22 +5,8 @@ or above the threshold, and :func:`pair_result` selects the bijective
 matching, computes the similarity percentage and classifies the
 relationship by the first relation of :data:`RELATIONS` whose predicate
 holds; :func:`map_pair`, :func:`map_contexts` and the ``score`` command
-all run the two.
-A report over two whole contexts
-carries one result per concept pair plus, for each practice concept, its
-best framework match: the highest similarity, ties going to the relation
-that comes first in :data:`RELATIONS` and then to the smaller name.  So a
-concept mapped against its own context picks itself unless a concept with
-a smaller name is equivalent to it too, as one with the same attribute
-texts and objects is.  Two similarities are compared as integers, not as
-``Fraction`` objects: results holding the same cached ``Fraction`` are
-equal, and otherwise ``a.numerator * b.denominator`` against
-``b.numerator * a.denominator`` decides, which is exact.  The report also
-carries, once per run, a sorted note for each statement of either context
-in which no verb was found (none in annotated mode, where the text is
-never scored).
-Everything is deterministic: identical inputs and configuration produce
-identical reports.
+all run the two.  Identical inputs and configuration give identical
+reports.
 """
 
 from __future__ import annotations
@@ -147,10 +133,16 @@ def map_pair(context1: str, c1: Concept, context2: str, c2: Concept, config: Map
 def map_contexts(
     practice: SemanticContext, framework: SemanticContext, config: MapConfig
 ) -> MappingReport:
-    """Map every practice concept against every framework concept.
+    """Map every practice concept against every framework concept with one scorer over both.
 
-    One scorer built over both contexts profiles each concept once and
-    scores only the cells that can reach the threshold.
+    The report carries one result per concept pair and, per practice
+    concept, its best framework match: the highest similarity, ties going
+    to the relation that comes first in :data:`RELATIONS` and then to the
+    smaller name.  So a concept mapped against its own context picks
+    itself unless a concept with a smaller name is equivalent to it too, as
+    one with the same attribute texts and objects is.  It also carries a
+    sorted note for each statement of either context in which no verb was
+    found (none in annotated mode, whose rows are never split).
     """
     if not practice.concepts:
         raise EmptyContextError(f"context {practice.id!r} has no concepts")
@@ -158,10 +150,9 @@ def map_contexts(
         raise EmptyContextError(f"context {framework.id!r} has no concepts")
     scorer = config.make_scorer(practice, framework)
     verbless = set()
-    if config.mode != "annotated":
-        for context in (practice, framework):
-            for concept in context.concepts:
-                verbless.update(str(row.ref) for row in scorer.profile(context.id, concept) if not row.has_verb)
+    for context in (practice, framework):
+        for concept in context.concepts:
+            verbless.update(str(row.ref) for row in scorer.profile(context.id, concept) if not row.has_verb)
     ordered = [sorted(context.concepts, key=lambda c: c.name) for context in (practice, framework)]
     results = []
     best_matches = []
@@ -177,6 +168,8 @@ def map_contexts(
                 continue
             # Only a strictly better result replaces ``top``, and the row is in
             # name order, so a tie goes to the earlier relation, then the smaller name.
+            # Results holding one cached ``Fraction`` are equal; otherwise the cross
+            # products decide, exactly and without building ``Fraction`` objects.
             new, old = result.similarity_pct, top.similarity_pct
             gain = 0 if new is old else new.numerator * old.denominator - old.numerator * new.denominator
             if gain > 0 or not gain and _RANK[result.relation] < _RANK[top.relation]:

@@ -1,42 +1,11 @@
 """Candidate pair generation and deterministic bipartite matching.
 
-The shared-attribute set of two concepts is realized as a bijective pairing
-of attributes whose level reaches the satisfaction threshold.  When one
-attribute is similar to several on the other side, a maximum-cardinality
-matching decides, with fully deterministic tie-breaking: among maximum
-matchings prefer the highest total level, then the lexicographically
-smallest pair list.  The rule is folded into the weights of one
-maximum-weight matching: with ``P`` distinct cells sorted ascending, the
-cell of rank ``r`` weighs ``bonus + level * 2**P + 2**(P - 1 - r)``.  The
-``bonus`` outweighs all level and tie terms of a matching together, its
-level terms all its tie terms, and each tie term all later ones; so every
-set of cells has its own total, and the unique optimum is the rule's
-choice whatever order a solver visits rows, columns and paths in.
-
-The solve visits candidate cells only.  Each row owns a private
-"unmatched" column of weight 0, so every row is assigned.  Rows are
-inserted one at a time, each by a Dijkstra search for the shortest
-augmenting path under row and column potentials, so a later row can
-displace an earlier one.  Private columns keep potential 0, and a search
-stops no later than the private column of any row it reaches, so no row
-potential rises above 0 and every reduced cost stays non-negative.
-
-The solve reads cells ``(row, column, pair)``: rows are the side with the
-smaller ``(context, concept)``, and each side's positions order its
-attributes by reference.  ``candidate_pairs`` reads only the cells that
-:meth:`~essencemap.lta.StatementScorer.cells` names for the threshold,
-taking the table level each carries and scoring the others with
-:meth:`~essencemap.lta.StatementScorer.level`; a result of two or more
-candidates carries its solve cells, built from the ``position`` of the
-scorer's rows.  ``max_matching`` reads them while the
-list still equals what ``candidate_pairs`` returned.  Any other input, a
-hand-built or changed list, falls back to ranking the references: the
-highest level per cell, each side indexed by its sorted references.  Both
-then share one tail.  A conflict-free set, where no row or column appears
-twice, is its own unique optimum and skips the solve; otherwise one sort
-of the cells gives the adjacency lists in rank order, and the chosen
-cells are read back as the caller's pairs, so swapping the two concepts
-mirrors the result.  A list of at most one candidate is its own optimum.
+The shared-attribute set of two concepts is a bijective pairing of
+attributes whose level reaches the satisfaction threshold.
+:func:`candidate_pairs` lists those attribute pairs, and
+:func:`max_matching` picks a maximum-cardinality pairing among them with
+fully deterministic tie-breaking: among maximum matchings the highest
+total level wins, then the lexicographically smallest pair list.
 """
 
 from __future__ import annotations
@@ -99,16 +68,16 @@ def candidate_pairs(
     scorer: StatementScorer,
     threshold: int = DEFAULT_THRESHOLD,
 ) -> list[CandidatePair]:
-    """Score the attribute pairs that can qualify, keep those at or above the threshold.
+    """The attribute pairs of ``c1`` x ``c2`` whose level reaches ``threshold``.
 
     Sorted by level descending, then left and right reference ascending.
-    The cells read are those ``scorer.cells`` names; a cell comes with its
-    table level or, when it has none, is scored by ``scorer.level``, so the
-    result equals a scan of every cell.  The cells come in (left, right)
-    reference order, so one sort by level orders the result; a list of at
-    most one candidate is already in order.
-    A longer one also carries the cells :func:`max_matching` solves, built
-    in the same loop from the rows' ``position``.
+    They are the cells ``scorer.cells`` names, each with the table level
+    it carries or, when it has none, scored by ``scorer.level``.  The
+    cells come in (left, right) reference order, so one stable sort by
+    level orders the result.  A result of two or more also carries the
+    cells :func:`max_matching` solves, ``(row, column, pair)``: the rows
+    are the side with the smaller ``(context, concept)``, and row and
+    column are the ``position`` of the scorer's rows.
     """
     if threshold not in THRESHOLDS:
         raise ValueError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
@@ -118,13 +87,10 @@ def candidate_pairs(
     for a, b, level in scorer.cells(context1, c1, context2, c2, threshold):
         if level is None:
             level = score(a, b)
-        if level >= threshold:
-            pair = tuple.__new__(CandidatePair, (a.ref, b.ref, level))
-            found.append((b.position, a.position, pair) if flipped else (a.position, b.position, pair))
+        pair = tuple.__new__(CandidatePair, (a.ref, b.ref, level))
+        found.append((b.position, a.position, pair) if flipped else (a.position, b.position, pair))
     if len(found) < 2:
         return [found[0][2]] if found else []
-    # ``cells`` yields (left, right) reference order, which this stable
-    # sort keeps within each level.
     result = _Candidates(map(_THIRD, found))
     result.sort(key=_THIRD, reverse=True)
     result._cells, result._items = found, result[:]
@@ -136,9 +102,15 @@ def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -
 
     ``adjacency[i]`` lists ``(column, weight)`` for the candidate cells of
     row ``i``, every weight positive.  Returns the column of each row, or
-    -1 for its private column, which is never stored: a row reached at
-    distance ``d`` has it at ``d - u[row]``.  The reduced cost of a cell is
-    ``-weight - u[row] - v[column]``; only the root's cells may be negative.
+    -1 for its private "unmatched" column of weight 0, so every row is
+    assigned.  Rows are inserted one at a time, each by a Dijkstra search
+    for the shortest augmenting path under row potentials ``u`` and column
+    potentials ``v``, so a later row can displace an earlier one.  A
+    private column is never stored and keeps potential 0: a row reached at
+    distance ``d`` has it at ``d - u[row]``.  A search stops no later than
+    the private column of any row it reaches, so no ``u`` rises above 0.
+    The reduced cost of a cell is ``-weight - u[row] - v[column]``; only
+    the root's cells may be negative.
     """
     row_of = [-1] * columns  # row holding each column, -1 when free
     col_of = [-1] * len(adjacency)  # column of each row, -1 on its private column
@@ -154,6 +126,8 @@ def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -
         end, end_row, end_col = 0, root, -1  # nearest end: the root's private column
         while heap:
             d, j, i = heappop(heap)
+            # Stopping at a tie loses nothing: two paths of one length would give two
+            # matchings of one total, and the weights give every set of cells its own.
             if d >= end:
                 break
             if j in done:
@@ -202,13 +176,22 @@ def _ranked(candidates: Iterable[CandidatePair]) -> list[tuple[int, int, Candida
 def max_matching(
     candidates: Iterable[CandidatePair], left_size: int, right_size: int
 ) -> MatchSet:
-    """Maximum bijective matching with deterministic tie-breaking.
+    """Maximum bijective matching with the module's deterministic tie-breaking.
 
     Invariant under permutation of the candidate list, and symmetric under
     swapping the two sides (the mirrored input yields the mirrored output).
     A :func:`candidate_pairs` result that still equals what it returned is
     solved from the cells it carries; any other input of two or more
-    candidates is ranked by :func:`_ranked`.
+    candidates is ranked by :func:`_ranked`.  A list of at most one
+    candidate, or a conflict-free set, where no row or column appears
+    twice, is its own unique optimum.  Otherwise the tie rule is folded
+    into the weights of one :func:`_max_weight_matching`: with ``P``
+    distinct cells sorted ascending, the cell of rank ``r`` weighs
+    ``bonus + level * 2**P + 2**(P - 1 - r)``.  The ``bonus`` outweighs
+    all level and tie terms of a matching together, its level terms all its
+    tie terms, and each tie term all later ones; so every set of cells has
+    its own total, and the unique optimum is the rule's choice whatever
+    order the solve visits rows, columns and paths in.
     """
     if isinstance(candidates, list) and len(candidates) < 2:
         return MatchSet(tuple(candidates), left_size, right_size)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from essencemap import (
     AttributeStatement,
@@ -17,6 +17,8 @@ from essencemap import (
 # Example timings vary on shared hosts; a per-example deadline would flake.
 settings.register_profile("essencemap", deadline=None)
 settings.load_profile("essencemap")
+# ``tests/mutants.py`` selects this one: a mutant is caught by a failing example, shrunk or not.
+settings.register_profile("mutants", deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 _WORDS = (
     "requirements product backlog managing accepting states items grooming "

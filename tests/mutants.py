@@ -1,0 +1,178 @@
+"""Mutation catalogue: each named mutant must fail one of the tests listed for it.
+
+Run from the repository root::
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+
+The script copies ``src/``, ``tests/``, ``bench/`` and ``pyproject.toml``
+to a temporary directory and first runs every listed test there
+unmutated; they must all pass.  Then, for each mutant, it replaces the
+mutant's old text, which must occur exactly once in its file, with the
+new text, runs ``pytest -x -q`` on the mutant's tests, and puts the old
+text back.  It exits non-zero when an old text does not occur exactly
+once, when a listed test fails unmutated, or when a mutant survives, so a
+refactor of the code a mutant edits updates the catalogue with it.
+
+A mutant is caught only when pytest reports a failed test (exit code 1);
+a collection or usage error is reported as an error.  Hypothesis tests
+run with ``--hypothesis-seed=0`` and, under the ``mutants`` profile of
+``tests/conftest.py``, without shrinking.  Each mutant lists its fast
+deterministic tests first, and the catalogue lists no equivalent mutant:
+every mutant changes what some input gives.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+PYTEST = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+          "--hypothesis-profile=mutants")
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids, fast deterministic ones first
+
+
+LTA, MATCHING = "src/essencemap/lta.py", "src/essencemap/matching.py"
+T_LTA, T_MATCHING = "tests/test_lta.py", "tests/test_matching.py"
+T_CLI, T_REPORTS = "tests/test_cli.py", "tests/test_workload_reports.py"
+
+MUTANTS = (
+    # Holding (``StatementScorer._hold``).
+    Mutant("twin-accepted", LTA,
+           'raise UnknownReferenceError(f"two different concepts are named {context}/{concept.name}")',
+           "return held",
+           (f"{T_LTA}::TestScoringProperties::test_same_reference_scores_3_and_names_one_concept",)),
+    Mutant("held-by-identity-only", LTA,
+           "if held[0] is concept or held[0] == concept:",
+           "if held[0] is concept:",
+           (f"{T_LTA}::TestScoringProperties::test_same_reference_scores_3_and_names_one_concept",)),
+    Mutant("sweeps-kept-after-holding", LTA,
+           "        self._sweeps.clear()\n",
+           "",
+           (f"{T_LTA}::TestScorerOverItsContexts"
+            "::test_a_concept_held_after_a_sweep_pairs_with_the_swept_one",)),
+    Mutant("bits-from-0", LTA,
+           "offset = len(self._bits)",
+           "offset = 0",
+           (f"{T_LTA}::TestScoringProperties::test_prefilter_scores_only_qualifying_cells",)),
+    Mutant("position-is-the-declaration-index", LTA,
+           "AttrProfile(AttrRef(context, concept.name, attr.id), position, *parts)",
+           "AttrProfile(AttrRef(context, concept.name, attr.id), k, *parts)",
+           (f"{T_LTA}::test_position_of_the_out_of_order_fixture",)),
+    # The sweep in ``StatementScorer.cells``: the first two name too many cells.
+    Mutant("threshold-2-sweep-takes-any-part", LTA,
+           "mask = (m0 & m1) | (m0 & m2) | (m1 & m2)",
+           "mask = m0 | m1 | m2",
+           (f"{T_CLI}::test_score_case_study_matches_golden[heuristic]",
+            f"{T_REPORTS}::test_seed_1_report_hash[scoring-wide]",
+            f"{T_REPORTS}::test_seed_1_report_hash[annotated-hybrid]")),
+    Mutant("threshold-3-sweep-takes-two-parts", LTA,
+           "mask = m0 & m1 & m2",
+           "mask = (m0 & m1) | (m0 & m2) | (m1 & m2)",
+           (f"{T_CLI}::test_score_case_study_matches_golden[heuristic-t3]",
+            f"{T_LTA}::TestOutOfOrderIds::test_cells_hand_on_the_table_level_they_swept")),
+    Mutant("table-level-below-keeps-heuristic-bits", LTA,
+           "mask = (mask & ~below) | lifted",
+           "mask = (mask & ~lifted) | lifted",
+           (f"{T_REPORTS}::test_seed_1_report_hash[annotated-hybrid]",)),
+    Mutant("left-row-without-merged-levels", LTA,
+           "table.row(a.ref)",
+           "table._rows.get(a.ref, NO_LEVELS)",
+           (f"{T_CLI}::test_score_case_study_matches_golden[annotated-reversed]",
+            "tests/test_mapper.py::TestMapPair::test_case_study_pair")),
+    Mutant("table-cell-handed-none", LTA,
+           "pairs.append((a, b, get(b.ref)))",
+           "pairs.append((a, b, None))",
+           (f"{T_REPORTS}::test_annotated_hybrid_level_sources",)),
+    Mutant("unanswered-cell-handed-0", LTA,
+           "pairs.append((a, b, get(b.ref)))",
+           "pairs.append((a, b, get(b.ref, 0)))",
+           (f"{T_REPORTS}::test_seed_1_report_hash[scoring-wide]",)),
+    # The solve's input (``candidate_pairs``, ``max_matching``).
+    Mutant("never-flipped", MATCHING,
+           "flipped = (context2, c2.name) < (context1, c1.name)",
+           "flipped = False",
+           (f"{T_MATCHING}::test_carried_cells_read_the_tie_break_from_the_side_with_the_smaller_context",)),
+    Mutant("carried-cells-of-a-changed-list", MATCHING,
+           "if type(candidates) is _Candidates and candidates == candidates._items:",
+           "if type(candidates) is _Candidates:",
+           (f"{T_MATCHING}::TestCarriedCells::test_only_a_changed_result_ranks_its_refs",)),
+    # Rendering.
+    Mutant("format-pct-rounds-halves-down", "src/essencemap/cli.py",
+           "(20 * n + d) // (2 * d)",
+           "(20 * n + d - 1) // (2 * d)",
+           (f"{T_CLI}::test_format_pct_rounds_like_exact_fractions",)),
+)
+
+
+def pytest_run(directory: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=str(directory / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *PYTEST, *tests], cwd=directory, env=env, timeout=TIMEOUT_S,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="essencemap-mutants-") as tmp:
+        directory = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, directory / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache"))
+            else:
+                shutil.copy2(source, directory / name)
+        problems = []
+        for mutant in mutants:
+            count = (directory / mutant.path).read_text(encoding="utf-8").count(mutant.old)
+            if count != 1:
+                problems.append(f"{mutant.name}: old text occurs {count} times in {mutant.path}")
+        if problems:
+            print("\n".join(problems), file=sys.stderr)
+            return 1
+        tests = list(dict.fromkeys(test for mutant in mutants for test in mutant.tests))
+        code = pytest_run(directory, tests)
+        if code != 0:
+            print(f"the listed tests do not pass unmutated (pytest exit {code})", file=sys.stderr)
+            return 1
+        for mutant in mutants:
+            path = directory / mutant.path
+            original = path.read_text(encoding="utf-8")
+            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            began = time.monotonic()
+            try:
+                code = pytest_run(directory, mutant.tests)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            verdict = {0: "SURVIVED", 1: "caught"}.get(code, f"error (pytest exit {code})")
+            print(f"{mutant.name:45} {verdict:10} {time.monotonic() - began:5.1f} s")
+            if code != 1:
+                problems.append(mutant.name)
+    seconds = time.monotonic() - start
+    print(f"{len(mutants) - len(problems)} of {len(mutants)} mutants caught in {seconds:.0f} s")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

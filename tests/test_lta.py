@@ -69,6 +69,7 @@ class TestTokenize:
             "accepting",
             "requirements",
         ]
+        assert tokenize("naïve") == ["na", "ve"]  # only [a-z0-9] runs are kept
 
     def test_apostrophes_are_deleted_not_split(self):
         assert tokenize("the product owner’s vision") == [
@@ -865,6 +866,7 @@ class TestOutOfOrderIds:
                         known = None if a.ref == b.ref or mode == "heuristic" else table.level_for(a.ref, b.ref)
                         assert level == known
                         assert level is None or level == scorer.level(a, b)
+                        assert (scorer.level(a, b) if level is None else level) >= threshold
 
 
 def test_position_of_the_out_of_order_fixture(tuned_lexicon):
