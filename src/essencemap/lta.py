@@ -22,7 +22,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .concepts import AttrRef, AttributeStatement, Checked, Concept, SemanticContext
+from .concepts import AttrRef, AttributeStatement, Checked, Concept
 from .errors import UnknownReferenceError
 
 if TYPE_CHECKING:
@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 MODES = ("heuristic", "annotated", "hybrid")
 
 LEVEL_RANGE = (0, 1, 2, 3)
+THRESHOLDS = (1, 2, 3)
 
 BUILTIN_STOPWORDS = frozenset(
     """
@@ -282,10 +283,10 @@ NO_LEVELS: Mapping = MappingProxyType({})  # the table row view of a reference w
 class StatementScorer:
     """Scoring front-end bundling lexicon, annotations and mode.
 
-    The scorer holds every concept of ``contexts``, and any other concept
-    the first time it is handed one (:meth:`_hold`).  :meth:`profile`
-    gives a concept's rows, :meth:`cells` the cells of a concept pair
-    whose level reaches a threshold, and :meth:`level` scores one cell.
+    The scorer holds each concept the first time it is handed one
+    (:meth:`_hold`).  :meth:`profile` gives a concept's rows, :meth:`cells`
+    the cells of a concept pair whose level reaches a threshold, and
+    :meth:`level` scores one cell.
     """
 
     def __init__(
@@ -293,7 +294,6 @@ class StatementScorer:
         lexicon: Lexicon = EMPTY_LEXICON,
         annotations: Optional["AnnotationTable"] = None,
         mode: str = "heuristic",
-        contexts: Iterable[SemanticContext] = (),
     ):
         if mode not in MODES:
             raise ValueError(f"unknown scoring mode {mode!r}")
@@ -312,9 +312,6 @@ class StatementScorer:
         self._sweeps: dict[tuple[str, str, int],
                            tuple[Concept, tuple[tuple[AttrProfile, int, Callable[[AttrRef], Optional[int]]], ...],
                                  int]] = {}
-        for context in contexts:
-            for concept in context.concepts:
-                self._hold(context.id, concept)
 
     def _rows(self, context: str, concept: Concept) -> tuple[tuple[AttrProfile, ...], tuple[AttrProfile, ...]]:
         """The rows of ``concept`` in attribute order and in reference order, which gives ``position``."""
@@ -391,6 +388,8 @@ class StatementScorer:
         masks.  Each pair reads ``c2``'s slice of the masks, and one whose
         left concept is that very object skips its lookup.
         """
+        if threshold not in THRESHOLDS:
+            raise ValueError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
         _, _, rows2, offset2 = self._hold(context2, c2)  # before the record is read: holding clears it
         key = (context1, c1.name, threshold)
         swept = self._sweeps.get(key)

@@ -53,8 +53,8 @@ class MapConfig(NamedTuple):
     mode: str = "hybrid"
     threshold: int = DEFAULT_THRESHOLD
 
-    def make_scorer(self, *contexts: SemanticContext) -> StatementScorer:
-        return StatementScorer(self.lexicon, self.annotations, self.mode, contexts)
+    def make_scorer(self) -> StatementScorer:
+        return StatementScorer(self.lexicon, self.annotations, self.mode)
 
 
 class MappingResult(Checked, namedtuple("MappingResult", "left right match_set similarity_pct relation")):
@@ -133,7 +133,7 @@ def map_pair(context1: str, c1: Concept, context2: str, c2: Concept, config: Map
 def map_contexts(
     practice: SemanticContext, framework: SemanticContext, config: MapConfig
 ) -> MappingReport:
-    """Map every practice concept against every framework concept with one scorer over both.
+    """Map every practice concept against every framework concept with one ``config.make_scorer()``.
 
     The report carries one result per concept pair and, per practice
     concept, its best framework match: the highest similarity, ties going
@@ -148,8 +148,9 @@ def map_contexts(
         raise EmptyContextError(f"context {practice.id!r} has no concepts")
     if not framework.concepts:
         raise EmptyContextError(f"context {framework.id!r} has no concepts")
-    scorer = config.make_scorer(practice, framework)
+    scorer = config.make_scorer()
     verbless = set()
+    # This pass holds every concept before the first sweep, so no later hold clears a sweep record.
     for context in (practice, framework):
         for concept in context.concepts:
             verbless.update(str(row.ref) for row in scorer.profile(context.id, concept) if not row.has_verb)

@@ -16,10 +16,9 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .concepts import AttrRef, Checked, Concept
-from .lta import StatementScorer
+from .lta import THRESHOLDS, StatementScorer
 
 DEFAULT_THRESHOLD = 2
-THRESHOLDS = (1, 2, 3)
 _THIRD = itemgetter(2)  # a candidate's level, a solve cell's candidate
 
 
@@ -79,8 +78,6 @@ def candidate_pairs(
     are the side with the smaller ``(context, concept)``, and row and
     column are the ``position`` of the scorer's rows.
     """
-    if threshold not in THRESHOLDS:
-        raise ValueError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
     flipped = (context2, c2.name) < (context1, c1.name)  # rows are c2's
     found = []
     score = scorer.level
@@ -161,6 +158,8 @@ def _ranked(candidates: Iterable[CandidatePair]) -> list[tuple[int, int, Candida
     """The solve cells of any candidates: the highest level per cell, indices by sorted reference."""
     best: dict[tuple[AttrRef, AttrRef], CandidatePair] = {}
     for pair in candidates:
+        if type(pair.level) is not int or not 1 <= pair.level <= 3:
+            raise ValueError(f"candidate {pair.left} - {pair.right} has level {pair.level!r}, not 1 to 3")
         key = pair[:2]
         if best.get(key, pair).level <= pair.level:
             best[key] = pair
@@ -182,16 +181,17 @@ def max_matching(
     swapping the two sides (the mirrored input yields the mirrored output).
     A :func:`candidate_pairs` result that still equals what it returned is
     solved from the cells it carries; any other input of two or more
-    candidates is ranked by :func:`_ranked`.  A list of at most one
+    candidates is ranked by :func:`_ranked`, which raises ``ValueError`` on
+    a level that is not an ``int`` from 1 to 3.  A list of at most one
     candidate, or a conflict-free set, where no row or column appears
     twice, is its own unique optimum.  Otherwise the tie rule is folded
     into the weights of one :func:`_max_weight_matching`: with ``P``
     distinct cells sorted ascending, the cell of rank ``r`` weighs
-    ``bonus + level * 2**P + 2**(P - 1 - r)``.  The ``bonus`` outweighs
-    all level and tie terms of a matching together, its level terms all its
-    tie terms, and each tie term all later ones; so every set of cells has
-    its own total, and the unique optimum is the rule's choice whatever
-    order the solve visits rows, columns and paths in.
+    ``bonus + level * 2**P + 2**(P - 1 - r)``.  With levels of at most 3,
+    the ``bonus`` outweighs all level and tie terms of a matching together,
+    its level terms all its tie terms, and each tie term all later ones; so
+    every set of cells has its own total, and the unique optimum is the
+    rule's choice whatever order the solve visits rows, columns and paths in.
     """
     if isinstance(candidates, list) and len(candidates) < 2:
         return MatchSet(tuple(candidates), left_size, right_size)

@@ -65,7 +65,7 @@ MUTANTS = (
     Mutant("sweeps-kept-after-holding", LTA,
            "        self._sweeps.clear()\n",
            "",
-           (f"{T_LTA}::TestScorerOverItsContexts"
+           (f"{T_LTA}::TestOneScorerAcrossCalls"
             "::test_a_concept_held_after_a_sweep_pairs_with_the_swept_one",)),
     Mutant("bits-from-0", LTA,
            "offset = len(self._bits)",
@@ -75,7 +75,12 @@ MUTANTS = (
            "AttrProfile(AttrRef(context, concept.name, attr.id), position, *parts)",
            "AttrProfile(AttrRef(context, concept.name, attr.id), k, *parts)",
            (f"{T_LTA}::test_position_of_the_out_of_order_fixture",)),
-    # The sweep in ``StatementScorer.cells``: the first two name too many cells.
+    # ``StatementScorer.cells``: its threshold check, then the sweep, whose first two mutants name too many cells.
+    Mutant("threshold-unchecked", LTA,
+           '        if threshold not in THRESHOLDS:\n'
+           '            raise ValueError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")\n',
+           "",
+           (f"{T_LTA}::TestStatementScorer::test_cells_refuse_a_threshold_outside_1_to_3_before_holding",)),
     Mutant("threshold-2-sweep-takes-any-part", LTA,
            "mask = (m0 & m1) | (m0 & m2) | (m1 & m2)",
            "mask = m0 | m1 | m2",
@@ -113,6 +118,16 @@ MUTANTS = (
            "if type(candidates) is _Candidates and candidates == candidates._items:",
            "if type(candidates) is _Candidates:",
            (f"{T_MATCHING}::TestCarriedCells::test_only_a_changed_result_ranks_its_refs",)),
+    Mutant("hand-built-level-unchecked", MATCHING,
+           "if type(pair.level) is not int or not 1 <= pair.level <= 3:",
+           "if False:",
+           (f"{T_MATCHING}::TestMaxMatching::test_refuses_a_hand_built_level_outside_1_to_3",)),
+    # ``map_contexts``: a fresh scorer holds only the practice, so each framework
+    # concept is first held inside the pair loop; the report is the same.
+    Mutant("framework-held-in-the-pair-loop", "src/essencemap/mapper.py",
+           "scorer.profile(context.id, concept)",
+           "(scorer if context is practice else config.make_scorer()).profile(context.id, concept)",
+           ("tests/test_mapper.py::TestMapContexts::test_every_concept_is_held_before_the_first_sweep",)),
     # Rendering.
     Mutant("format-pct-rounds-halves-down", "src/essencemap/cli.py",
            "(20 * n + d) // (2 * d)",

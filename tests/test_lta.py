@@ -378,6 +378,18 @@ class TestStatementScorer:
         with pytest.raises(ValueError, match="unknown scoring mode"):
             StatementScorer(mode="magic")
 
+    @pytest.mark.parametrize("threshold", (0, 4))
+    def test_cells_refuse_a_threshold_outside_1_to_3_before_holding(self, threshold):
+        concept = Concept("C", (AttributeStatement("a1", "the backlog"), AttributeStatement("a2", "the goal")))
+        scorer = StatementScorer()
+        for call in (lambda: scorer.cells("X", concept, "X", concept, threshold),
+                     lambda: candidate_pairs("X", concept, "X", concept, scorer, threshold)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"threshold must be one of (1, 2, 3), got {threshold}"
+        # Nothing was held, so another concept under X/C is no twin.
+        assert scorer.profile("X", Concept("C", (AttributeStatement("a1", "the vision"),)))
+
 
 LEXICON = load_lexicon(bundled_path("paper.lex"))
 
@@ -506,7 +518,7 @@ class TestScoringProperties:
         _assert_held_on_first_sight_or_refused(table, mode, (ctx1, c1), (ctx2, c2), threshold, expected)
 
     def test_prefilter_scores_only_qualifying_cells(self, scrum_context, essence_context):
-        scorer = _CountingScorer(LEXICON, contexts=(scrum_context, essence_context))
+        scorer = _CountingScorer(LEXICON)
         named = _assert_scores_only_qualifying_cells(scorer, scrum_context, essence_context, 2)
         assert scorer.calls == named  # heuristic mode hands no cell a level
 
@@ -520,7 +532,7 @@ class TestScoringProperties:
         pairs = [line for line in text.splitlines() if line.startswith("pair:")]
         contexts = (scrum_context, essence_context)
         table = parse_annotations("\n".join(pairs[::2]), contexts)
-        scorer = _CountingScorer(LEXICON, table, mode, contexts)
+        scorer = _CountingScorer(LEXICON, table, mode)
         named = _assert_scores_only_qualifying_cells(scorer, scrum_context, essence_context, threshold)
         # Two contexts, so no cell pairs a row with its own reference: in annotated
         # mode the table answers every named cell, in hybrid mode some of them.
@@ -557,7 +569,7 @@ class TestScoringProperties:
             copy = context._replace(concepts=tuple(c._replace() for c in context.concepts))
             results, calls = [], []
             for other in (context, copy):
-                scorer = _CountingScorer(LEXICON, contexts=(context, other))
+                scorer = _CountingScorer(LEXICON)
                 results.append([pair_result(context.id, c1, other.id, c2,
                                             candidate_pairs(context.id, c1, other.id, c2, scorer, threshold))
                                 for c1 in context.concepts for c2 in other.concepts])
@@ -581,16 +593,13 @@ class TestScoringProperties:
 
 
 def _assert_held_on_first_sight_or_refused(table, mode, side1, side2, threshold, expected):
-    """A scorer built over neither side holds each on first sight and gives ``expected``, as
-    one built over both does; a twin second side is refused by both, at build by the second."""
-    name = twin_of(side1, side2)
-    for contexts in ((), [SemanticContext(context, (concept,)) for context, concept in (side1, side2)]):
-        if name:
-            with refused(name):
-                candidate_pairs(*side1, *side2, StatementScorer(LEXICON, table, mode, contexts), threshold)
-        else:
-            scorer = StatementScorer(LEXICON, table, mode, contexts)
-            assert candidate_pairs(*side1, *side2, scorer, threshold) == expected
+    """A fresh scorer holds each side on first sight and gives ``expected``; a twin second side is refused."""
+    scorer = StatementScorer(LEXICON, table, mode)
+    if name := twin_of(side1, side2):
+        with refused(name):
+            candidate_pairs(*side1, *side2, scorer, threshold)
+    else:
+        assert candidate_pairs(*side1, *side2, scorer, threshold) == expected
 
 
 def _full_scan(table, mode, side1, side2, threshold):
@@ -604,14 +613,15 @@ def _full_scan(table, mode, side1, side2, threshold):
 
 @st.composite
 def _scorer_session(draw):
-    """(mode, table, concepts, held, calls) for one scorer built over some of the concepts.
+    """(mode, table, concepts, held, calls) for one scorer that profiles some concepts first.
 
     Each concept sits in context X or Y and is named from three names, so
     pairs within one context id occur, and so do twins: one context and
     name, other texts.  The first concept under a ``(context, name)`` is
-    its owner.  The scorer is built over the owners among the first
-    ``held`` concepts and holds the others on first sight; a later concept
-    is an owner's equal copy or, when that owner is held at build, its twin.
+    its owner.  The scorer profiles the owners among the first ``held``
+    concepts before the calls and holds the others on first sight; a later
+    concept is an owner's equal copy or, when that owner is held before the
+    calls, its twin.
     A call profiles one concept, or takes the candidates of or maps one
     ordered pair at a threshold.  Some concepts reuse the texts of an
     earlier one.  Annotated and hybrid mode get levels for a random subset
@@ -627,7 +637,7 @@ def _scorer_session(draw):
         if pool and draw(st.booleans()):  # texts of an earlier concept, so cells reach level 3
             concept = concept._replace(attributes=draw(st.sampled_from(pool))[1].attributes)
         owner = owners.setdefault((context, concept.name), k)
-        if owner >= held and owner != k:  # no twin of a concept held on first sight
+        if owner >= held and owner != k:  # no twin of a concept held during the calls
             concept = pool[owner][1]._replace()
         pool.append((context, concept))
     index = st.integers(0, len(pool) - 1)
@@ -643,14 +653,6 @@ def _scorer_session(draw):
         table = AnnotationTable((*sorted(pair), draw(st.integers(0, 3))) for pair in pairs
                                 if draw(st.booleans()))
     return mode, table, pool, held, calls
-
-
-def _held_contexts(pool):
-    """One context per id of ``pool``, holding the first concept under each name."""
-    first = {}
-    for context, concept in pool:
-        first.setdefault(context, {}).setdefault(concept.name, concept)
-    return [SemanticContext(context, by_name.values()) for context, by_name in first.items()]
 
 
 _THRESHOLD_3_THEN_1 = (
@@ -671,14 +673,16 @@ _LEFT_TWIN_AFTER_ITS_SWEEP = (
 )
 
 
-class TestScorerOverItsContexts:
+class TestOneScorerAcrossCalls:
     @given(session=_scorer_session())
     @example(session=_THRESHOLD_3_THEN_1)
     @example(session=_LEFT_TWIN_AFTER_ITS_SWEEP)
     def test_interleaved_calls_equal_fresh_full_scans(self, session):
         mode, table, pool, held, calls = session
-        scorer = StatementScorer(LEXICON, table, mode, _held_contexts(pool[:held]))
+        scorer = StatementScorer(LEXICON, table, mode)
         owners = {(context, concept.name): (context, concept) for context, concept in pool[::-1]}
+        for context, concept in pool[:held]:
+            scorer.profile(*owners[context, concept.name])
         for call, *args in calls:
             twins = [name for k in args[:2] if (name := twin_of(owners[pool[k][0], pool[k][1].name], pool[k]))]
             if twins:  # every call naming a twin is refused
@@ -702,10 +706,11 @@ class TestScorerOverItsContexts:
                 assert pair_result(*pool[i], *pool[j], candidates) == map_pair(*pool[i], *pool[j], config)
 
     def test_a_concept_held_after_a_sweep_pairs_with_the_swept_one(self):
-        # Alpha is held at build and swept at threshold 1; Y/Beta comes on first sight,
+        # Alpha is held and swept at threshold 1; Y/Beta comes on first sight,
         # so its rows get bits that the sweep record of Alpha lacks.
         _, _, pool, _, _ = _THRESHOLD_3_THEN_1
-        scorer = StatementScorer(LEXICON, contexts=_held_contexts(pool[:1]))
+        scorer = StatementScorer(LEXICON)
+        scorer.profile(*pool[0])
         alpha, beta1, beta2 = AttrRef("X", "Alpha", "a1"), AttrRef("Y", "Beta", "a1"), AttrRef("Y", "Beta", "a2")
         assert candidate_pairs(*pool[0], *pool[0], scorer, 1) == [CandidatePair(alpha, alpha, 3)]
         assert candidate_pairs(*pool[0], *pool[1], scorer, 1) == [
@@ -713,7 +718,9 @@ class TestScorerOverItsContexts:
 
     def test_threshold_3_then_1_example_finds_the_level_1_cells(self):
         _, _, pool, _, _ = _THRESHOLD_3_THEN_1
-        scorer = StatementScorer(LEXICON, contexts=_held_contexts(pool))
+        scorer = StatementScorer(LEXICON)
+        scorer.profile(*pool[0])
+        scorer.profile(*pool[1])
         alpha, beta1, beta2 = AttrRef("X", "Alpha", "a1"), AttrRef("Y", "Beta", "a1"), AttrRef("Y", "Beta", "a2")
         assert candidate_pairs(*pool[0], *pool[1], scorer, 3) == [CandidatePair(alpha, beta1, 3)]
         assert candidate_pairs(*pool[0], *pool[1], scorer, 1) == [
@@ -750,20 +757,18 @@ def _shuffled_concept(draw, name):
 
 @st.composite
 def _out_of_order_case(draw, mode, kind):
-    """(table, held contexts, side1, side2) for two concepts of shuffled ids.
+    """(table, side1, side2) for two concepts of shuffled ids.
 
-    The scorer is built over the first side.  By ``kind`` it is built over
-    the second too, or the second is a concept of another context, held on
-    first sight, or a twin of the first (its context and name, other
-    texts), which it refuses.  Annotated and hybrid mode get levels for
-    some of the distinct pairs.
+    By ``kind`` the second is a concept of another context or a twin of
+    the first (its context and name, other texts), which a scorer holding
+    the first refuses.  Annotated and hybrid mode get levels for some of
+    the distinct pairs.
     """
     c1 = draw(_shuffled_concept("Alpha"))
     if kind == "twin":
         ctx2, c2 = "X", draw(_shuffled_concept("Alpha"))
     else:
         ctx2, c2 = "Y", draw(_shuffled_concept("Beta"))
-    held = [SemanticContext("X", (c1,))] + ([SemanticContext("Y", (c2,))] if kind == "held" else [])
     table = None
     if mode != "heuristic":
         pairs = sorted({frozenset(pair) for pair in itertools.product(_attr_refs("X", c1), _attr_refs(ctx2, c2))
@@ -771,11 +776,12 @@ def _out_of_order_case(draw, mode, kind):
         levels = st.none() | st.integers(0, 3)
         drawn = draw(st.lists(levels, min_size=len(pairs), max_size=len(pairs)))
         table = AnnotationTable((*sorted(pair), level) for pair, level in zip(pairs, drawn) if level is not None)
-    return table, held, ("X", c1), (ctx2, c2)
+    return table, ("X", c1), (ctx2, c2)
 
 
 def _refuses_a_twin(scorer, side1, side2):
-    """Whether ``side2`` is a twin of ``side1``, after checking that ``scorer`` refuses it every way."""
+    """Hold ``side1``; then whether ``side2`` is its twin, after checking that ``scorer`` refuses it every way."""
+    scorer.profile(*side1)
     name = twin_of(side1, side2)
     if name:
         for call in (lambda: scorer.profile(*side2),
@@ -786,54 +792,46 @@ def _refuses_a_twin(scorer, side1, side2):
     return name is not None
 
 
-@pytest.mark.parametrize("kind", ("held", "unheld", "twin"))
+@pytest.mark.parametrize("kind", ("other", "twin"))
 @pytest.mark.parametrize("mode", MODES)
 class TestOutOfOrderIds:
     """Concepts whose ids are declared out of reference order, each side in both orientations.
 
-    A concept held on first sight gets the cells, levels and candidates of
-    one held at build; a twin is refused.
+    The first side is held first and the other on first sight; a twin is refused.
     """
 
     @settings(max_examples=20)
     @given(data=st.data(), threshold=st.integers(1, 3))
     def test_candidate_pairs_equal_a_sorted_full_scan(self, mode, kind, data, threshold):
-        table, held, *sides = data.draw(_out_of_order_case(mode, kind))
-        scorer = StatementScorer(LEXICON, table, mode, held)
+        table, *sides = data.draw(_out_of_order_case(mode, kind))
+        scorer = StatementScorer(LEXICON, table, mode)
         if _refuses_a_twin(scorer, *sides):
             return
-        both = StatementScorer(LEXICON, table, mode, [SemanticContext(*side[:1], side[1:]) for side in sides])
         for side1, side2 in (sides, sides[::-1]):
-            full = [CandidatePair(a.ref, b.ref, level)
-                    for a, b in itertools.product(both.profile(*side1), both.profile(*side2))
-                    if (level := both.level(a, b)) >= threshold]
-            full.sort(key=lambda p: (-p.level, p.left, p.right))
-            assert candidate_pairs(*side1, *side2, scorer, threshold) == full
+            assert (candidate_pairs(*side1, *side2, scorer, threshold)
+                    == _full_scan(table, mode, side1, side2, threshold))
 
     @settings(max_examples=20)
     @given(data=st.data())
     def test_position_is_the_index_in_reference_order(self, mode, kind, data):
-        # Rows held at build or on first sight, as by a scorer over no contexts,
-        # which ``MapConfig.make_scorer()`` builds.
-        table, held, *sides = data.draw(_out_of_order_case(mode, kind))
-        for scorer in (StatementScorer(LEXICON, table, mode, held), StatementScorer(LEXICON, table, mode)):
-            scorer.profile(*sides[0])
-            if _refuses_a_twin(scorer, *sides):
-                continue
-            for context, concept in sides:
-                refs = sorted(_attr_refs(context, concept))
-                assert [row.position for row in scorer.profile(context, concept)] == [
-                    refs.index(ref) for ref in _attr_refs(context, concept)]
-            for side1, side2 in (sides, sides[::-1]):
-                refs1, refs2 = sorted(_attr_refs(*side1)), sorted(_attr_refs(*side2))
-                for a, b, _ in scorer.cells(*side1, *side2, 1):
-                    assert (a.position, b.position) == (refs1.index(a.ref), refs2.index(b.ref))
+        table, *sides = data.draw(_out_of_order_case(mode, kind))
+        scorer = StatementScorer(LEXICON, table, mode)
+        if _refuses_a_twin(scorer, *sides):
+            return
+        for context, concept in sides:
+            refs = sorted(_attr_refs(context, concept))
+            assert [row.position for row in scorer.profile(context, concept)] == [
+                refs.index(ref) for ref in _attr_refs(context, concept)]
+        for side1, side2 in (sides, sides[::-1]):
+            refs1, refs2 = sorted(_attr_refs(*side1)), sorted(_attr_refs(*side2))
+            for a, b, _ in scorer.cells(*side1, *side2, 1):
+                assert (a.position, b.position) == (refs1.index(a.ref), refs2.index(b.ref))
 
     @settings(max_examples=20)
     @given(data=st.data())
     def test_cells_yield_reference_order_and_profile_keeps_declaration_order(self, mode, kind, data):
-        table, held, *sides = data.draw(_out_of_order_case(mode, kind))
-        scorer = StatementScorer(LEXICON, table, mode, held)
+        table, *sides = data.draw(_out_of_order_case(mode, kind))
+        scorer = StatementScorer(LEXICON, table, mode)
         if _refuses_a_twin(scorer, *sides):
             return
         for context, concept in sides:
@@ -848,8 +846,8 @@ class TestOutOfOrderIds:
     @given(data=st.data())
     def test_cells_hand_on_the_table_level_they_swept(self, mode, kind, data):
         # Heuristic mode gets a table too, which its scorer drops.
-        table, held, *sides = data.draw(_out_of_order_case("hybrid" if mode == "heuristic" else mode, kind))
-        if _refuses_a_twin(StatementScorer(LEXICON, table, mode, held), *sides):
+        table, *sides = data.draw(_out_of_order_case("hybrid" if mode == "heuristic" else mode, kind))
+        if _refuses_a_twin(StatementScorer(LEXICON, table, mode), *sides):
             return
         tables = [table]  # built without contexts: each pair sits in both rows
         if kind != "twin":  # Y ranks first, so the rows of X's references are merged copies
@@ -859,7 +857,7 @@ class TestOutOfOrderIds:
             ranked = [SemanticContext(context, (concept,)) for context, concept in sides[::-1]]
             tables.append(parse_annotations("\n".join(lines), ranked))
         for table in tables:
-            scorer = StatementScorer(LEXICON, table, mode, held)
+            scorer = StatementScorer(LEXICON, table, mode)
             for side1, side2 in (sides, sides[::-1]):
                 for threshold in THRESHOLDS:
                     for a, b, level in scorer.cells(*side1, *side2, threshold):
@@ -876,9 +874,8 @@ def test_position_of_the_out_of_order_fixture(tuned_lexicon):
     reordered = sprint._replace(attributes=sprint.attributes[::-1])  # another concept under Team/Sprint
     expected = {attr: position for position, attr in enumerate(sorted(f"a{i}" for i in range(1, 13)))}
     assert expected["a10"] == 1 and expected["a2"] == 4
-    held = StatementScorer(tuned_lexicon, contexts=[practice])
-    for scorer, concept in ((held, sprint), (StatementScorer(tuned_lexicon), sprint),
-                            (StatementScorer(tuned_lexicon), reordered)):
+    scorers = [StatementScorer(tuned_lexicon) for _ in range(2)]
+    for scorer, concept in zip(scorers, (sprint, reordered)):
         assert {row.ref.attr: row.position for row in scorer.profile("Team", concept)} == expected
     with refused("Team/Sprint"):
-        held.profile("Team", reordered)
+        scorers[0].profile("Team", reordered)

@@ -275,6 +275,21 @@ class TestMapContexts:
         ordering = [(r.left, r.right) for r in report.results]
         assert ordering == sorted(ordering)
 
+    def test_every_concept_is_held_before_the_first_sweep(self, monkeypatch):
+        # A hold clears the sweep records: a framework concept held inside the pair loop would
+        # sweep the first practice concept again for each framework concept, with the same report.
+        rows = []
+        row = AnnotationTable.row
+        monkeypatch.setattr(AnnotationTable, "row", lambda self, ref: rows.append(ref) or row(self, ref))
+        rng = random.Random(7)
+        for _ in range(3):
+            practice, framework = contexts = [make_random_context(rng, index) for index in range(2)]
+            assert min(len(context.concepts) for context in contexts) >= 2
+            rows.clear()
+            map_contexts(practice, framework, MapConfig(annotations=AnnotationTable(), mode="hybrid"))
+            assert sorted(rows) == sorted(AttrRef(practice.id, concept.name, attr.id)
+                                          for concept in practice.concepts for attr in concept.attributes)
+
     def test_self_mapping_best_match_is_self(self):
         rng = random.Random(0xBEEF)
         for index in range(10):

@@ -52,7 +52,7 @@ def test_annotated_hybrid_level_sources(tmp_path):
     paths = corpora.write(corpora.generate(shape, 1), tmp_path)
     contexts = practice, framework = load_concepts(paths["practice"]), load_concepts(paths["framework"])
     table = load_annotations(paths["annotations"], contexts)
-    scorer = StatementScorer(load_lexicon(bundled_path("paper.lex")), table, shape.mode, contexts)
+    scorer = StatementScorer(load_lexicon(bundled_path("paper.lex")), table, shape.mode)
     sources = Counter("heuristic" if level is None else "table"
                       for c1 in practice.concepts for c2 in framework.concepts
                       for _, _, level in scorer.cells(practice.id, c1, framework.id, c2, shape.threshold))
