@@ -759,7 +759,8 @@ def _shuffled_concept(draw, name):
 def _out_of_order_case(draw, mode, kind):
     """(table, side1, side2) for two concepts of shuffled ids.
 
-    By ``kind`` the second is a concept of another context or a twin of
+    By ``kind`` the second is a concept of another context, held after the
+    first (``other``) or before it (``other-held-first``), or a twin of
     the first (its context and name, other texts), which a scorer holding
     the first refuses.  Annotated and hybrid mode get levels for some of
     the distinct pairs.
@@ -779,9 +780,16 @@ def _out_of_order_case(draw, mode, kind):
     return table, ("X", c1), (ctx2, c2)
 
 
-def _refuses_a_twin(scorer, side1, side2):
-    """Hold ``side1``; then whether ``side2`` is its twin, after checking that ``scorer`` refuses it every way."""
-    scorer.profile(*side1)
+def _hold_first(scorer, kind, side1, side2):
+    """Hold the side that ``kind`` holds first: ``side2`` for ``other-held-first``, else ``side1``."""
+    scorer.profile(*(side2 if kind == "other-held-first" else side1))
+    return scorer
+
+
+def _refuses_a_twin(scorer, kind, side1, side2):
+    """Hold a side by ``kind``; then whether ``side2`` is a twin of ``side1``, after checking that
+    ``scorer`` refuses it every way."""
+    _hold_first(scorer, kind, side1, side2)
     name = twin_of(side1, side2)
     if name:
         for call in (lambda: scorer.profile(*side2),
@@ -792,12 +800,13 @@ def _refuses_a_twin(scorer, side1, side2):
     return name is not None
 
 
-@pytest.mark.parametrize("kind", ("other", "twin"))
+@pytest.mark.parametrize("kind", ("other", "other-held-first", "twin"))
 @pytest.mark.parametrize("mode", MODES)
 class TestOutOfOrderIds:
     """Concepts whose ids are declared out of reference order, each side in both orientations.
 
-    The first side is held first and the other on first sight; a twin is refused.
+    One side is held first, by ``kind``, and the other on first sight, so
+    either side's rows can take the low bits; a twin is refused.
     """
 
     @settings(max_examples=20)
@@ -805,7 +814,7 @@ class TestOutOfOrderIds:
     def test_candidate_pairs_equal_a_sorted_full_scan(self, mode, kind, data, threshold):
         table, *sides = data.draw(_out_of_order_case(mode, kind))
         scorer = StatementScorer(LEXICON, table, mode)
-        if _refuses_a_twin(scorer, *sides):
+        if _refuses_a_twin(scorer, kind, *sides):
             return
         for side1, side2 in (sides, sides[::-1]):
             assert (candidate_pairs(*side1, *side2, scorer, threshold)
@@ -816,7 +825,7 @@ class TestOutOfOrderIds:
     def test_position_is_the_index_in_reference_order(self, mode, kind, data):
         table, *sides = data.draw(_out_of_order_case(mode, kind))
         scorer = StatementScorer(LEXICON, table, mode)
-        if _refuses_a_twin(scorer, *sides):
+        if _refuses_a_twin(scorer, kind, *sides):
             return
         for context, concept in sides:
             refs = sorted(_attr_refs(context, concept))
@@ -832,7 +841,7 @@ class TestOutOfOrderIds:
     def test_cells_yield_reference_order_and_profile_keeps_declaration_order(self, mode, kind, data):
         table, *sides = data.draw(_out_of_order_case(mode, kind))
         scorer = StatementScorer(LEXICON, table, mode)
-        if _refuses_a_twin(scorer, *sides):
+        if _refuses_a_twin(scorer, kind, *sides):
             return
         for context, concept in sides:
             declared = [attr.id for attr in concept.attributes]
@@ -847,7 +856,7 @@ class TestOutOfOrderIds:
     def test_cells_hand_on_the_table_level_they_swept(self, mode, kind, data):
         # Heuristic mode gets a table too, which its scorer drops.
         table, *sides = data.draw(_out_of_order_case("hybrid" if mode == "heuristic" else mode, kind))
-        if _refuses_a_twin(StatementScorer(LEXICON, table, mode), *sides):
+        if _refuses_a_twin(StatementScorer(LEXICON, table, mode), kind, *sides):
             return
         tables = [table]  # built without contexts: each pair sits in both rows
         if kind != "twin":  # Y ranks first, so the rows of X's references are merged copies
@@ -857,7 +866,7 @@ class TestOutOfOrderIds:
             ranked = [SemanticContext(context, (concept,)) for context, concept in sides[::-1]]
             tables.append(parse_annotations("\n".join(lines), ranked))
         for table in tables:
-            scorer = StatementScorer(LEXICON, table, mode)
+            scorer = _hold_first(StatementScorer(LEXICON, table, mode), kind, *sides)
             for side1, side2 in (sides, sides[::-1]):
                 for threshold in THRESHOLDS:
                     for a, b, level in scorer.cells(*side1, *side2, threshold):

@@ -360,11 +360,18 @@ def _agrees_with_ranked_refs_and_the_oracle(candidates, n_left, n_right):
 class TestCarriedCells:
     """``max_matching`` of a ``candidate_pairs`` result, solved from the cells it carries."""
 
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "unheld"])
     @settings(max_examples=40)
     @given(data=st.data())
-    def test_agrees_with_ranked_refs_and_the_oracle_also_after_mutation(self, mode, data):
+    def test_agrees_with_ranked_refs_and_the_oracle_also_after_mutation(self, mode, held, data):
+        # A held scorer profiles every concept before the pair loop, as ``map_contexts``
+        # does, so its sweep records last; an unheld one holds concepts between sweeps.
         table, practice, framework = data.draw(_mapped_contexts(mode))
         scorer = MapConfig(annotations=table, mode=mode).make_scorer()
+        if held:
+            for context in (practice, framework):
+                for concept in context.concepts:
+                    scorer.profile(context.id, concept)
         pairs = [(context1, c1, context2, c2)
                  for context1, context2 in ((practice, framework), (framework, practice), (practice, practice))
                  for c1 in context1.concepts for c2 in context2.concepts]
