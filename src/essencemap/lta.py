@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import cached_property
+from functools import partial
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -91,20 +91,60 @@ def stem(token: str) -> str:
     return token
 
 
+_BUILTIN_VERB_STEMS = frozenset(map(stem, BUILTIN_VERBS))
+
+
+class Memo(dict):
+    """A dict that fills a missing key with ``compute(key)`` on its first lookup and keeps it."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _fold(stopwords: frozenset[str], synonym_map: Mapping[str, str], token: str) -> Optional[str]:
+    """Canonical form of one raw token, or ``None`` when it is dropped.
+
+    A stopword is dropped; any other token is stemmed and folded into its
+    synonym group, and dropped when that canonical form is a stopword, so
+    folding a kept form gives it back.
+    """
+    if token in stopwords:
+        return None
+    folded = stem(token)
+    folded = synonym_map.get(folded, folded)
+    return None if folded in stopwords else folded
+
+
+def _is_verb(verb_stems: frozenset[str], token: str) -> bool:
+    """A token is a verb when its stem is the stem of a listed verb."""
+    return stem(token) in verb_stems
+
+
 class Lexicon(Checked, namedtuple("Lexicon", "synonym_groups extra_stopwords extra_verbs")):
     """Synonym groups plus stopword and verb extensions.
 
     Each synonym group canonicalizes to its first member.  Lookup keys are
     the stemmed forms of all members, so inflected corpus tokens reach
-    their group without every inflection being listed.  Every stopword,
-    verb and group member must pass :func:`check_one_token`.
+    their group without every inflection being listed: ``synonym_map``
+    maps each stemmed member form to its group's first member.
+    ``stopwords`` holds the built-in and the extra stopwords.  Every
+    stopword, verb and group member must pass :func:`check_one_token`.
 
     Each instance memoizes, per raw token, its :meth:`fold` and its
-    :meth:`is_verb` answer; the memo is the instance's own, so two
-    lexicons never share one.  It is never pruned: the shared
-    :data:`EMPTY_LEXICON`'s memo grows with the vocabulary a process sees.
-    Memos and cached properties live in the instance dict, which equality
-    and hashing ignore; assigning an attribute still raises ``AttributeError``.
+    :meth:`is_verb` answer in two :class:`Memo` dicts that fill themselves
+    on a miss; their compute functions hold the word sets, not the
+    instance, so no reference cycle forms.  The memos are the instance's
+    own, so two lexicons never share one.  They are never pruned: the
+    shared :data:`EMPTY_LEXICON`'s memos grow with the vocabulary a
+    process sees.  The word sets and memos are set at construction in the
+    instance dict, which equality and hashing ignore; assigning an
+    attribute still raises ``AttributeError``.
     """
 
     def __new__(cls, synonym_groups: Iterable[Sequence[str]] = (),
@@ -114,8 +154,14 @@ class Lexicon(Checked, namedtuple("Lexicon", "synonym_groups extra_stopwords ext
         for what, tokens in (("stopword", self.extra_stopwords), ("verb", self.extra_verbs)):
             for token in sorted(tokens):
                 check_one_token(token, what)
-        self.synonym_map  # validate the groups at construction
-        vars(self).update(_folds={}, _verdicts={})
+        synonym_map: dict[str, str] = {}
+        for group in self.synonym_groups:
+            add_synonym_group(synonym_map, group)
+        stopwords = BUILTIN_STOPWORDS | self.extra_stopwords
+        verb_stems = _BUILTIN_VERB_STEMS.union(map(stem, self.extra_verbs))
+        vars(self).update(synonym_map=synonym_map, stopwords=stopwords,
+                          _folds=Memo(partial(_fold, stopwords, synonym_map)),
+                          _verdicts=Memo(partial(_is_verb, verb_stems)))
         return self
 
     def __setattr__(self, name: str, value) -> None:
@@ -124,50 +170,13 @@ class Lexicon(Checked, namedtuple("Lexicon", "synonym_groups extra_stopwords ext
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete attribute {name!r} of an immutable Lexicon")
 
-    @cached_property
-    def synonym_map(self) -> dict[str, str]:
-        """Stemmed member form -> canonical form (the group's first member)."""
-        table: dict[str, str] = {}
-        for group in self.synonym_groups:
-            add_synonym_group(table, group)
-        return table
-
-    @cached_property
-    def stopwords(self) -> frozenset[str]:
-        return BUILTIN_STOPWORDS | self.extra_stopwords
-
-    @cached_property
-    def _verb_stems(self) -> frozenset[str]:
-        return frozenset(stem(v) for v in BUILTIN_VERBS | self.extra_verbs)
-
-    def canonical(self, stemmed_token: str) -> str:
-        return self.synonym_map.get(stemmed_token, stemmed_token)
-
     def fold(self, token: str) -> Optional[str]:
-        """Canonical form of one raw token, or ``None`` when it is dropped.
-
-        A stopword is dropped; any other token is stemmed and folded into
-        its synonym group, and dropped when that canonical form is a
-        stopword.  Memoized per token.
-        """
-        try:
-            return self._folds[token]
-        except KeyError:
-            pass
-        folded = None
-        if token not in self.stopwords:
-            folded = self.canonical(stem(token))
-            if folded in self.stopwords:
-                folded = None
-        self._folds[token] = folded
-        return folded
+        """The :func:`_fold` of ``token`` under this lexicon's stopwords and synonym groups."""
+        return self._folds[token]
 
     def is_verb(self, token: str) -> bool:
-        """Verb lexicon membership, matching inflections through stems; memoized per token."""
-        verdict = self._verdicts.get(token)
-        if verdict is None:
-            verdict = self._verdicts[token] = stem(token) in self._verb_stems
-        return verdict
+        """Verb lexicon membership, matching inflections through stems."""
+        return self._verdicts[token]
 
 
 def check_one_token(token: str, what: str) -> None:
@@ -234,30 +243,27 @@ def extract_spo(
     """
     head, _, tail = statement.text.partition(".")
     tokens = tokenize(head)
-    is_verb = lexicon.is_verb
-    start = next((i for i, t in enumerate(tokens) if is_verb(t)), None)
-    if start is None:
-        subject, predicate, rest = (), (), tokens
-    else:
-        end = start + 1
-        while end < len(tokens) and is_verb(tokens[end]):
-            end += 1
+    verbs = list(map(lexicon._verdicts.__getitem__, tokens))
+    if True in verbs:
+        start = verbs.index(True)
+        verbs.append(False)  # ends a run that ends the sentence
+        end = verbs.index(False, start)
         subject, predicate, rest = tuple(tokens[:start]), tuple(tokens[start:end]), tokens[end:]
+    else:
+        subject, predicate, rest = (), (), tokens
     if tail:
         rest += tokenize(tail)
-    return SpoTriple(subject or tuple(tokenize(owner)), predicate, tuple(rest))
+    return tuple.__new__(SpoTriple, (subject or tuple(tokenize(owner)), predicate, tuple(rest)))
 
 
 def canonicalize_part(
     tokens: Iterable[str], lexicon: Lexicon = EMPTY_LEXICON
 ) -> frozenset[str]:
-    """Canonical token set of one sentence part.
+    """Canonical token set of one sentence part: each token's :meth:`Lexicon.fold`, less the dropped ones.
 
-    Drops stopwords, stems the rest, folds synonym groups, and finally
-    drops canonical forms that are themselves stopwords so that the result
-    is a fixed point of this function (:meth:`Lexicon.fold` per token).
+    The result is a fixed point of this function.
     """
-    out = frozenset(map(lexicon.fold, tokens))
+    out = frozenset(map(lexicon._folds.__getitem__, tokens))
     return out - {None} if None in out else out
 
 
@@ -315,19 +321,20 @@ class StatementScorer:
 
     def _rows(self, context: str, concept: Concept) -> tuple[tuple[AttrProfile, ...], tuple[AttrProfile, ...]]:
         """The rows of ``concept`` in attribute order and in reference order, which gives ``position``."""
-        attrs = concept.attributes
-        order = sorted(range(len(attrs)), key=lambda k: attrs[k].id)  # attribute indices by reference
+        attrs, name, lexicon = concept.attributes, concept.name, self.lexicon
+        ids = [attr.id for attr in attrs]
+        order = sorted(range(len(attrs)), key=ids.__getitem__)  # attribute indices by reference
         rows: list = [None] * len(attrs)
+        new = tuple.__new__
         for position, k in enumerate(order):
-            attr = attrs[k]
             if self.mode == "annotated":
                 parts = _UNSPLIT
             else:
-                spo = extract_spo(attr, concept.name, self.lexicon)
-                parts = (*(canonicalize_part(part, self.lexicon)
-                           for part in (spo.subject, spo.predicate, spo.object_part)), spo.has_verb)
-            rows[k] = AttrProfile(AttrRef(context, concept.name, attr.id), position, *parts)
-        return tuple(rows), tuple(rows[k] for k in order)
+                subject, predicate, object_part = extract_spo(attrs[k], name, lexicon)
+                parts = (canonicalize_part(subject, lexicon), canonicalize_part(predicate, lexicon),
+                         canonicalize_part(object_part, lexicon), bool(predicate))
+            rows[k] = new(AttrProfile, (new(AttrRef, (context, name, ids[k])), position) + parts)
+        return tuple(rows), tuple(map(rows.__getitem__, order))
 
     def _hold(self, context: str, concept: Concept):
         """The ``_held`` entry of ``concept``, which is held the first time it is seen.
@@ -345,7 +352,7 @@ class StatementScorer:
         """
         held = self._held.get((context, concept.name))
         if held is not None:
-            if held[0] is concept or held[0] == concept:  # ``is`` first: ``cells`` asks once per pair
+            if held[0] is concept or held[0] == concept:
                 return held
             raise UnknownReferenceError(f"two different concepts are named {context}/{concept.name}")
         rows, ordered = self._rows(context, concept)
@@ -390,7 +397,10 @@ class StatementScorer:
         """
         if threshold not in THRESHOLDS:
             raise ValueError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
-        _, _, rows2, offset2 = self._hold(context2, c2)  # before the record is read: holding clears it
+        held2 = self._held.get((context2, c2.name))
+        if held2 is None or held2[0] is not c2:
+            held2 = self._hold(context2, c2)  # before the record is read: holding clears it
+        _, _, rows2, offset2 = held2
         key = (context1, c1.name, threshold)
         swept = self._sweeps.get(key)
         if swept is None or swept[0] is not c1:

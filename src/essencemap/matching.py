@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .concepts import AttrRef, Checked, Concept
-from .lta import THRESHOLDS, StatementScorer
+from .lta import THRESHOLDS, Memo, StatementScorer
 
 DEFAULT_THRESHOLD = 2
 _THIRD = itemgetter(2)  # a candidate's level, a solve cell's candidate
@@ -53,6 +53,11 @@ class MatchSet(Checked, namedtuple("MatchSet", "pairs left_size right_size")):
         return tuple.__new__(cls, (pairs, left_size, right_size))
 
 
+# (left size, right size) -> the empty match set.  A match set is immutable, so one serves every
+# caller; sizes the constructor refuses are not kept.
+_EMPTY_MATCHES = Memo(lambda sizes: MatchSet((), *sizes))
+
+
 class _Candidates(list):
     """Two or more candidates with ``_cells``, their solve cells, and ``_items``, the list as returned."""
 
@@ -78,10 +83,13 @@ def candidate_pairs(
     are the side with the smaller ``(context, concept)``, and row and
     column are the ``position`` of the scorer's rows.
     """
+    cells = scorer.cells(context1, c1, context2, c2, threshold)
+    if not cells:
+        return []
     flipped = (context2, c2.name) < (context1, c1.name)  # rows are c2's
     found = []
     score = scorer.level
-    for a, b, level in scorer.cells(context1, c1, context2, c2, threshold):
+    for a, b, level in cells:
         if level is None:
             level = score(a, b)
         pair = tuple.__new__(CandidatePair, (a.ref, b.ref, level))
@@ -154,12 +162,17 @@ def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -
     return col_of
 
 
+def _check_level(pair: CandidatePair) -> None:
+    """Raise ``ValueError`` unless the level of ``pair`` is an ``int`` from 1 to 3."""
+    if type(pair.level) is not int or not 1 <= pair.level <= 3:
+        raise ValueError(f"candidate {pair.left} - {pair.right} has level {pair.level!r}, not 1 to 3")
+
+
 def _ranked(candidates: Iterable[CandidatePair]) -> list[tuple[int, int, CandidatePair]]:
     """The solve cells of any candidates: the highest level per cell, indices by sorted reference."""
     best: dict[tuple[AttrRef, AttrRef], CandidatePair] = {}
     for pair in candidates:
-        if type(pair.level) is not int or not 1 <= pair.level <= 3:
-            raise ValueError(f"candidate {pair.left} - {pair.right} has level {pair.level!r}, not 1 to 3")
+        _check_level(pair)
         key = pair[:2]
         if best.get(key, pair).level <= pair.level:
             best[key] = pair
@@ -181,10 +194,11 @@ def max_matching(
     swapping the two sides (the mirrored input yields the mirrored output).
     A :func:`candidate_pairs` result that still equals what it returned is
     solved from the cells it carries; any other input of two or more
-    candidates is ranked by :func:`_ranked`, which raises ``ValueError`` on
-    a level that is not an ``int`` from 1 to 3.  A list of at most one
+    candidates is ranked by :func:`_ranked`.  Every candidate outside the
+    carried cells passes :func:`_check_level`.  A list of at most one
     candidate, or a conflict-free set, where no row or column appears
-    twice, is its own unique optimum.  Otherwise the tie rule is folded
+    twice, is its own unique optimum; an empty list gives the one shared
+    empty set of its sizes.  Otherwise the tie rule is folded
     into the weights of one :func:`_max_weight_matching`: with ``P``
     distinct cells sorted ascending, the cell of rank ``r`` weighs
     ``bonus + level * 2**P + 2**(P - 1 - r)``.  With levels of at most 3,
@@ -194,7 +208,10 @@ def max_matching(
     rule's choice whatever order the solve visits rows, columns and paths in.
     """
     if isinstance(candidates, list) and len(candidates) < 2:
-        return MatchSet(tuple(candidates), left_size, right_size)
+        if not candidates:
+            return _EMPTY_MATCHES[left_size, right_size]
+        _check_level(candidates[0])
+        return MatchSet(candidates, left_size, right_size)
     if type(candidates) is _Candidates and candidates == candidates._items:
         cells = candidates._cells
     else:

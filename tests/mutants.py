@@ -53,7 +53,22 @@ T_LTA, T_MATCHING = "tests/test_lta.py", "tests/test_matching.py"
 T_CLI, T_REPORTS = "tests/test_cli.py", "tests/test_workload_reports.py"
 
 MUTANTS = (
-    # Holding (``StatementScorer._hold``).
+    # The lexicon's memos and the statement split.
+    Mutant("fold-keeps-a-canonical-stopword", LTA,
+           "return None if folded in stopwords else folded",
+           "return folded",
+           (f"{T_LTA}::TestCanonicalizePart::test_idempotent_on_seeded_random_tokens",
+            f"{T_LTA}::TestLexiconMemo::test_memo_equals_the_uncached_rule")),
+    Mutant("verb-run-ends-one-token-early", LTA,
+           "end = verbs.index(False, start)",
+           "end = verbs.index(False, start) - 1",
+           (f"{T_LTA}::TestExtractSpo::test_explicit_subject",
+            f"{T_LTA}::TestLexiconMemo::test_split_reads_a_cold_and_a_filled_memo_alike")),
+    Mutant("verb-run-at-the-end-unended", LTA,
+           "        verbs.append(False)  # ends a run that ends the sentence\n",
+           "",
+           (f"{T_LTA}::TestLexiconMemo::test_split_reads_a_cold_and_a_filled_memo_alike",)),
+    # Holding (``StatementScorer._hold``, and ``cells``'s own test of the held ``c2``).
     Mutant("twin-accepted", LTA,
            'raise UnknownReferenceError(f"two different concepts are named {context}/{concept.name}")',
            "return held",
@@ -61,6 +76,10 @@ MUTANTS = (
     Mutant("held-by-identity-only", LTA,
            "if held[0] is concept or held[0] == concept:",
            "if held[0] is concept:",
+           (f"{T_LTA}::TestScoringProperties::test_same_reference_scores_3_and_names_one_concept",)),
+    Mutant("held-c2-by-name-only", LTA,
+           "if held2 is None or held2[0] is not c2:",
+           "if held2 is None:",
            (f"{T_LTA}::TestScoringProperties::test_same_reference_scores_3_and_names_one_concept",)),
     Mutant("sweeps-kept-after-holding", LTA,
            "        self._sweeps.clear()\n",
@@ -72,8 +91,8 @@ MUTANTS = (
            "offset = 0",
            (f"{T_LTA}::TestScoringProperties::test_prefilter_scores_only_qualifying_cells",)),
     Mutant("position-is-the-declaration-index", LTA,
-           "AttrProfile(AttrRef(context, concept.name, attr.id), position, *parts)",
-           "AttrProfile(AttrRef(context, concept.name, attr.id), k, *parts)",
+           "(new(AttrRef, (context, name, ids[k])), position) + parts",
+           "(new(AttrRef, (context, name, ids[k])), k) + parts",
            (f"{T_LTA}::test_position_of_the_out_of_order_fixture",)),
     # ``StatementScorer.cells``: its threshold check, then the sweep, whose first two mutants name too many cells.
     Mutant("threshold-unchecked", LTA,
@@ -122,6 +141,15 @@ MUTANTS = (
            "if type(pair.level) is not int or not 1 <= pair.level <= 3:",
            "if False:",
            (f"{T_MATCHING}::TestMaxMatching::test_refuses_a_hand_built_level_outside_1_to_3",)),
+    Mutant("one-candidate-level-unchecked", MATCHING,
+           "        _check_level(candidates[0])\n",
+           "",
+           (f"{T_MATCHING}::TestMaxMatching::test_refuses_a_hand_built_level_outside_1_to_3",)),
+    Mutant("empty-set-keyed-by-left-size", MATCHING,
+           "return _EMPTY_MATCHES[left_size, right_size]",
+           "return _EMPTY_MATCHES.setdefault(left_size, MatchSet((), left_size, right_size))",
+           (f"{T_MATCHING}::TestMaxMatching"
+            "::test_an_empty_list_gives_the_empty_set_of_its_sizes_and_refuses_negative_ones",)),
     # ``map_contexts``: a fresh scorer holds only the practice, so each framework
     # concept is first held inside the pair loop; the report is the same.
     Mutant("framework-held-in-the-pair-loop", "src/essencemap/mapper.py",

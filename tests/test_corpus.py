@@ -189,11 +189,11 @@ class TestSerializeConcepts:
 class TestParseLexicon:
     def test_bundled_lexicon(self, tuned_lexicon):
         assert ("are", "progress") in tuned_lexicon.synonym_groups
-        assert tuned_lexicon.canonical("owner") == "requirement"
+        assert tuned_lexicon.fold("owner") == "requirement"
 
     def test_group_canonicalizes_to_first_member(self):
         lexicon = parse_lexicon("syn: manage, managing, determining\n")
-        assert lexicon.canonical("determin") == "manage"
+        assert lexicon.fold("determining") == "manage"
 
     def test_empty_file_keeps_builtins(self):
         lexicon = parse_lexicon("")

@@ -234,6 +234,19 @@ class TestLexiconMemo:
             assert [lexicon.is_verb(t) for t in tokens] == verbs
         assert canonicalize_part(sorted(expected), lexicon) == expected
 
+    # Verb runs that end the sentence, at its end or at the first period, and all-verb statements.
+    @pytest.mark.parametrize("text", ["the team is", "The backlog must be. It is", "must be", "is",
+                                      "needs progressing", "team grooms the backlog", "no verb here", ". is"])
+    def test_split_reads_a_cold_and_a_filled_memo_alike(self, text):
+        lexicon = Lexicon(extra_verbs=frozenset({"grooms"}))
+        statement = AttributeStatement("x1", text)
+        expected = reference_extract_spo(text, "Team Board", lexicon)
+        assert not lexicon._verdicts
+        assert tuple(extract_spo(statement, "Team Board", lexicon)) == expected
+        for token in tokenize(text):
+            lexicon.is_verb(token)
+        assert tuple(extract_spo(statement, "Team Board", lexicon)) == expected
+
     @given(lexicon=st.one_of(st.just(EMPTY_LEXICON), _lexicons()), token=_raw_tokens)
     def test_no_memo_is_shared_between_lexicons(self, lexicon, token):
         canonicalize_part([token], lexicon)  # fill this lexicon's memo

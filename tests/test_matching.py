@@ -197,6 +197,14 @@ class TestMaxMatching:
     def test_empty_candidates(self):
         assert max_matching([], 4, 5) == MatchSet((), 4, 5)
 
+    def test_an_empty_list_gives_the_empty_set_of_its_sizes_and_refuses_negative_ones(self):
+        for _ in range(2):  # a refused size is not kept
+            with pytest.raises(ValueError, match="non-negative"):
+                max_matching([], -1, 2)
+        for sizes in ((3, 5), (3, 4), (3, 5), (5, 3), (0, 0)):
+            assert max_matching([], *sizes) == MatchSet((), *sizes)
+        assert max_matching([], 3, 5) is max_matching([], 3, 5)
+
     def test_case_study_matching(self):
         candidates = [cand(3, 3), cand(4, 4), cand(6, 6)]
         selected = max_matching(candidates, 6, 6)
@@ -278,7 +286,7 @@ class TestMaxMatching:
     def test_refuses_a_hand_built_level_outside_1_to_3(self, level):
         # At level 100 the weights would rank the lone a1-b1 above the larger {a1-b2, a2-b1}.
         bad = cand(1, 1, level)
-        for candidates in ([bad, cand(1, 2, 1), cand(2, 1, 1)], [cand(1, 2, 1), cand(2, 1, 1), bad]):
+        for candidates in ([bad, cand(1, 2, 1), cand(2, 1, 1)], [cand(1, 2, 1), cand(2, 1, 1), bad], [bad]):
             assert outcome(max_matching, candidates, 2, 2) == (
                 f"candidate {bad.left} - {bad.right} has level {level!r}, not 1 to 3")
 
