@@ -41,6 +41,8 @@ class MatchSet(Checked, namedtuple("MatchSet", "pairs left_size right_size")):
 
     def __new__(cls, pairs: Iterable[CandidatePair], left_size: int, right_size: int):
         pairs = tuple(pairs)
+        if type(left_size) is not int or type(right_size) is not int:
+            raise ValueError(f"attribute set sizes must be int, got {left_size!r} and {right_size!r}")
         if left_size < 0 or right_size < 0:
             raise ValueError("attribute set sizes must be non-negative")
         if pairs:  # with no pairs these checks cannot fail
@@ -105,17 +107,19 @@ def candidate_pairs(
 def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -> list[int]:
     """Maximum-weight matching of rows ``0..len(adjacency)-1`` to columns ``0..columns-1``.
 
-    ``adjacency[i]`` lists ``(column, weight)`` for the candidate cells of
-    row ``i``, every weight positive.  Returns the column of each row, or
-    -1 for its private "unmatched" column of weight 0, so every row is
-    assigned.  Rows are inserted one at a time, each by a Dijkstra search
-    for the shortest augmenting path under row potentials ``u`` and column
-    potentials ``v``, so a later row can displace an earlier one.  A
-    private column is never stored and keeps potential 0: a row reached at
-    distance ``d`` has it at ``d - u[row]``.  A search stops no later than
-    the private column of any row it reaches, so no ``u`` rises above 0.
-    The reduced cost of a cell is ``-weight - u[row] - v[column]``; only
-    the root's cells may be negative.
+    ``adjacency[i]`` lists ``(column, cost)`` for the cells of row ``i``,
+    each cost a negated weight, so negative.  Returns the column of each
+    row, or -1 for its private "unmatched" column of cost 0.  Rows are
+    inserted one at a time, each by a Dijkstra search for the cheapest
+    augmenting path under row potentials ``u`` and column potentials
+    ``v``, so a later row can displace an earlier one.  A private column
+    is never stored and keeps potential 0: a row reached at distance ``d``
+    has it at ``d - u[row]``.  A search stops no later than the private
+    column of any row it reaches, so no ``u`` rises above 0.  A cell's
+    reduced cost is ``cost - u[row] - v[column]``; only the root's may be
+    negative.  The first pop, the root's cheapest cell (ties to the smaller
+    column), needs no search when it costs 0 or more (the root stays
+    unmatched) or its column is free (the root takes it, ``u[root] += d``).
     """
     row_of = [-1] * columns  # row holding each column, -1 when free
     col_of = [-1] * len(adjacency)  # column of each row, -1 on its private column
@@ -124,10 +128,17 @@ def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -
     for root in range(len(adjacency)):
         if not adjacency[root]:  # a row with no cells keeps its private column
             continue
-        heap = [(-weight - v[j], j, root) for j, weight in adjacency[root]]
+        heap = [(cost - v[j], j, root) for j, cost in adjacency[root]]
+        d, j, _ = min(heap)
+        if d >= 0:  # a held column: the search would stop at this pop
+            continue
+        if row_of[j] < 0:
+            u[root] += d
+            row_of[j], col_of[root] = root, j
+            continue
         heapify(heap)
-        done: dict[int, tuple[int, int]] = {}  # scanned column -> (distance, row it came from)
-        tree = [(root, 0)]  # rows reached, with their distances
+        prev = [-1] * columns  # row each scanned column was reached from, -1 before its scan
+        tree = []  # rows reached past the root, with the distance of the column each holds
         end, end_row, end_col = 0, root, -1  # nearest end: the root's private column
         while heap:
             d, j, i = heappop(heap)
@@ -135,9 +146,9 @@ def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -
             # matchings of one total, and the weights give every set of cells its own.
             if d >= end:
                 break
-            if j in done:
+            if prev[j] >= 0:
                 continue
-            done[j] = (d, i)
+            prev[j] = i
             row = row_of[j]
             if row < 0:
                 end, end_col = d, j
@@ -146,18 +157,18 @@ def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -
             base = d - u[row]  # also the distance of the row's private column
             if base < end:
                 end, end_row = base, row
-            for k, weight in adjacency[row]:
-                if k not in done:
-                    heappush(heap, (base - weight - v[k], k, row))
-        for i, d in tree:
+            for k, cost in adjacency[row]:
+                if prev[k] < 0:
+                    heappush(heap, (base + cost - v[k], k, row))
+        u[root] += end
+        for i, d in tree:  # a free end column is scanned at ``end`` and keeps its potential
             u[i] += end - d
-        for j, (d, _) in done.items():
-            v[j] -= end - d
+            v[col_of[i]] -= end - d
         if end_col < 0:  # end_row leaves its column for its private one
             end_col, col_of[end_row] = col_of[end_row], -1
         j = end_col
         while j >= 0:  # shift each row on the path; the root's old column is -1
-            i = done[j][1]
+            i = prev[j]
             row_of[j], col_of[i], j = i, j, col_of[i]
     return col_of
 
@@ -208,23 +219,29 @@ def max_matching(
     rule's choice whatever order the solve visits rows, columns and paths in.
     """
     if isinstance(candidates, list) and len(candidates) < 2:
-        if not candidates:
+        if candidates:
+            _check_level(candidates[0])
+        elif type(left_size) is type(right_size) is int:  # sizes 2.0 would find the set of 2
             return _EMPTY_MATCHES[left_size, right_size]
-        _check_level(candidates[0])
         return MatchSet(candidates, left_size, right_size)
     if type(candidates) is _Candidates and candidates == candidates._items:
         cells = candidates._cells
     else:
         cells = _ranked(candidates)
-    rows, columns = {i for i, _, _ in cells}, {j for _, j, _ in cells}
-    if len(rows) == len(cells) == len(columns):
-        return MatchSet([pair for _, _, pair in cells], left_size, right_size)
-    # Positions order the cells as their (row, column) references do.
-    cells = sorted(cells)
+        if not cells:
+            return MatchSet((), left_size, right_size)
+    rows, columns, pairs = zip(*cells)
+    if len(set(rows)) == len(cells) == len(set(columns)):
+        return MatchSet(pairs, left_size, right_size)
     count = len(cells)
     bonus = (3 * count + 2) << count
+    costs = [-bonus - (level << count) for level in range(4)]
+    tie = 1 << count
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(max(rows) + 1)]
-    for rank, (i, j, pair) in enumerate(cells):
-        adjacency[i].append((j, bonus + (pair.level << count) + (1 << (count - 1 - rank))))
+    # Positions order the cells as their (row, column) references do.
+    for i, j, pair in sorted(cells):
+        tie >>= 1
+        adjacency[i].append((j, costs[pair.level] - tie))
     col_of = _max_weight_matching(adjacency, max(columns) + 1)
+    # Carried cells come in (left, right) reference order, so MatchSet's sort finds them presorted.
     return MatchSet([pair for i, j, pair in cells if col_of[i] == j], left_size, right_size)

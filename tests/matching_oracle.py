@@ -40,6 +40,8 @@ def mirror(match: MatchSet) -> MatchSet:
 def _match_set(pairs: Iterable[CandidatePair], left_size: int, right_size: int) -> MatchSet:
     """``pairs`` sorted into a ``MatchSet``, checked here with ``MatchSet``'s rules and messages."""
     pairs = tuple(sorted(pairs))
+    if type(left_size) is not int or type(right_size) is not int:
+        raise ValueError(f"attribute set sizes must be int, got {left_size!r} and {right_size!r}")
     if left_size < 0 or right_size < 0:
         raise ValueError("attribute set sizes must be non-negative")
     if len({p.left for p in pairs}) != len(pairs) or len({p.right for p in pairs}) != len(pairs):

@@ -11,15 +11,18 @@ unmutated; they must all pass.  Then, for each mutant, it replaces the
 mutant's old text, which must occur exactly once in its file, with the
 new text, runs ``pytest -x -q`` on the mutant's tests, and puts the old
 text back.  It exits non-zero when an old text does not occur exactly
-once, when a listed test fails unmutated, or when a mutant survives, so a
-refactor of the code a mutant edits updates the catalogue with it.
+once, when a listed test fails unmutated, or when a mutant is not caught,
+so a refactor of the code a mutant edits updates the catalogue with it.
 
 A mutant is caught only when pytest reports a failed test (exit code 1);
-a collection or usage error is reported as an error.  Hypothesis tests
-run with ``--hypothesis-seed=0`` and, under the ``mutants`` profile of
-``tests/conftest.py``, without shrinking.  Each mutant lists its fast
-deterministic tests first, and the catalogue lists no equivalent mutant:
-every mutant changes what some input gives.
+a collection or usage error is reported as an error.  So is a run killed
+after ``TIMEOUT_S`` seconds, since a mutant can make the solve loop: it
+is reported as ``error (timed out)``, the file is restored and the next
+mutant runs.  Hypothesis tests run with ``--hypothesis-seed=0`` and,
+under the ``mutants`` profile of ``tests/conftest.py``, without
+shrinking.  Each mutant lists its fast deterministic tests first, and the
+catalogue lists no equivalent mutant: every mutant changes what some
+input gives.
 """
 
 from __future__ import annotations
@@ -142,14 +145,51 @@ MUTANTS = (
            "if False:",
            (f"{T_MATCHING}::TestMaxMatching::test_refuses_a_hand_built_level_outside_1_to_3",)),
     Mutant("one-candidate-level-unchecked", MATCHING,
-           "        _check_level(candidates[0])\n",
-           "",
+           "            _check_level(candidates[0])\n",
+           "            pass\n",
            (f"{T_MATCHING}::TestMaxMatching::test_refuses_a_hand_built_level_outside_1_to_3",)),
     Mutant("empty-set-keyed-by-left-size", MATCHING,
            "return _EMPTY_MATCHES[left_size, right_size]",
            "return _EMPTY_MATCHES.setdefault(left_size, MatchSet((), left_size, right_size))",
            (f"{T_MATCHING}::TestMaxMatching"
             "::test_an_empty_list_gives_the_empty_set_of_its_sizes_and_refuses_negative_ones",)),
+    Mutant("empty-set-of-an-equal-size", MATCHING,
+           "if type(left_size) is type(right_size) is int:",
+           "if True:",
+           (f"{T_MATCHING}::TestMaxMatching::test_refuses_sizes_that_are_not_int",)),
+    Mutant("size-type-unchecked", MATCHING,
+           "if type(left_size) is not int or type(right_size) is not int:",
+           "if False:",
+           (f"{T_MATCHING}::TestMaxMatching::test_refuses_sizes_that_are_not_int",
+            "tests/test_value_types.py::test_replace_runs_the_constructor_checks")),
+    Mutant("empty-iterable-unguarded", MATCHING,
+           "        if not cells:\n            return MatchSet((), left_size, right_size)\n",
+           "",
+           (f"{T_MATCHING}::TestMaxMatching::test_any_iterable_of_candidates",)),
+    Mutant("ranks-from-reversed-cells", MATCHING,
+           "for i, j, pair in sorted(cells):",
+           "for i, j, pair in sorted(cells, reverse=True):",
+           (f"{T_MATCHING}::TestMaxMatching::test_tie_break_reads_the_side_with_the_smaller_context",)),
+    # The solve (``_max_weight_matching``): the first pop, then the search.
+    Mutant("cheapest-free-column-first", MATCHING,
+           "d, j, _ = min(heap)",
+           "d, j, _ = min([cell for cell in heap if row_of[cell[1]] < 0] or heap)",
+           (f"{T_MATCHING}::TestDenseReference::test_a_held_best_column_is_searched_from",)),
+    Mutant("first-pop-column-unchecked", MATCHING,
+           "if row_of[j] < 0:",
+           "if True:",
+           (f"{T_MATCHING}::TestDenseReference::test_a_held_best_column_is_searched_from",
+            f"{T_MATCHING}::TestDenseReference::test_later_row_displaces_an_earlier_one")),
+    Mutant("first-pop-potential-unset", MATCHING,
+           "            u[root] += d\n",
+           "",
+           (f"{T_MATCHING}::TestDenseReference"
+            "::test_agreement_on_seeded_instances_shaped_like_the_solve_heavy_workloads",)),
+    Mutant("scanned-column-potential-unset", MATCHING,
+           "            v[col_of[i]] -= end - d\n",
+           "",
+           (f"{T_MATCHING}::TestDenseReference"
+            "::test_agreement_on_seeded_instances_shaped_like_the_solve_heavy_workloads",)),
     # ``map_contexts``: a fresh scorer holds only the practice, so each framework
     # concept is first held inside the pair loop; the report is the same.
     Mutant("framework-held-in-the-pair-loop", "src/essencemap/mapper.py",
@@ -164,10 +204,18 @@ MUTANTS = (
 )
 
 
-def pytest_run(directory: Path, tests) -> int:
+def pytest_run(directory: Path, tests) -> int | None:
+    """pytest's exit code, or ``None`` when the run passes ``TIMEOUT_S`` and is killed."""
     env = dict(os.environ, PYTHONPATH=str(directory / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, *PYTEST, *tests], cwd=directory, env=env, timeout=TIMEOUT_S,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run([sys.executable, *PYTEST, *tests], cwd=directory, env=env, timeout=TIMEOUT_S,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def verdict(code: int | None) -> str:
+    return {0: "SURVIVED", 1: "caught", None: "error (timed out)"}.get(code, f"error (pytest exit {code})")
 
 
 def main(names: list[str]) -> int:
@@ -197,7 +245,7 @@ def main(names: list[str]) -> int:
         tests = list(dict.fromkeys(test for mutant in mutants for test in mutant.tests))
         code = pytest_run(directory, tests)
         if code != 0:
-            print(f"the listed tests do not pass unmutated (pytest exit {code})", file=sys.stderr)
+            print(f"the listed tests do not pass unmutated: {verdict(code)}", file=sys.stderr)
             return 1
         for mutant in mutants:
             path = directory / mutant.path
@@ -208,8 +256,7 @@ def main(names: list[str]) -> int:
                 code = pytest_run(directory, mutant.tests)
             finally:
                 path.write_text(original, encoding="utf-8")
-            verdict = {0: "SURVIVED", 1: "caught"}.get(code, f"error (pytest exit {code})")
-            print(f"{mutant.name:45} {verdict:10} {time.monotonic() - began:5.1f} s")
+            print(f"{mutant.name:45} {verdict(code):10} {time.monotonic() - began:5.1f} s")
             if code != 1:
                 problems.append(mutant.name)
     seconds = time.monotonic() - start

@@ -290,6 +290,20 @@ class TestMaxMatching:
             assert outcome(max_matching, candidates, 2, 2) == (
                 f"candidate {bad.left} - {bad.right} has level {level!r}, not 1 to 3")
 
+    @pytest.mark.parametrize("sizes", [(2.5, True), (2.0, 2), (2, True), (True, 1)])
+    def test_refuses_sizes_that_are_not_int(self, sizes):
+        for filled in ((2, 2), (1, 1)):  # the shared empty sets that sizes 2.0 or True would find
+            max_matching([], *filled)
+        message = f"attribute set sizes must be int, got {sizes[0]!r} and {sizes[1]!r}"
+        for candidates in ([], [cand(1, 1)], [cand(1, 1), cand(1, 2)], [cand(1, 1), cand(2, 2)]):
+            assert outcome(max_matching, candidates, *sizes) == message
+        assert outcome(MatchSet, (), *sizes) == message
+
+    @pytest.mark.parametrize("candidates", [[], [cand(1, 2)], [cand(1, 1), cand(1, 2), cand(2, 1)]])
+    def test_any_iterable_of_candidates(self, candidates):
+        expected = max_matching(candidates, 2, 2)
+        assert max_matching(tuple(candidates), 2, 2) == max_matching(iter(candidates), 2, 2) == expected
+
 
 class TestAtMostOneCell:
     """``max_matching`` returns at most one distinct cell before it builds conflict sets."""
@@ -487,6 +501,25 @@ class TestDenseReference:
             assert max_matching(pairs, n_left, n_right) == expected
             mirrored = [flip(p) for p in pairs]
             assert max_matching(mirrored, n_right, n_left) == mirror(expected)
+
+    def test_a_held_best_column_is_searched_from(self):
+        # a1 takes b3 first; a2's best column is then b3, which a1 holds.  Both
+        # matchings of level 4 are maximum, and the tie rule moves a1 off b3;
+        # giving a2 its best free column, b2, would keep {a1-b3, a2-b2}.
+        candidates = [cand(1, 3, 3), cand(1, 1, 1), cand(2, 3, 3), cand(2, 2, 1)]
+        for matcher in (max_matching, dense_reference_matching, brute_force_matching):
+            assert matched_cells(matcher(candidates, 2, 3)) == [("a1", "b1"), ("a2", "b3")]
+
+    @pytest.mark.parametrize("side,density,levels", [(20, 0.27, (1, 3)), (8, 0.25, (2, 3))],
+                             ids=["20x20-like-matching-dense", "8x8-like-annotated-hybrid"])
+    def test_agreement_on_seeded_instances_shaped_like_the_solve_heavy_workloads(self, side, density, levels):
+        rng = random.Random(side)
+        for _ in range(100):
+            pairs = [cand(i, j, rng.randint(*levels))
+                     for i in range(1, side + 1) for j in range(1, side + 1) if rng.random() < density]
+            expected = dense_reference_matching(pairs, side, side)
+            assert max_matching(pairs, side, side) == expected
+            assert max_matching([flip(p) for p in pairs], side, side) == mirror(expected)
 
     def test_later_row_displaces_an_earlier_one(self):
         # a1 takes b1 first; a2 must push it back to unmatched

@@ -85,6 +85,7 @@ _CHECKED = [
     (Lexicon(), {"extra_verbs": {"a b"}}, "verb 'a b' can never match: text tokenizes to ['a', 'b']"),
     (Lexicon(), {"synonym_groups": (("go", "go"),)}, "duplicate token 'go' within synonym group ('go', 'go')"),
     (_NO_MATCH, {"left_size": -1}, "attribute set sizes must be non-negative"),
+    (_NO_MATCH, {"right_size": True}, "attribute set sizes must be int, got 1 and True"),
     (MappingResult("X/A", "Y/B", _NO_MATCH, Fraction(0), "independent"), {"relation": "equivalent"},
      "independent and zero similarity must coincide"),
 ]
