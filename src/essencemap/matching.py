@@ -117,9 +117,7 @@ def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -
     has it at ``d - u[row]``.  A search stops no later than the private
     column of any row it reaches, so no ``u`` rises above 0.  A cell's
     reduced cost is ``cost - u[row] - v[column]``; only the root's may be
-    negative.  The first pop, the root's cheapest cell (ties to the smaller
-    column), needs no search when it costs 0 or more (the root stays
-    unmatched) or its column is free (the root takes it, ``u[root] += d``).
+    negative.
     """
     row_of = [-1] * columns  # row holding each column, -1 when free
     col_of = [-1] * len(adjacency)  # column of each row, -1 on its private column
@@ -129,13 +127,6 @@ def _max_weight_matching(adjacency: list[list[tuple[int, int]]], columns: int) -
         if not adjacency[root]:  # a row with no cells keeps its private column
             continue
         heap = [(cost - v[j], j, root) for j, cost in adjacency[root]]
-        d, j, _ = min(heap)
-        if d >= 0:  # a held column: the search would stop at this pop
-            continue
-        if row_of[j] < 0:
-            u[root] += d
-            row_of[j], col_of[root] = root, j
-            continue
         heapify(heap)
         prev = [-1] * columns  # row each scanned column was reached from, -1 before its scan
         tree = []  # rows reached past the root, with the distance of the column each holds

@@ -170,26 +170,15 @@ MUTANTS = (
            "for i, j, pair in sorted(cells):",
            "for i, j, pair in sorted(cells, reverse=True):",
            (f"{T_MATCHING}::TestMaxMatching::test_tie_break_reads_the_side_with_the_smaller_context",)),
-    # The solve (``_max_weight_matching``): the first pop, then the search.
-    Mutant("cheapest-free-column-first", MATCHING,
-           "d, j, _ = min(heap)",
-           "d, j, _ = min([cell for cell in heap if row_of[cell[1]] < 0] or heap)",
-           (f"{T_MATCHING}::TestDenseReference::test_a_held_best_column_is_searched_from",)),
-    Mutant("first-pop-column-unchecked", MATCHING,
-           "if row_of[j] < 0:",
-           "if True:",
-           (f"{T_MATCHING}::TestDenseReference::test_a_held_best_column_is_searched_from",
-            f"{T_MATCHING}::TestDenseReference::test_later_row_displaces_an_earlier_one")),
-    Mutant("first-pop-potential-unset", MATCHING,
-           "            u[root] += d\n",
+    # The solve (``_max_weight_matching``): the potential updates after a search.
+    Mutant("root-potential-unset", MATCHING,
+           "        u[root] += end\n",
            "",
-           (f"{T_MATCHING}::TestDenseReference"
-            "::test_agreement_on_seeded_instances_shaped_like_the_solve_heavy_workloads",)),
+           (f"{T_MATCHING}::TestDenseReference::test_agreement_on_seeded_instances",)),
     Mutant("scanned-column-potential-unset", MATCHING,
            "            v[col_of[i]] -= end - d\n",
            "",
-           (f"{T_MATCHING}::TestDenseReference"
-            "::test_agreement_on_seeded_instances_shaped_like_the_solve_heavy_workloads",)),
+           (f"{T_MATCHING}::TestDenseReference::test_agreement_on_seeded_instances",)),
     # ``map_contexts``: a fresh scorer holds only the practice, so each framework
     # concept is first held inside the pair loop; the report is the same.
     Mutant("framework-held-in-the-pair-loop", "src/essencemap/mapper.py",

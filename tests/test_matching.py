@@ -45,12 +45,12 @@ def cand(i, j, level=2):
     return CandidatePair(ref_l(i), ref_r(j), level)
 
 
-def random_instance(rng, max_side=6, densities=(0.15, 0.3, 0.5, 0.7)):
-    n_left = rng.randint(0, max_side)
-    n_right = rng.randint(0, max_side)
+def random_instance(rng, max_side=6, densities=(0.15, 0.3, 0.5, 0.7), min_side=0, levels=(1, 3)):
+    n_left = rng.randint(min_side, max_side)
+    n_right = rng.randint(min_side, max_side)
     density = rng.choice(densities)
     pairs = [
-        cand(i, j, rng.randint(1, 3))
+        cand(i, j, rng.randint(*levels))
         for i in range(1, n_left + 1)
         for j in range(1, n_right + 1)
         if rng.random() < density
@@ -491,11 +491,15 @@ class TestDenseReference:
     """The sparse solve against the dense zero-filled assignment it replaced,
     on sides above the exhaustive oracle's bound."""
 
-    def test_agreement_on_200_seeded_instances_up_to_24_a_side(self):
-        rng = random.Random(0xD15E)
-        densities = (0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9)
-        for _ in range(200):
-            pairs, n_left, n_right = random_instance(rng, 24, densities)
+    @pytest.mark.parametrize("seed,count,shape", [
+        (0xD15E, 200, dict(max_side=24, densities=(0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9))),
+        (20, 100, dict(min_side=20, max_side=20, densities=(0.27,))),
+        (8, 100, dict(min_side=8, max_side=8, densities=(0.25,), levels=(2, 3))),
+    ], ids=["200-up-to-24-a-side", "100-20x20-like-matching-dense", "100-8x8-like-annotated-hybrid"])
+    def test_agreement_on_seeded_instances(self, seed, count, shape):
+        rng = random.Random(seed)
+        for _ in range(count):
+            pairs, n_left, n_right = random_instance(rng, **shape)
             rng.shuffle(pairs)
             expected = dense_reference_matching(pairs, n_left, n_right)
             assert max_matching(pairs, n_left, n_right) == expected
@@ -509,17 +513,6 @@ class TestDenseReference:
         candidates = [cand(1, 3, 3), cand(1, 1, 1), cand(2, 3, 3), cand(2, 2, 1)]
         for matcher in (max_matching, dense_reference_matching, brute_force_matching):
             assert matched_cells(matcher(candidates, 2, 3)) == [("a1", "b1"), ("a2", "b3")]
-
-    @pytest.mark.parametrize("side,density,levels", [(20, 0.27, (1, 3)), (8, 0.25, (2, 3))],
-                             ids=["20x20-like-matching-dense", "8x8-like-annotated-hybrid"])
-    def test_agreement_on_seeded_instances_shaped_like_the_solve_heavy_workloads(self, side, density, levels):
-        rng = random.Random(side)
-        for _ in range(100):
-            pairs = [cand(i, j, rng.randint(*levels))
-                     for i in range(1, side + 1) for j in range(1, side + 1) if rng.random() < density]
-            expected = dense_reference_matching(pairs, side, side)
-            assert max_matching(pairs, side, side) == expected
-            assert max_matching([flip(p) for p in pairs], side, side) == mirror(expected)
 
     def test_later_row_displaces_an_earlier_one(self):
         # a1 takes b1 first; a2 must push it back to unmatched
