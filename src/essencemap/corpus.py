@@ -25,9 +25,9 @@ closed once), plus the duplicate checks across lines, since only they know
 the line of the second occurrence.  Every value rule lives in the model:
 each line builds its model object (:class:`SemanticContext`,
 :class:`Concept`, :class:`AttributeStatement`, :class:`ObjectInstance`,
-:func:`~essencemap.lta.add_synonym_group`, :meth:`AnnotationTable.add`,
-...), which raises ``ValueError`` as the shape checks do; one handler per
-parser loop turns that error into a :class:`CorpusSyntaxError` at that line.
+:func:`~essencemap.lta.add_synonym_group`, an :class:`AnnotationTable`
+entry, ...), which raises ``ValueError`` as the shape checks do; one handler
+per parser loop turns that error into a :class:`CorpusSyntaxError` at that line.
 
 Every parser reads its text one piece of lines at a time
 (:func:`_line_pieces`), so the extra memory of a parse is about one piece.
@@ -53,38 +53,41 @@ from .lta import LEVEL_RANGE, NO_LEVELS, Lexicon, add_synonym_group, check_one_t
 
 
 class AnnotationTable:
-    """Curated levels for unordered pairs of distinct attribute references.
+    """Curated levels for unordered pairs of distinct attribute references, built once.
 
-    Each reference keys a row dict from another reference to the level.
-    :func:`parse_annotations` ranks its contexts in the order given and
-    holds a pair of two ranked contexts once, in the row of the reference
-    whose context ranks first; any other pair (within one context, or in a
-    table built without contexts) sits in both rows.  So :meth:`level_for`
-    reads the other row only on a miss.  A row may be empty: the parser
-    makes one for every known reference.  ``len`` counts the pairs.
+    A table is made from ``entries`` or by :func:`parse_annotations`, and
+    nothing changes it afterwards.  Each reference keys a row dict from
+    another reference to the level.  A context ranks where it is first
+    named: in the parser's context order, or in entry order, the left
+    reference first.  A pair of two contexts sits once, in the row of the
+    reference whose context ranks first, and a pair within one context in
+    both rows, so :meth:`level_for` reads the other row only on a miss.  A
+    row may be empty: the parser makes one for every known reference.
+    ``len`` counts the pairs.
     """
 
     def __init__(self, entries: Iterable[tuple[AttrRef, AttrRef, int]] = ()):
         self._rows: dict[AttrRef, dict[AttrRef, int]] = {}
-        self._ranks: dict[str, int] = {}  # context id -> rank; empty for a table built without contexts
+        self._ranks: dict[str, int] = {}  # context id -> rank
         self._size = 0
         for left, right, level in entries:
-            self.add(left, right, level)
+            self._add(left, right, level)
 
-    def add(self, left: AttrRef, right: AttrRef, level: int) -> None:
-        """Record one level; raises ValueError for a bad level or pair before it writes a row."""
+    def _add(self, left: AttrRef, right: AttrRef, level: int) -> None:
+        """Record one entry of a table being built; raises ValueError for a bad level or pair before it writes."""
         if type(level) is not int or level not in LEVEL_RANGE:
             raise ValueError(f"level must be between 0 and 3 (0..3), got {level!r} for {left} / {right}")
         if left == right:
             # Never read: StatementScorer.level scores a row 3 against its own reference.
             raise ValueError(f"cannot annotate {left} against itself")
-        rows, rank = self._rows, self._ranks.get
+        rows, ranks = self._rows, self._ranks
         if right in rows.get(left, NO_LEVELS) or left in rows.get(right, NO_LEVELS):
             raise ValueError(f"duplicate annotation for pair {left} / {right}")
-        first, second = rank(left.context), rank(right.context)
-        if first is None or second is None or first <= second:
+        first = ranks.setdefault(left.context, len(ranks))
+        second = ranks.setdefault(right.context, len(ranks))
+        if first <= second:
             rows.setdefault(left, {})[right] = level
-        if first is None or second is None or first >= second:
+        if first >= second:
             rows.setdefault(right, {})[left] = level
         self._size += 1
 
@@ -281,7 +284,7 @@ def parse_annotations(
     first-ranked reference, and the other row too when the ranks are equal,
     and goes on when its references differ and that first row grew, so the
     pair is new.  Any other line that is not blank or a comment takes the
-    checked path, which ends in :meth:`AnnotationTable.add`, the only place
+    checked path, which ends in ``AnnotationTable._add``, the only place
     that rejects a self pair or a repeat, at its own line; a table a repeat
     wrote into is discarded.
     """
@@ -347,7 +350,7 @@ def parse_annotations(
                     level = int(level_text.strip())
                 except ValueError:
                     raise ValueError(f"level must be an integer, got {level_text.strip()!r}") from None
-                table.add(resolve(number, ref_texts[0]), resolve(number, ref_texts[1]), level)
+                table._add(resolve(number, ref_texts[0]), resolve(number, ref_texts[1]), level)
             except ValueError as exc:
                 raise CorpusSyntaxError(str(exc), source=name, line=number) from None
     table._size += fast

@@ -136,15 +136,15 @@ class Lexicon(Checked, namedtuple("Lexicon", "synonym_groups extra_stopwords ext
     ``stopwords`` holds the built-in and the extra stopwords.  Every
     stopword, verb and group member must pass :func:`check_one_token`.
 
-    Each instance memoizes, per raw token, its :meth:`fold` and its
-    :meth:`is_verb` answer in two :class:`Memo` dicts that fill themselves
-    on a miss; their compute functions hold the word sets, not the
-    instance, so no reference cycle forms.  The memos are the instance's
-    own, so two lexicons never share one.  They are never pruned: the
-    shared :data:`EMPTY_LEXICON`'s memos grow with the vocabulary a
-    process sees.  The word sets and memos are set at construction in the
-    instance dict, which equality and hashing ignore; assigning an
-    attribute still raises ``AttributeError``.
+    Each instance memoizes, per raw token, its :func:`_fold` in ``_folds``
+    and its :func:`_is_verb` answer in ``_verdicts``: two :class:`Memo`
+    dicts of its own, so no two lexicons share one, that fill themselves on
+    a miss.  Their compute functions hold the word sets, not the instance,
+    so no reference cycle forms.  The memos are never pruned: the shared
+    :data:`EMPTY_LEXICON`'s memos grow with the vocabulary a process sees.
+    The word sets and memos are set at construction in the instance dict,
+    which equality and hashing ignore; assigning an attribute still raises
+    ``AttributeError``.
     """
 
     def __new__(cls, synonym_groups: Iterable[Sequence[str]] = (),
@@ -169,14 +169,6 @@ class Lexicon(Checked, namedtuple("Lexicon", "synonym_groups extra_stopwords ext
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete attribute {name!r} of an immutable Lexicon")
-
-    def fold(self, token: str) -> Optional[str]:
-        """The :func:`_fold` of ``token`` under this lexicon's stopwords and synonym groups."""
-        return self._folds[token]
-
-    def is_verb(self, token: str) -> bool:
-        """Verb lexicon membership, matching inflections through stems."""
-        return self._verdicts[token]
 
 
 def check_one_token(token: str, what: str) -> None:
@@ -222,10 +214,6 @@ class SpoTriple(NamedTuple):
     predicate: tuple[str, ...]
     object_part: tuple[str, ...]
 
-    @property
-    def has_verb(self) -> bool:
-        return bool(self.predicate)
-
 
 def extract_spo(
     statement: AttributeStatement, owner: str, lexicon: Lexicon = EMPTY_LEXICON
@@ -259,7 +247,7 @@ def extract_spo(
 def canonicalize_part(
     tokens: Iterable[str], lexicon: Lexicon = EMPTY_LEXICON
 ) -> frozenset[str]:
-    """Canonical token set of one sentence part: each token's :meth:`Lexicon.fold`, less the dropped ones.
+    """Canonical token set of one sentence part: each token's ``lexicon._folds`` entry, less the dropped ones.
 
     The result is a fixed point of this function.
     """

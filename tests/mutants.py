@@ -51,9 +51,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest ids, fast deterministic ones first
 
 
-LTA, MATCHING = "src/essencemap/lta.py", "src/essencemap/matching.py"
+LTA, MATCHING, CORPUS = "src/essencemap/lta.py", "src/essencemap/matching.py", "src/essencemap/corpus.py"
 T_LTA, T_MATCHING = "tests/test_lta.py", "tests/test_matching.py"
-T_CLI, T_REPORTS = "tests/test_cli.py", "tests/test_workload_reports.py"
+T_CLI, T_REPORTS, T_CORPUS = "tests/test_cli.py", "tests/test_workload_reports.py", "tests/test_corpus.py"
 
 MUTANTS = (
     # The lexicon's memos and the statement split.
@@ -131,6 +131,25 @@ MUTANTS = (
            "pairs.append((a, b, get(b.ref)))",
            "pairs.append((a, b, get(b.ref, 0)))",
            (f"{T_REPORTS}::test_seed_1_report_hash[scoring-wide]",)),
+    # The storage rule of ``AnnotationTable._add``: contexts rank as first named, the left
+    # reference first, and a pair sits in the row of each reference that ranks no later.
+    Mutant("table-right-context-ranked-first", CORPUS,
+           "        first = ranks.setdefault(left.context, len(ranks))\n"
+           "        second = ranks.setdefault(right.context, len(ranks))\n",
+           "        second = ranks.setdefault(right.context, len(ranks))\n"
+           "        first = ranks.setdefault(left.context, len(ranks))\n",
+           (f"{T_CORPUS}::TestAnnotationTable::test_contexts_rank_where_first_named_the_left_reference_first",
+            f"{T_CORPUS}::TestAnnotationTableProperties::test_symmetric_counted_once_and_held_by_the_one_rule")),
+    Mutant("table-same-context-pair-not-in-the-left-row", CORPUS,
+           "if first <= second:",
+           "if first < second:",
+           (f"{T_CORPUS}::TestAnnotationTable::test_contexts_rank_where_first_named_the_left_reference_first",
+            f"{T_CORPUS}::TestAnnotationTableProperties::test_symmetric_counted_once_and_held_by_the_one_rule")),
+    Mutant("table-same-context-pair-not-in-the-right-row", CORPUS,
+           "if first >= second:",
+           "if first > second:",
+           (f"{T_CORPUS}::TestAnnotationTable::test_contexts_rank_where_first_named_the_left_reference_first",
+            f"{T_CORPUS}::TestAnnotationTableProperties::test_symmetric_counted_once_and_held_by_the_one_rule")),
     # The solve's input (``candidate_pairs``, ``max_matching``).
     Mutant("never-flipped", MATCHING,
            "flipped = (context2, c2.name) < (context1, c1.name)",
@@ -148,6 +167,10 @@ MUTANTS = (
            "            _check_level(candidates[0])\n",
            "            pass\n",
            (f"{T_MATCHING}::TestMaxMatching::test_refuses_a_hand_built_level_outside_1_to_3",)),
+    Mutant("match-set-size-bound-unchecked", MATCHING,
+           "if len(pairs) > min(left_size, right_size):",
+           "if False:",
+           ("tests/test_value_types.py::test_replace_runs_the_constructor_checks",)),
     Mutant("empty-set-keyed-by-left-size", MATCHING,
            "return _EMPTY_MATCHES[left_size, right_size]",
            "return _EMPTY_MATCHES.setdefault(left_size, MatchSet((), left_size, right_size))",

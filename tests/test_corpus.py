@@ -189,17 +189,17 @@ class TestSerializeConcepts:
 class TestParseLexicon:
     def test_bundled_lexicon(self, tuned_lexicon):
         assert ("are", "progress") in tuned_lexicon.synonym_groups
-        assert tuned_lexicon.fold("owner") == "requirement"
+        assert tuned_lexicon._folds["owner"] == "requirement"
 
     def test_group_canonicalizes_to_first_member(self):
         lexicon = parse_lexicon("syn: manage, managing, determining\n")
-        assert lexicon.fold("determining") == "manage"
+        assert lexicon._folds["determining"] == "manage"
 
     def test_empty_file_keeps_builtins(self):
         lexicon = parse_lexicon("")
         assert lexicon.synonym_groups == ()
         assert "the" in lexicon.stopwords
-        assert lexicon.is_verb("is")
+        assert lexicon._verdicts["is"]
 
     def test_token_in_two_groups_errors_on_second_line(self):
         with pytest.raises(CorpusSyntaxError, match="another synonym group") as info:
@@ -218,8 +218,8 @@ class TestParseLexicon:
     def test_stop_and_verb_lines(self):
         lexicon = parse_lexicon("stop: foo, bar\nverb: frobnicates\n")
         assert {"foo", "bar"} <= lexicon.stopwords
-        assert lexicon.is_verb("frobnicates")
-        assert lexicon.is_verb("frobnicating")  # same stem as the listed form
+        assert lexicon._verdicts["frobnicates"]
+        assert lexicon._verdicts["frobnicating"]  # same stem as the listed form
 
     def test_tokens_are_lowercased(self):
         lexicon = parse_lexicon("syn: Alpha, BETA\n")
@@ -358,6 +358,17 @@ class TestAnnotationTable:
         table = AnnotationTable(())
         assert table.level_for(AttrRef("X", "A", "a1"), AttrRef("Y", "B", "b1")) is None
 
+    def test_contexts_rank_where_first_named_the_left_reference_first(self):
+        a1, a2, b1 = AttrRef("X", "A", "a1"), AttrRef("X", "A", "a2"), AttrRef("Y", "B", "b1")
+        entries = [(a1, b1, 2), (a2, a1, 1)]
+        # X ranks first, so only a1 holds the cross-context pair; both hold the pair within X.
+        assert AnnotationTable(entries)._rows == {a1: {b1: 2, a2: 1}, a2: {a1: 1}}
+        # The parser ranks Y first, and makes a row for every known reference.
+        parsed = parse_annotations("pair: X/A.a1 Y/B.b1 = 2\npair: X/A.a2 X/A.a1 = 01\n", _TABLE_CONTEXTS)
+        assert parsed._rows == {b1: {a1: 2}, AttrRef("Y", "B", "b2"): {}, a1: {a2: 1}, a2: {a1: 1}}
+        for table in (AnnotationTable(entries), parsed):
+            assert (dict(table.row(a1)), dict(table.row(b1)), len(table)) == ({b1: 2, a2: 1}, {a1: 2}, 2)
+
 
 _TABLE_REFS = (AttrRef("X", "A", "a1"), AttrRef("X", "A", "a2"), AttrRef("Y", "B", "b1"), AttrRef("Y", "B", "b2"))
 _table_refs = st.sampled_from(_TABLE_REFS)
@@ -377,49 +388,87 @@ def _expected_rows(levels, refs):
             for ref in refs}
 
 
-# A table built without contexts holds every pair in both rows; one that parse_annotations
-# built over contexts Y then X holds a pair of X and Y in the row of its Y reference only.
+def _held_rows(entries, ranks):
+    """The non-empty rows the one storage rule gives ``entries`` under ``ranks`` (context id -> rank):
+    a pair sits in the row of each reference whose context ranks no later than the other's."""
+    rows = {}
+    for left, right, level in entries:
+        for ref, other in ((left, right), (right, left)):
+            if ranks[ref.context] <= ranks[other.context]:
+                rows.setdefault(ref, {})[other] = level
+    return rows
+
+
+def _nonempty_rows(table):
+    return {ref: row for ref, row in table._rows.items() if row}
+
+
+# A table built from entries ranks X and Y where an entry first names them, the left
+# reference first; parse_annotations over these contexts ranks Y, then X.  Either holds a
+# pair of X and Y once, in the row of its first-ranked reference.
 _TABLE_CONTEXTS = tuple(SemanticContext(ctx, (Concept(name, tuple(AttributeStatement(attr, "t") for attr in attrs)),))
                         for ctx, name, attrs in (("Y", "B", ("b1", "b2")), ("X", "A", ("a1", "a2"))))
-_EMPTY_TABLES = (AnnotationTable, lambda: parse_annotations("", _TABLE_CONTEXTS))
+_PARSER_RANKS = {"Y": 0, "X": 1}
+_table_entries = st.lists(st.tuples(_table_refs, _table_refs, st.integers(0, 3)).filter(lambda e: e[0] != e[1]),
+                          max_size=6, unique_by=lambda e: frozenset(e[:2]))
+
+
+def _entry_text(entries):
+    return "".join(f"pair: {left} {right} = {level}\n" for left, right, level in entries)
+
+
+def _built_tables(entries):
+    """``(table, ranks)`` from the constructor and from ``parse_annotations``."""
+    entry_ranks = {ctx: rank for rank, ctx in enumerate(dict.fromkeys(
+        ctx for left, right, _ in entries for ctx in (left.context, right.context)))}
+    return ((AnnotationTable(entries), entry_ranks),
+            (parse_annotations(_entry_text(entries), _TABLE_CONTEXTS), _PARSER_RANKS))
 
 
 class TestAnnotationTableProperties:
     @settings(max_examples=300)
-    @given(adds=st.lists(st.tuples(_table_refs, _table_refs,
-                                   st.one_of(st.integers(-1, 4), st.sampled_from([True, 2.0, "2"]))),
-                         max_size=12))
-    def test_symmetric_counted_once_and_unchanged_by_a_failed_add(self, adds):
-        for empty_table in _EMPTY_TABLES:
-            table, expected = empty_table(), {}
-            for left, right, level in adds:
-                before = (len(table), _levels(table), _rows(table, _TABLE_REFS))
-                valid = (type(level) is int and 0 <= level <= 3 and left != right
-                         and frozenset((left, right)) not in expected)
-                try:
-                    table.add(left, right, level)
-                except ValueError:
-                    assert not valid
-                    assert (len(table), _levels(table), _rows(table, _TABLE_REFS)) == before
-                else:
-                    assert valid
-                    expected[frozenset((left, right))] = level
+    @given(entries=_table_entries)
+    def test_symmetric_counted_once_and_held_by_the_one_rule(self, entries):
+        expected = {frozenset((left, right)): level for left, right, level in entries}
+        for table, ranks in _built_tables(entries):
             levels = _levels(table)
             assert all(levels[left, right] == levels[right, left] for left, right in levels)
             assert levels == {pair: expected.get(frozenset(pair)) for pair in levels}
             assert _rows(table, _TABLE_REFS) == _expected_rows(expected, _TABLE_REFS)
+            assert _nonempty_rows(table) == _held_rows(entries, ranks)
             assert len(table) == len(expected)
 
-    @given(left=_table_refs, right=_table_refs, first=st.integers(0, 3), second=st.integers(0, 3))
-    def test_reversed_duplicate_raises_and_keeps_the_first_level(self, left, right, first, second):
-        assume(left != right)
-        for empty_table in _EMPTY_TABLES:
-            table = empty_table()
-            table.add(left, right, first)
-            with pytest.raises(ValueError) as info:
-                table.add(right, left, second)
-            assert str(info.value) == f"duplicate annotation for pair {right} / {left}"
-            assert (len(table), table.level_for(left, right), table.level_for(right, left)) == (1, first, first)
+    @settings(max_examples=300)
+    @given(entries=st.lists(st.tuples(_table_refs, _table_refs,
+                                      st.one_of(st.integers(-1, 4), st.sampled_from([True, 2.0, "2"]))),
+                            min_size=1, max_size=8))
+    @example(entries=[(_TABLE_REFS[0], _TABLE_REFS[2], 4)])
+    @example(entries=[(_TABLE_REFS[1], _TABLE_REFS[1], 2)])
+    @example(entries=[(_TABLE_REFS[0], _TABLE_REFS[2], 1), (_TABLE_REFS[0], _TABLE_REFS[2], 2)])
+    @example(entries=[(_TABLE_REFS[0], _TABLE_REFS[2], 1), (_TABLE_REFS[2], _TABLE_REFS[0], 2)])
+    @example(entries=[(_TABLE_REFS[0], _TABLE_REFS[1], 1), (_TABLE_REFS[1], _TABLE_REFS[0], 1)])
+    def test_the_first_bad_entry_raises_its_message(self, entries):
+        # A bad level, a self pair, or a repeat in either order.
+        seen, message = set(), None
+        for number, (left, right, level) in enumerate(entries, 1):
+            if type(level) is not int or not 0 <= level <= 3:
+                message = f"level must be between 0 and 3 (0..3), got {level!r} for {left} / {right}"
+            elif left == right:
+                message = f"cannot annotate {left} against itself"
+            elif frozenset((left, right)) in seen:
+                message = f"duplicate annotation for pair {left} / {right}"
+            else:
+                seen.add(frozenset((left, right)))
+                continue
+            break
+        assume(message is not None)
+        with pytest.raises(ValueError) as info:
+            AnnotationTable(entries)
+        assert str(info.value) == message
+        if type(level) is int:  # a level a line can hold
+            with pytest.raises(CorpusSyntaxError) as info:
+                parse_annotations(_entry_text(entries), _TABLE_CONTEXTS)
+            assert (info.value.line, info.value.reason) == (number, message)
 
 
 # '=' inside context and concept names, and a context shadowed by a later one with its id.

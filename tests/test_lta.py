@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -143,7 +144,6 @@ class TestExtractSpo:
 
     def test_verbless_statement_degrades(self):
         spo = extract_spo(AttributeStatement("x1", "purely nominal phrase"), "Thing")
-        assert not spo.has_verb
         assert spo.predicate == ()
         assert spo.subject == ("thing",)
         assert spo.object_part == ("purely", "nominal", "phrase")
@@ -231,7 +231,7 @@ class TestLexiconMemo:
             assert canonicalize_part(tokens, lexicon) == expected
             assert [canonicalize_part([t], lexicon) for t in tokens] == [
                 reference_canonicalize_part([t], lexicon) for t in tokens]
-            assert [lexicon.is_verb(t) for t in tokens] == verbs
+            assert [lexicon._verdicts[t] for t in tokens] == verbs
         assert canonicalize_part(sorted(expected), lexicon) == expected
 
     # Verb runs that end the sentence, at its end or at the first period, and all-verb statements.
@@ -244,16 +244,16 @@ class TestLexiconMemo:
         assert not lexicon._verdicts
         assert tuple(extract_spo(statement, "Team Board", lexicon)) == expected
         for token in tokenize(text):
-            lexicon.is_verb(token)
+            lexicon._verdicts[token]
         assert tuple(extract_spo(statement, "Team Board", lexicon)) == expected
 
     @given(lexicon=st.one_of(st.just(EMPTY_LEXICON), _lexicons()), token=_raw_tokens)
     def test_no_memo_is_shared_between_lexicons(self, lexicon, token):
         canonicalize_part([token], lexicon)  # fill this lexicon's memo
-        lexicon.is_verb(token)
+        lexicon._verdicts[token]
         stopping = lexicon._replace(extra_stopwords=lexicon.extra_stopwords | {token})
         assert canonicalize_part([token], stopping) == frozenset()
-        assert lexicon._replace(extra_verbs=lexicon.extra_verbs | {token}).is_verb(token)
+        assert lexicon._replace(extra_verbs=lexicon.extra_verbs | {token})._verdicts[token]
         # An equal lexicon made later answers as the uncached rule does too.
         twin = lexicon._replace()
         assert canonicalize_part([token], twin) == reference_canonicalize_part([token], lexicon)
@@ -718,6 +718,26 @@ class TestOneScorerAcrossCalls:
                 candidates = candidate_pairs(*pool[i], *pool[j], scorer, threshold)
                 assert pair_result(*pool[i], *pool[j], candidates) == map_pair(*pool[i], *pool[j], config)
 
+    def test_a_built_table_cannot_change_under_a_scorer(self):
+        # A sweep record keeps masks computed once next to a row's live view, so a table
+        # must not change once a scorer reads it: the three level-0 cells below, added
+        # after one sweep, would make the reused scorer match a1-b1 and a2-b2 as 100% equivalent.
+        assert [name for name in vars(AnnotationTable) if not name.startswith("_")] == ["row", "level_for"]
+        text = "the backlog is the goal"
+        left = Concept("A", (AttributeStatement("a1", text), AttributeStatement("a2", text)))
+        right = Concept("B", (AttributeStatement("b1", text), AttributeStatement("b2", text)))
+        a1, a2, b1, b2 = (AttrRef("X", "A", "a1"), AttrRef("X", "A", "a2"),
+                          AttrRef("Y", "B", "b1"), AttrRef("Y", "B", "b2"))
+        table = AnnotationTable([(a1, b1, 3), (a1, b2, 0), (a2, b1, 0), (a2, b2, 0)])
+        scorer = StatementScorer(EMPTY_LEXICON, table, "hybrid")
+        for _ in range(2):  # the second call reads the sweep record
+            candidates = candidate_pairs("X", left, "Y", right, scorer, 2)
+            assert candidates == [CandidatePair(a1, b1, 3)]
+        result = pair_result("X", left, "Y", right, candidates)
+        assert (result.match_set.pairs, result.similarity_pct, result.relation) == (
+            ((a1, b1, 3),), Fraction(100, 3), "related")
+        assert map_pair("X", left, "Y", right, MapConfig(annotations=table, mode="hybrid")) == result
+
     def test_a_concept_held_after_a_sweep_pairs_with_the_swept_one(self):
         # Alpha is held and swept at threshold 1; Y/Beta comes on first sight,
         # so its rows get bits that the sweep record of Alpha lacks.
@@ -871,8 +891,8 @@ class TestOutOfOrderIds:
         table, *sides = data.draw(_out_of_order_case("hybrid" if mode == "heuristic" else mode, kind))
         if _refuses_a_twin(StatementScorer(LEXICON, table, mode), kind, *sides):
             return
-        tables = [table]  # built without contexts: each pair sits in both rows
-        if kind != "twin":  # Y ranks first, so the rows of X's references are merged copies
+        tables = [table]  # built from entries, left reference X first: a pair of X and Y sits in its X row
+        if kind != "twin":  # Y ranks first here, so the rows of X's references are merged copies
             lines = [f"pair: {left} {right} = {level}"
                      for left, right in itertools.product(_attr_refs(*sides[0]), _attr_refs(*sides[1]))
                      if (level := table.level_for(left, right)) is not None]

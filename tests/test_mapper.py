@@ -45,7 +45,7 @@ def verbless_notes(contexts, lexicon):
         for context in contexts
         for concept in context.concepts
         for attr in concept.attributes
-        if not extract_spo(attr, concept.name, lexicon).has_verb
+        if not extract_spo(attr, concept.name, lexicon).predicate
     }
     return tuple(f"no verb found in {ref}; predicate similarity disabled" for ref in sorted(refs))
 

@@ -72,6 +72,7 @@ def test_pairs_sort_by_left_right_level(cells):
 
 
 _NO_MATCH = MatchSet((), 1, 1)
+_ONE_PAIR = CandidatePair(AttrRef("X", "A", "a1"), AttrRef("Y", "B", "b1"), 2)
 
 # A valid value of each checked type, a change its constructor rejects, and the message.
 _CHECKED = [
@@ -88,11 +89,12 @@ _CHECKED = [
     (_NO_MATCH, {"right_size": True}, "attribute set sizes must be int, got 1 and True"),
     (MappingResult("X/A", "Y/B", _NO_MATCH, Fraction(0), "independent"), {"relation": "equivalent"},
      "independent and zero similarity must coincide"),
+    (MatchSet([_ONE_PAIR], 1, 1), {"left_size": 0}, "match set exceeds the smaller attribute set"),
 ]
 
 _VALUES = [
     AttrRef("X", "A", "a1"),
-    CandidatePair(AttrRef("X", "A", "a1"), AttrRef("Y", "B", "b1"), 2),
+    _ONE_PAIR,
     AttributeStatement("a1", "t"),
     ObjectInstance("o1", "t"),
     Concept("A"),
@@ -140,7 +142,7 @@ def test_a_one_pair_match_set_keeps_its_pair():
 
 def test_lexicon_memo_is_private_and_not_assignable():
     lexicon = Lexicon((("plan", "roadmap"),))
-    assert lexicon.fold("roadmaps") == "plan"
+    assert lexicon._folds["roadmaps"] == "plan"
     with pytest.raises(AttributeError):
         lexicon._folds = {}
     copy = lexicon._replace()
