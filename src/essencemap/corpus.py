@@ -102,7 +102,7 @@ class AnnotationTable:
         if rank:
             row = dict(row or ())
             for other, levels in rows.items():
-                if ref in levels and ranks.get(other.context, rank) < rank:
+                if ref in levels and ranks[other.context] < rank:
                     row[other] = levels[ref]
         return NO_LEVELS if row is None else MappingProxyType(row)
 

@@ -164,17 +164,21 @@ def map_contexts(
                                  candidate_pairs(practice.id, p_concept, framework.id, f_concept,
                                                  scorer, config.threshold))
             results.append(result)
-            if top is None:
-                top = result
-                continue
             # Only a strictly better result replaces ``top``, and the row is in
             # name order, so a tie goes to the earlier relation, then the smaller name.
             # Results holding one cached ``Fraction`` are equal; otherwise the cross
-            # products decide, exactly and without building ``Fraction`` objects.
-            new, old = result.similarity_pct, top.similarity_pct
-            gain = 0 if new is old else new.numerator * old.denominator - old.numerator * new.denominator
+            # products of the integers kept for ``top`` decide, exactly.
+            new = result.similarity_pct
+            if top is None:
+                gain = 1
+            elif new is old:
+                gain = 0
+            else:
+                n, d = new.as_integer_ratio()
+                gain = n * d_old - n_old * d
             if gain > 0 or not gain and _RANK[result.relation] < _RANK[top.relation]:
-                top = result
+                top, old = result, new
+                n_old, d_old = new.as_integer_ratio()
         best_matches.append(
             BestMatch(
                 practice=p_concept.name,

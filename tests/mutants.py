@@ -52,6 +52,7 @@ class Mutant(NamedTuple):
 
 
 LTA, MATCHING, CORPUS = "src/essencemap/lta.py", "src/essencemap/matching.py", "src/essencemap/corpus.py"
+CLI = "src/essencemap/cli.py"
 T_LTA, T_MATCHING = "tests/test_lta.py", "tests/test_matching.py"
 T_CLI, T_REPORTS, T_CORPUS = "tests/test_cli.py", "tests/test_workload_reports.py", "tests/test_corpus.py"
 
@@ -208,8 +209,23 @@ MUTANTS = (
            "scorer.profile(context.id, concept)",
            "(scorer if context is practice else config.make_scorer()).profile(context.id, concept)",
            ("tests/test_mapper.py::TestMapContexts::test_every_concept_is_held_before_the_first_sweep",)),
+    Mutant("best-match-tie-to-the-later-result", "src/essencemap/mapper.py",
+           "gain > 0",
+           "gain >= 0",
+           ("tests/test_mapper.py::TestMapContexts::test_best_match_tie_goes_to_the_higher_relation",
+            "tests/test_mapper.py::TestMapContexts"
+            "::test_best_match_compares_equal_similarities_with_different_terms")),
+    # ``cli.main``: the collector is paused for one command and then left as the caller had it.
+    Mutant("collector-left-off", CLI,
+           "            gc.enable()\n",
+           "            pass\n",
+           (f"{T_CLI}::test_main_pauses_the_collector_for_one_command_and_restores_the_callers_state",)),
+    Mutant("collector-enabled-for-a-caller-that-disabled-it", CLI,
+           "        if collecting:\n",
+           "        if True:\n",
+           (f"{T_CLI}::test_main_pauses_the_collector_for_one_command_and_restores_the_callers_state",)),
     # Rendering.
-    Mutant("format-pct-rounds-halves-down", "src/essencemap/cli.py",
+    Mutant("format-pct-rounds-halves-down", CLI,
            "(20 * n + d) // (2 * d)",
            "(20 * n + d - 1) // (2 * d)",
            (f"{T_CLI}::test_format_pct_rounds_like_exact_fractions",)),
@@ -268,7 +284,7 @@ def main(names: list[str]) -> int:
                 code = pytest_run(directory, mutant.tests)
             finally:
                 path.write_text(original, encoding="utf-8")
-            print(f"{mutant.name:45} {verdict(code):10} {time.monotonic() - began:5.1f} s")
+            print(f"{mutant.name:48} {verdict(code):10} {time.monotonic() - began:5.1f} s")
             if code != 1:
                 problems.append(mutant.name)
     seconds = time.monotonic() - start

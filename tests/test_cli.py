@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import random
@@ -93,6 +94,36 @@ def test_command_path_exits_with_its_code_and_message(case, capsys):
         assert (out, err) == (f"essencemap {__version__}\n", "")
     else:
         assert out == "" and err.startswith(first_line)
+
+
+# One invocation per exit code.
+_EXIT_PATHS = ((EXIT_OK, ["version"]), (EXIT_USAGE, ["version", "--bogus"]),
+               (EXIT_PARSE, ["parse", "absent.concepts"]),
+               (EXIT_REFERENCE, _COMMAND_PATHS["left-in-unknown-context"][0]))
+
+
+def _failing_command(args):
+    raise RuntimeError("a command that fails")
+
+
+@pytest.mark.parametrize("collecting", (True, False), ids=("caller-collecting", "caller-paused"))
+def test_main_pauses_the_collector_for_one_command_and_restores_the_callers_state(
+        collecting, monkeypatch, capsys):
+    inside = []
+    monkeypatch.setitem(cli._COMMANDS, "version",
+                        lambda args: inside.append(gc.isenabled()) or cli.cmd_version(args))
+    was_collecting = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for code, argv in _EXIT_PATHS:
+            assert (main(argv), gc.isenabled()) == (code, collecting)
+        monkeypatch.setitem(cli._COMMANDS, "version", _failing_command)
+        with pytest.raises(RuntimeError, match="a command that fails"):
+            main(["version"])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
+    assert inside == [False]
 
 
 def test_non_utf8_concept_file_exits_2_with_its_line(tmp_path, capsys):

@@ -6,9 +6,11 @@ any report byte of the three workloads fails here, not only in the
 benchmark's own comparison.  Regenerate a hash only for an intended report
 change, such as the case-study work of ROADMAP item 2, and name the change
 and the new hash in CHANGES.md.  The annotated-hybrid corpus also pins
-how many of the cells its map reads come with a table level.
+how many of the cells its map reads come with a table level, and each
+workload and the case study show that a map leaves the collector nothing.
 """
 
+import gc
 import hashlib
 import sys
 from collections import Counter
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from essencemap import StatementScorer, bundled_path, load_annotations, load_concepts, load_lexicon
+from essencemap import StatementScorer, bundled_path, cli, load_annotations, load_concepts, load_lexicon
 from essencemap.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -30,19 +32,46 @@ REPORT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(REPORT_SHA256))
-def test_seed_1_report_hash(workload, tmp_path, capsys):
-    shape = corpora.SHAPES[workload]
-    paths = corpora.write(corpora.generate(shape, 1), tmp_path)
-    out = tmp_path / "report.out"
+def _map_argv(workload, directory, out):
+    """The ``map`` arguments of a workload's seed-1 corpus, or of the hybrid case study."""
+    if workload == "case-study":
+        paths = {"practice": bundled_path("scrum.concepts"), "framework": bundled_path("essence.concepts"),
+                 "annotations": bundled_path("paper-table1.ann")}
+        mode, threshold, out_format = "hybrid", 2, "table"
+    else:
+        shape = corpora.SHAPES[workload]
+        paths = corpora.write(corpora.generate(shape, 1), directory)
+        mode, threshold, out_format = shape.mode, shape.threshold, shape.out_format
     argv = ["map", "--practice", str(paths["practice"]), "--framework", str(paths["framework"]),
-            "--lexicon", str(bundled_path("paper.lex")), "--mode", shape.mode,
-            "--threshold", str(shape.threshold), "--format", shape.out_format, "--out", str(out)]
+            "--lexicon", str(bundled_path("paper.lex")), "--mode", mode,
+            "--threshold", str(threshold), "--format", out_format, "--out", str(out)]
     if "annotations" in paths:
         argv += ["--annotations", str(paths["annotations"])]
-    assert main(argv) == 0
+    return argv
+
+
+@pytest.mark.parametrize("workload", sorted(REPORT_SHA256))
+def test_seed_1_report_hash(workload, tmp_path, capsys):
+    out = tmp_path / "report.out"
+    assert main(_map_argv(workload, tmp_path, out)) == 0
     capsys.readouterr()  # the no-verb diagnostics
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[workload]
+
+
+@pytest.mark.parametrize("workload", [*sorted(REPORT_SHA256), "case-study"])
+def test_a_map_leaves_no_garbage_for_the_collector(workload, tmp_path):
+    # ``main`` pauses the collector for one command; that is safe only while
+    # ``cmd_map`` builds no reference cycle, so none of its objects is left to collect.
+    args = cli.build_parser().parse_args(_map_argv(workload, tmp_path, tmp_path / "report.out"))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        cli.cmd_map(args)  # its report and notes are dropped at once
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_annotated_hybrid_level_sources(tmp_path):
