@@ -62,14 +62,17 @@ def render_table(report: MappingReport) -> str:
         f"  (mode {report.mode}, threshold {report.threshold})",
         "",
     ]
-    for result in report.results:
-        left = result.left.partition("/")[2]
-        right = result.right.partition("/")[2]
-        matches = " ".join(_match_labels(result.match_set))
-        lines.append(
-            f"{left} -> {right}  {format_pct(result.similarity_pct)}%"
-            f"  {result.relation}  [{matches or '-'}]"
-        )
+    # Each similarity object is formatted once, its text kept by ``id``: the report keeps
+    # every value alive for the call, and two equal values that are different objects are
+    # only formatted twice, to the same text.  ``render_tsv`` and ``render_jsonl`` do the same.
+    texts = {}
+    for left, right, match, pct, relation in report.results:
+        key = id(pct)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = format_pct(pct)
+        matches = " ".join(_match_labels(match)) if match.pairs else "-"
+        lines.append(f"{left.partition('/')[2]} -> {right.partition('/')[2]}  {text}%  {relation}  [{matches}]")
     lines.append("")
     lines.append("best matches:")
     for best in report.best_matches:
@@ -79,18 +82,14 @@ def render_table(report: MappingReport) -> str:
 
 def render_tsv(report: MappingReport) -> str:
     lines = [TSV_HEADER]
-    for result in report.results:
-        lines.append(
-            "\t".join(
-                (
-                    result.left,
-                    result.right,
-                    format_pct(result.similarity_pct),
-                    result.relation,
-                    ",".join(_match_labels(result.match_set)),
-                )
-            )
-        )
+    texts = {}
+    for left, right, match, pct, relation in report.results:
+        key = id(pct)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = format_pct(pct)
+        matches = ",".join(_match_labels(match)) if match.pairs else ""
+        lines.append(f"{left}\t{right}\t{text}\t{relation}\t{matches}")
     lines.append("")
     lines.append("practice\tbest_framework\tsimilarity_pct")
     for best in report.best_matches:
@@ -100,18 +99,15 @@ def render_tsv(report: MappingReport) -> str:
 
 def render_jsonl(report: MappingReport) -> str:
     lines = []
-    for result in report.results:
-        lines.append(
-            json.dumps(
-                {
-                    "left": result.left,
-                    "right": result.right,
-                    "similarity_pct": float(format_pct(result.similarity_pct)),
-                    "relation": result.relation,
-                    "matches": _match_labels(result.match_set),
-                }
-            )
-        )
+    values = {}
+    for left, right, match, pct, relation in report.results:
+        key = id(pct)
+        value = values.get(key)
+        if value is None:
+            value = values[key] = float(format_pct(pct))
+        matches = _match_labels(match) if match.pairs else []
+        lines.append(json.dumps({"left": left, "right": right, "similarity_pct": value,
+                                 "relation": relation, "matches": matches}))
     for best in report.best_matches:
         lines.append(
             json.dumps(

@@ -1,12 +1,13 @@
 """Context-to-context mapping pipeline.
 
 For every concept pair, ``candidate_pairs`` keeps the attribute pairs at
-or above the threshold, and :func:`pair_result` selects the bijective
+or above the threshold, and one per-pair step selects the bijective
 matching, computes the similarity percentage and classifies the
 relationship by the first relation of :data:`RELATIONS` whose predicate
-holds; :func:`map_pair`, :func:`map_contexts` and the ``score`` command
-all run the two.  Identical inputs and configuration give identical
-reports.
+holds.  :func:`map_pair` and the ``score`` command reach it through
+:func:`pair_result`; :func:`map_contexts` derives each concept's name and
+size once and calls it directly.  Identical inputs and configuration
+give identical reports.
 """
 
 from __future__ import annotations
@@ -101,13 +102,19 @@ def classify(c1: Concept, c2: Concept, match: MatchSet) -> str:
 def pair_result(context1: str, c1: Concept, context2: str, c2: Concept,
                 candidates: list[CandidatePair]) -> MappingResult:
     """Match, measure and classify one concept pair from its ``candidate_pairs``."""
-    if not c1.attributes:
-        raise NoAttributesError(f"concept {context1}/{c1.name} has no attributes")
-    if not c2.attributes:
-        raise NoAttributesError(f"concept {context2}/{c2.name} has no attributes")
-    match = max_matching(candidates, len(c1.attributes), len(c2.attributes))
-    return MappingResult(_qualified(context1, c1.name), _qualified(context2, c2.name), match,
-                         similarity(c1, c2, match), classify(c1, c2, match))
+    return _pair_result(_qualified(context1, c1.name), c1, len(c1.attributes),
+                        _qualified(context2, c2.name), c2, len(c2.attributes), candidates)
+
+
+def _pair_result(left: str, c1: Concept, n1: int, right: str, c2: Concept, n2: int,
+                 candidates: list[CandidatePair]) -> MappingResult:
+    """:func:`pair_result` given each concept's qualified name and attribute count."""
+    if not n1:
+        raise NoAttributesError(f"concept {left} has no attributes")
+    if not n2:
+        raise NoAttributesError(f"concept {right} has no attributes")
+    match = max_matching(candidates, n1, n2)
+    return MappingResult(left, right, match, similarity(c1, c2, match), classify(c1, c2, match))
 
 
 @lru_cache(maxsize=None)
@@ -155,14 +162,16 @@ def map_contexts(
         for concept in context.concepts:
             verbless.update(str(row.ref) for row in scorer.profile(context.id, concept) if not row.has_verb)
     ordered = [sorted(context.concepts, key=lambda c: c.name) for context in (practice, framework)]
+    p_id, f_id, threshold = practice.id, framework.id, config.threshold
+    rights = [(c, _qualified(f_id, c.name), len(c.attributes)) for c in ordered[1]]
     results = []
     best_matches = []
     for p_concept in ordered[0]:
+        left, n1 = _qualified(p_id, p_concept.name), len(p_concept.attributes)
         top = None
-        for f_concept in ordered[1]:
-            result = pair_result(practice.id, p_concept, framework.id, f_concept,
-                                 candidate_pairs(practice.id, p_concept, framework.id, f_concept,
-                                                 scorer, config.threshold))
+        for f_concept, right, n2 in rights:
+            result = _pair_result(left, p_concept, n1, right, f_concept, n2,
+                                  candidate_pairs(p_id, p_concept, f_id, f_concept, scorer, threshold))
             results.append(result)
             # Only a strictly better result replaces ``top``, and the row is in
             # name order, so a tie goes to the earlier relation, then the smaller name.

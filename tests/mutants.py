@@ -209,6 +209,12 @@ MUTANTS = (
            "scorer.profile(context.id, concept)",
            "(scorer if context is practice else config.make_scorer()).profile(context.id, concept)",
            ("tests/test_mapper.py::TestMapContexts::test_every_concept_is_held_before_the_first_sweep",)),
+    # ``map_contexts`` hands the per-pair step each concept's attribute count, practice first.
+    Mutant("pair-sizes-swapped", "src/essencemap/mapper.py",
+           "_pair_result(left, p_concept, n1, right, f_concept, n2,",
+           "_pair_result(left, p_concept, n2, right, f_concept, n1,",
+           ("tests/test_mapper.py::TestMapContexts::test_an_attribute_less_concept_raises_as_its_first_pair_would",
+            "tests/test_mapper.py::TestMapContexts::test_every_result_is_its_pair_result")),
     Mutant("best-match-tie-to-the-later-result", "src/essencemap/mapper.py",
            "gain > 0",
            "gain >= 0",
@@ -229,6 +235,24 @@ MUTANTS = (
            "(20 * n + d) // (2 * d)",
            "(20 * n + d - 1) // (2 * d)",
            (f"{T_CLI}::test_format_pct_rounds_like_exact_fractions",)),
+    # ``render_table`` formats each similarity object once, and makes no labels for an empty match.
+    Mutant("render-similarity-text-keyed-by-relation", CLI,
+           "        key = id(pct)\n"
+           "        text = texts.get(key)\n"
+           "        if text is None:\n"
+           "            text = texts[key] = format_pct(pct)\n"
+           '        matches = " "',
+           "        key = relation\n"
+           "        text = texts.get(key)\n"
+           "        if text is None:\n"
+           "            text = texts[key] = format_pct(pct)\n"
+           '        matches = " "',
+           (f"{T_CLI}::test_renderers_write_each_result_as_the_reference_does",
+            f"{T_REPORTS}::test_seed_1_report_hash[scoring-wide]")),
+    Mutant("render-empty-match-joins-labels", CLI,
+           '" ".join(_match_labels(match)) if match.pairs else "-"',
+           '" ".join(_match_labels(match)) or "-"',
+           (f"{T_CLI}::test_renderers_write_each_result_as_the_reference_does",)),
 )
 
 

@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import os
 import random
 import subprocess
@@ -8,13 +9,20 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from essencemap import (
+    AttrRef,
+    BestMatch,
+    CandidatePair,
     MapConfig,
+    MappingReport,
+    MappingResult,
+    MatchSet,
     __version__,
     bundled_path,
     cli,
@@ -26,6 +34,7 @@ from essencemap import (
     serialize_concepts,
 )
 from essencemap.cli import EXIT_OK, EXIT_PARSE, EXIT_REFERENCE, EXIT_USAGE, OUTPUT_FORMATS, format_pct, main
+from essencemap.concepts import _percentage
 from essencemap.lta import EMPTY_LEXICON, MODES
 from essencemap.matching import THRESHOLDS
 
@@ -633,6 +642,106 @@ def test_format_pct_rounds_like_exact_fractions(value):
     tenths = value * 10 + Fraction(1, 2)
     scaled = tenths.numerator // tenths.denominator
     assert format_pct(value) == f"{scaled // 10}.{scaled % 10}"
+
+
+def _reference_renders(report):
+    """The table, TSV and JSON lines texts, written one result at a time with no shared state."""
+    def labels(match):
+        return [f"{p.left.attr}-{p.right.attr}" for p in match.pairs]
+
+    table = [f"mapping {report.practice_context} -> {report.framework_context}"
+             f"  (mode {report.mode}, threshold {report.threshold})", ""]
+    tsv = [cli.TSV_HEADER]
+    jsonl = []
+    for result in report.results:
+        left, right = result.left.partition("/")[2], result.right.partition("/")[2]
+        pct = format_pct(result.similarity_pct)
+        table.append(f"{left} -> {right}  {pct}%  {result.relation}  [{' '.join(labels(result.match_set)) or '-'}]")
+        tsv.append("\t".join((result.left, result.right, pct, result.relation, ",".join(labels(result.match_set)))))
+        jsonl.append(json.dumps({"left": result.left, "right": result.right, "similarity_pct": float(pct),
+                                 "relation": result.relation, "matches": labels(result.match_set)}))
+    table += ["", "best matches:"]
+    tsv += ["", "practice\tbest_framework\tsimilarity_pct"]
+    for best in report.best_matches:
+        pct = format_pct(best.similarity_pct)
+        table.append(f"{best.practice} -> {best.framework}  {pct}%")
+        tsv.append(f"{best.practice}\t{best.framework}\t{pct}")
+        jsonl.append(json.dumps({"practice": best.practice, "best_match": best.framework,
+                                 "similarity_pct": float(pct)}))
+    return ["\n".join(lines) + "\n" for lines in (table, tsv, jsonl)]
+
+
+_RENDER_NAMES = st.sampled_from(("A", "Beta", "B/C", "x/y/z"))
+
+
+@st.composite
+def _rendered_result(draw):
+    """A valid result whose similarity is the shared ``_percentage`` value or an equal new one.
+
+    A new one is built from the lowest or from doubled terms, so equal
+    similarities are often different objects.
+    """
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.integers(0, min(n1, n2)))
+    union = n1 + n2 - k
+    scale = draw(st.sampled_from((None, 1, 2)))
+    pct = _percentage(k, union) if scale is None else Fraction(100 * k * scale, union * scale)
+    if not k:
+        relation = "independent"
+    else:
+        relation = draw(st.sampled_from(("equivalent", "related") if pct == 100
+                                        else ("sub-concept", "super-concept", "related")))
+    left, right = draw(_RENDER_NAMES), draw(_RENDER_NAMES)
+    columns = draw(st.permutations(range(n2)))
+    pairs = [CandidatePair(AttrRef("P", left, f"a{i + 1}"), AttrRef("F", right, f"b{j + 1}"), draw(st.integers(1, 3)))
+             for i, j in zip(range(k), columns)]
+    return MappingResult(f"P/{left}", f"F/{right}", MatchSet(pairs, n1, n2), pct, relation)
+
+
+@st.composite
+def _rendered_report(draw):
+    results = draw(st.lists(_rendered_result(), max_size=12))
+    best = [BestMatch(r.left.partition("/")[2], r.right.partition("/")[2], r.similarity_pct)
+            for r in (draw(st.lists(st.sampled_from(results))) if results else ())]
+    return MappingReport("P", "F", draw(st.sampled_from(MODES)), draw(st.sampled_from(THRESHOLDS)),
+                         tuple(results), tuple(best))
+
+
+def _one_pair(left, right, attrs):
+    return tuple(CandidatePair(AttrRef("P", left, f"a{i}"), AttrRef("F", right, f"b{j}"), 2) for i, j in attrs)
+
+
+# 100/3 as the shared value, built again twice, and as 200/6; 50% under the same relation; an empty match.
+_SHARED_THIRD = _percentage(1, 3)
+_RENDER_EXAMPLE = MappingReport("P", "F", "heuristic", 2, (
+    MappingResult("P/A", "F/B/C", MatchSet(_one_pair("A", "B/C", [(1, 2)]), 2, 2), _SHARED_THIRD, "related"),
+    MappingResult("P/A", "F/Beta", MatchSet(_one_pair("A", "Beta", [(2, 1)]), 2, 2), Fraction(100, 3), "related"),
+    MappingResult("P/A", "F/x/y/z", MatchSet(_one_pair("A", "x/y/z", [(1, 1)]), 2, 2), Fraction(100, 3), "related"),
+    MappingResult("P/B/C", "F/A", MatchSet(_one_pair("B/C", "A", [(1, 1)]), 1, 2), Fraction(200, 4), "related"),
+    MappingResult("P/B/C", "F/Beta", MatchSet(_one_pair("B/C", "Beta", [(1, 2)]), 2, 2), Fraction(200, 6),
+                  "related"),
+    MappingResult("P/x/y/z", "F/A", MatchSet((), 2, 2), _percentage(0, 4), "independent"),
+    MappingResult("P/x/y/z", "F/B/C", MatchSet(_one_pair("x/y/z", "B/C", [(1, 1), (2, 2)]), 2, 2),
+                  _percentage(2, 2), "equivalent"),
+    MappingResult("P/Beta", "F/B/C", MatchSet(_one_pair("Beta", "B/C", [(1, 1)]), 2, 2), _SHARED_THIRD,
+                  "related"),
+), (BestMatch("A", "B/C", _SHARED_THIRD), BestMatch("x/y/z", "B/C", _percentage(2, 2))))
+
+
+@given(report=_rendered_report())
+@example(report=_RENDER_EXAMPLE)
+def test_renderers_write_each_result_as_the_reference_does(report):
+    # Each renderer formats a similarity once per object, and makes no labels for an empty match.
+    labelled, labels = [], cli._match_labels
+
+    def match_labels(match):
+        labelled.append(match)
+        return labels(match)
+
+    with mock.patch.object(cli, "_match_labels", match_labels):
+        rendered = [cli.render_table(report), cli.render_tsv(report), cli.render_jsonl(report)]
+    assert rendered == _reference_renders(report)
+    assert all(match.pairs for match in labelled)
 
 
 _TWO_CONTEXTS = {

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from essencemap import (
@@ -21,6 +21,7 @@ from essencemap import (
     ObjectInstance,
     SemanticContext,
     UnknownReferenceError,
+    candidate_pairs,
     equivalent,
     extract_spo,
     independent,
@@ -32,7 +33,7 @@ from essencemap import (
     super_concept,
 )
 from essencemap.lta import MODES
-from essencemap.mapper import RELATION_LABELS, MappingResult, classify
+from essencemap.mapper import RELATION_LABELS, MappingResult, classify, pair_result
 from essencemap.matching import THRESHOLDS
 
 from conftest import make_random_context
@@ -401,6 +402,48 @@ class TestMapContexts:
             map_contexts(empty, other, MapConfig(mode="heuristic"))
         with pytest.raises(EmptyContextError, match="'E' has no concepts"):
             map_contexts(other, empty, MapConfig(mode="heuristic"))
+
+    @staticmethod
+    def _pair_results(practice, framework, config):
+        """``pair_result`` on each pair in sorted-name order, one scorer for all; stops at the first error."""
+        scorer = config.make_scorer()
+        for c1 in sorted(practice.concepts, key=lambda c: c.name):
+            for c2 in sorted(framework.concepts, key=lambda c: c.name):
+                yield pair_result(practice.id, c1, framework.id, c2,
+                                  candidate_pairs(practice.id, c1, framework.id, c2, scorer, config.threshold))
+
+    @pytest.mark.parametrize("practice, framework, message", [
+        pytest.param({"Beta": [], "Alpha": ["team is small"]}, {"Gamma": ["team is small"], "Delta": ["is x"]},
+                     "concept P/Beta has no attributes", id="practice"),
+        pytest.param({"Alpha": ["team is small"]}, {"Delta": ["team is small"], "Zeta": []},
+                     "concept F/Zeta has no attributes", id="framework"),
+        # Alpha x Gamma fails first, on its framework side, before the practice concept Beta is reached.
+        pytest.param({"Beta": [], "Alpha": ["team is small"]}, {"Omega": ["team is small"], "Gamma": []},
+                     "concept F/Gamma has no attributes", id="both-framework-first"),
+        pytest.param({"Alpha": [], "Beta": ["team is small"]}, {"Gamma": [], "Omega": ["team is small"]},
+                     "concept P/Alpha has no attributes", id="both-practice-first"),
+    ])
+    def test_an_attribute_less_concept_raises_as_its_first_pair_would(self, practice, framework, message):
+        contexts = [SemanticContext(context_id, tuple(simple_concept(name, texts) for name, texts in concepts.items()))
+                    for context_id, concepts in (("P", practice), ("F", framework))]
+        config = MapConfig(mode="heuristic")
+        with pytest.raises(NoAttributesError, match=f"^{re.escape(message)}$"):
+            list(self._pair_results(*contexts, config))
+        with pytest.raises(NoAttributesError, match=f"^{re.escape(message)}$"):
+            map_contexts(*contexts, config)
+
+    @given(case=_mapping_case())
+    @example(case=(SemanticContext("X", (simple_concept("Alpha", ["team is small", "product is fast"]),)),
+                   SemanticContext("Y", (simple_concept("Beta", ["team is small"], prefix="b"),)),
+                   MapConfig(mode="heuristic")))
+    def test_every_result_is_its_pair_result(self, case):
+        practice, framework, config = case
+        assume(any(len(c1.attributes) != len(c2.attributes)
+                   for c1 in practice.concepts for c2 in framework.concepts))
+        if _refuses_twins(practice, framework, config):
+            return
+        expected = tuple(self._pair_results(practice, framework, config))
+        assert map_contexts(practice, framework, config).results == expected
 
     def test_swap_mirrors_every_result(self):
         rng = random.Random(0xFACE)
